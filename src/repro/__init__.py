@@ -41,6 +41,7 @@ from .aqua import (
 )
 from .errors import (
     GuardViolationError,
+    QueryTooDeepError,
     StaleSynopsisError,
     SynopsisCorruptError,
     SynopsisMissingError,
@@ -134,6 +135,7 @@ __all__ = [
     "GuardPolicy",
     "GuardReport",
     "GuardViolationError",
+    "QueryTooDeepError",
     "House",
     "HouseMaintainer",
     "Integrated",

@@ -23,8 +23,9 @@ Subsumption rules (all must hold, checked by :class:`RollupIndex`):
   input expression has moments in the snapshot.
 
 Bit-identity: the snapshot's per-stratum moments are ``np.bincount``
-reductions of exactly the arrays :func:`repro.estimators.point.estimate`
-builds, and :meth:`ReuseSnapshot.finalize` is the *only* arithmetic that
+reductions over the sample's :class:`~repro.sampling.stratified.SampleFrame`
+(variance terms from :func:`repro.estimators.point.expansion_variance`, the
+kernel ``estimate`` uses), and :meth:`ReuseSnapshot.finalize` is the *only* arithmetic that
 turns moments into estimates and Chebyshev half-widths -- the direct
 answer path uses it too (see ``AquaSystem._attach_error_bounds``).  Two
 routes to the same coarse answer therefore agree bit-for-bit, which the
@@ -50,12 +51,16 @@ from ..engine.aggregates import (
     rollup_state,
 )
 from ..engine.predicates import Predicate
+from ..estimators.point import expansion_variance
 from ..engine.render import render_expression, render_predicate
-from ..engine.table import Table
-from ..plan.canonical import canonicalize_expression, canonicalize_predicate
+from ..plan.canonical import (
+    canonicalize_expression,
+    canonicalize_predicate,
+    predicate_conjuncts,
+)
 from ..plan.optimizer import _conjoin, _split_and
-from ..sampling.groups import GroupKey, make_key, project_key
-from ..sampling.stratified import StratifiedSample
+from ..sampling.groups import GroupKey
+from ..sampling.stratified import SampleFrame, StratifiedSample
 
 __all__ = [
     "ONES_KEY",
@@ -99,10 +104,15 @@ class _ExprMoments:
 
 @dataclass(frozen=True)
 class RollupAnswer:
-    """A finalized roll-up: sorted group keys with estimates and bounds."""
+    """A finalized roll-up: sorted group keys with estimates and bounds.
+
+    ``key_arrays`` holds the same keys as ``keys``, one array per
+    ``group_by`` column, for aligning result rows by integer code.
+    """
 
     group_by: Tuple[str, ...]
     keys: Tuple[GroupKey, ...]
+    key_arrays: Tuple[np.ndarray, ...]
     support: np.ndarray
     values: Dict[str, np.ndarray]
     halfwidths: Dict[str, np.ndarray]
@@ -126,10 +136,7 @@ class ReuseSnapshot:
     conjuncts: Tuple[str, ...]
     confidence: float
     describe_source: str
-    stratum_keys: Tuple[GroupKey, ...]
-    key_table: Table
-    populations: np.ndarray
-    sizes: np.ndarray
+    frame: SampleFrame
     support: np.ndarray
     moments: Dict[str, _ExprMoments]
 
@@ -149,34 +156,19 @@ class ReuseSnapshot:
     ) -> Optional["ReuseSnapshot"]:
         """Scan the sample once and record per-stratum moments.
 
-        Returns ``None`` for empty samples.  Mirrors the row assembly of
-        :func:`repro.estimators.point.estimate` exactly (same strata
-        order, same concatenation, same masking) so per-stratum bincounts
-        match what a direct estimate would accumulate.
+        Returns ``None`` for empty samples.  Reads the sample's
+        :class:`~repro.sampling.stratified.SampleFrame` (the same rows, in
+        the same order, :func:`repro.estimators.point.estimate` reads), so
+        the only per-query work is the predicate, the aggregate inputs and
+        the per-stratum bincounts.
         """
-        strata = [s for s in sample.strata.values() if s.sample_size > 0]
-        if not strata:
+        frame = sample.frame
+        num_strata = frame.num_strata
+        if not num_strata:
             return None
-        base = sample.base_table
-        indices = np.concatenate([s.row_indices for s in strata])
-        sf = np.concatenate(
-            [np.full(s.sample_size, s.scale_factor) for s in strata]
-        )
-        stratum_ids = np.concatenate(
-            [
-                np.full(s.sample_size, i, dtype=np.int64)
-                for i, s in enumerate(strata)
-            ]
-        )
-        rows = base.take(indices)
-        qualifies = (
-            predicate.evaluate(rows)
-            if predicate is not None
-            else np.ones(rows.num_rows, dtype=bool)
-        )
-        num_strata = len(strata)
-        populations = np.array([s.population for s in strata], dtype=np.float64)
-        sizes = np.array([s.sample_size for s in strata], dtype=np.float64)
+        rows = frame.rows
+        stratum_ids, sf = frame.stratum_ids, frame.sf
+        qualifies = frame.qualifies(predicate)
         support = np.bincount(
             stratum_ids[qualifies], minlength=num_strata
         ).astype(np.int64)
@@ -189,61 +181,43 @@ class ReuseSnapshot:
             needed.setdefault(render_expression(expr), expr)
 
         moments: Dict[str, _ExprMoments] = {}
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fpc = 1.0 - sizes / populations
-            for key, expr in needed.items():
-                if expr is None:
-                    values = np.ones(rows.num_rows)
-                else:
-                    values = np.asarray(expr.evaluate(rows), dtype=np.float64)
-                masked = np.where(qualifies, values, 0.0)
-                scaled = np.bincount(
-                    stratum_ids, weights=masked * sf, minlength=num_strata
-                )
-                sums = np.bincount(
-                    stratum_ids, weights=masked, minlength=num_strata
-                )
-                sumsq = np.bincount(
-                    stratum_ids,
-                    weights=masked * masked,
-                    minlength=num_strata,
-                )
-                means = sums / sizes
-                sample_var = np.where(
-                    sizes > 1,
-                    np.maximum(sumsq - sizes * means * means, 0.0)
-                    / np.maximum(sizes - 1.0, 1.0),
-                    0.0,
-                )
-                var_contrib = (
-                    populations * populations * fpc * sample_var / sizes
-                )
-                moments[key] = _ExprMoments(
-                    state=AggregateState(
-                        "sum", support.astype(np.float64), scaled
+        for key, expr in needed.items():
+            if expr is None:
+                values = np.ones(rows.num_rows)
+            else:
+                values = np.asarray(expr.evaluate(rows), dtype=np.float64)
+            masked = np.where(qualifies, values, 0.0)
+            scaled = np.bincount(
+                stratum_ids, weights=masked * sf, minlength=num_strata
+            )
+            moments[key] = _ExprMoments(
+                state=AggregateState(
+                    "sum", support.astype(np.float64), scaled
+                ),
+                var_contrib=expansion_variance(
+                    frame.populations,
+                    frame.sizes,
+                    np.bincount(
+                        stratum_ids, weights=masked, minlength=num_strata
                     ),
-                    var_contrib=var_contrib,
-                )
+                    np.bincount(
+                        stratum_ids,
+                        weights=masked * masked,
+                        minlength=num_strata,
+                    ),
+                ),
+            )
 
-        stratum_keys = tuple(make_key(s.key) for s in strata)
-        grouping = tuple(sample.grouping_columns)
-        key_schema = [base.schema.column(name) for name in grouping]
-        from ..engine.schema import Schema
-
-        key_table = Table.from_rows(Schema(key_schema), stratum_keys)
         return cls(
             base_name=base_name,
             version=version,
             synopsis_signature=synopsis_signature,
-            grouping_columns=grouping,
+            grouping_columns=tuple(sample.grouping_columns),
             entry_group_by=tuple(entry_group_by),
-            conjuncts=_conjunct_texts(predicate),
+            conjuncts=predicate_conjuncts(predicate),
             confidence=confidence,
             describe_source=describe_source,
-            stratum_keys=stratum_keys,
-            key_table=key_table,
-            populations=populations,
-            sizes=sizes,
+            frame=frame,
             support=support,
             moments=moments,
         )
@@ -281,24 +255,19 @@ class ReuseSnapshot:
                 f"snapshot over {self.grouping_columns} cannot finalize "
                 f"GROUP BY {tuple(group_by)}"
             )
-        num_strata = len(self.stratum_keys)
-        included = np.ones(num_strata, dtype=bool)
+        frame = self.frame
+        included = np.ones(frame.num_strata, dtype=bool)
         if extra_predicate is not None:
             included = np.asarray(
-                extra_predicate.evaluate(self.key_table), dtype=bool
+                extra_predicate.evaluate(frame.key_table), dtype=bool
             )
         idx = np.flatnonzero(included)
 
-        projected = [
-            project_key(self.stratum_keys[i], self.grouping_columns, group_by)
-            for i in idx
-        ]
-        ordered_keys = sorted(set(projected))
-        gid = {key: g for g, key in enumerate(ordered_keys)}
-        targets = np.array(
-            [gid[key] for key in projected], dtype=np.int64
-        ).reshape(len(idx))
-        num_groups = len(ordered_keys)
+        # The answer groups of the included strata, renumbered densely (a
+        # slice may leave some of the projection's groups without strata).
+        all_targets, all_keys, all_key_arrays = frame.projection(group_by)
+        present, targets = np.unique(all_targets[idx], return_inverse=True)
+        num_groups = len(present)
 
         support = np.zeros(num_groups, dtype=np.int64)
         np.add.at(support, targets, self.support[idx])
@@ -350,22 +319,15 @@ class ReuseSnapshot:
             values[aggregate.alias] = value[keep]
             halfwidths[aggregate.alias] = half[keep]
 
-        kept_keys = tuple(
-            key for key, ok in zip(ordered_keys, keep) if ok
-        )
+        kept = present[keep]
         return RollupAnswer(
             group_by=tuple(group_by),
-            keys=kept_keys,
+            keys=tuple(all_keys[g] for g in kept.tolist()),
+            key_arrays=tuple(column[kept] for column in all_key_arrays),
             support=support[keep],
             values=values,
             halfwidths=halfwidths,
         )
-
-
-def _conjunct_texts(predicate: Optional[Predicate]) -> Tuple[str, ...]:
-    from ..plan.canonical import predicate_conjuncts
-
-    return predicate_conjuncts(predicate)
 
 
 @dataclass

@@ -25,8 +25,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field, replace as dataclass_replace
-from functools import reduce
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +35,8 @@ from ..engine.aggregates import Aggregate
 from ..engine.catalog import Catalog, CatalogError
 from ..engine.executor import ParallelConfig, ParallelExecutor
 from ..engine.expressions import Col, Lit
-from ..engine.predicates import And, Comparison, InList, Or
+from ..engine.groupby import align_rows, key_tuples
+from ..engine.predicates import And, Comparison, InList, Or, Predicate
 from ..engine.query import Projection, Query
 from ..engine.render import render_query
 from ..engine.schema import Column, ColumnType
@@ -46,6 +46,7 @@ from ..errors import (
     AquaError,
     DeadlineExceeded,
     GuardViolationError,
+    QueryTooDeepError,
     StaleSynopsisError,
     SynopsisCorruptError,
     SynopsisMissingError,
@@ -103,7 +104,7 @@ from .portfolio import (
     SynopsisSpec,
     default_portfolio_specs,
 )
-from .reuse import ReuseSnapshot, RollupIndex
+from .reuse import ReuseSnapshot, RollupAnswer, RollupIndex
 from .synopsis import Synopsis
 from .workload_log import QueryLog
 
@@ -237,6 +238,19 @@ class ApproximateAnswer:
         if self.trace is not None:
             return self.trace.total_seconds
         return self.elapsed_seconds
+
+
+def _balanced(
+    combine: Callable[[Predicate, Predicate], Predicate],
+    terms: Sequence[Predicate],
+) -> Predicate:
+    """Fold ``terms`` with a binary connective into a balanced tree."""
+    if len(terms) == 1:
+        return terms[0]
+    middle = len(terms) // 2
+    return combine(
+        _balanced(combine, terms[:middle]), _balanced(combine, terms[middle:])
+    )
 
 
 def _fmt_pct(value: float) -> str:
@@ -514,9 +528,10 @@ class AquaSystem:
                 f"False, or None; got {semantic_reuse!r}"
             )
         # Per-thread return channel: _attach_error_bounds deposits the
-        # ReuseSnapshot it built so _answer_stages can register it after
-        # the guard verdict, without changing the method's signature
-        # (testing.faults shadows it).
+        # ReuseSnapshot it built and the per-row sample support it read off
+        # it, so _answer_stages can hand the support to the guard and
+        # register the snapshot after the verdict, without changing the
+        # method's signature (testing.faults shadows it).
         self._reuse_local = threading.local()
         self._auditor = None
         self._slo = None
@@ -758,7 +773,12 @@ class AquaSystem:
             sample=sample,
             installed=installed,
         )
+        replaced = self._synopses.get(name)
         self._synopses[name] = synopsis
+        if replaced is not None and replaced.sample is not sample:
+            # Cached answers of earlier versions still name the replaced
+            # synopsis; they must not keep its frame's arrays alive too.
+            replaced.sample.release_frame()
         state = self._tables.get(name)
         if state is not None:
             with state.lock:
@@ -864,6 +884,9 @@ class AquaSystem:
                     + len(state.pending_rows),
                 )
         self._portfolios[name] = portfolio
+        if existing is not None:
+            for member in existing.members.values():
+                member.synopsis.sample.release_frame()
         with state.lock:
             state.version += 1  # new members -> new answers and resolutions
             if self._reuse is not None:
@@ -1184,8 +1207,9 @@ class AquaSystem:
 
         When the system's tracer is enabled, the returned answer carries a
         :class:`~repro.obs.QueryTrace` whose top-level stages (``parse``,
-        ``validate``, ``rewrite``, ``execute``, ``error_bounds``,
-        ``guard``) account for the pipeline's wall time; when the metrics
+        ``cache_probe``, ``rollup_probe``, ``validate``, ``rewrite``,
+        ``plan_optimize``, ``execute``, ``error_bounds``, ``guard``,
+        ``cache_store``) account for the pipeline's wall time; when the metrics
         registry is enabled, query counters, per-stage latency histograms,
         and guard provenance counters are updated.  The query is always
         recorded in the table's :meth:`query_log` for workload mining.
@@ -1244,15 +1268,22 @@ class AquaSystem:
             root = tracer.span("answer")
             try:
                 with root:
-                    answer = self._answer_pipeline(
-                        sql,
-                        guard,
-                        tracer,
-                        root,
-                        max_rel_error=max_rel_error,
-                        max_ms=max_ms,
-                        use_synopsis=use_synopsis,
-                    )
+                    try:
+                        answer = self._answer_pipeline(
+                            sql,
+                            guard,
+                            tracer,
+                            root,
+                            max_rel_error=max_rel_error,
+                            max_ms=max_ms,
+                            use_synopsis=use_synopsis,
+                        )
+                    except RecursionError as exc:
+                        raise QueryTooDeepError(
+                            "the query (or the guard's repair of it) nests "
+                            "predicates deeper than the interpreter's "
+                            "recursion limit allows"
+                        ) from exc
             except Exception as exc:
                 if measure:
                     self._finish_failed(
@@ -1542,12 +1573,15 @@ class AquaSystem:
             if choice is not None
             else ()
         )
-        canonical = (
-            canonicalize_query(query) if self._cache is not None else None
-        )
-        key = self._cache_key(query, base_name, policy, budget, canonical)
+        # The tier probes and the store get spans of their own: next to a
+        # few-millisecond miss they are no longer too small to name.
+        with tracer.span("cache_probe"):
+            canonical = (
+                canonicalize_query(query) if self._cache is not None else None
+            )
+            key = self._cache_key(query, base_name, policy, budget, canonical)
+            entry = self._cache.get(key) if key is not None else None
         if key is not None:
-            entry = self._cache.get(key)
             if entry is not None:
                 # Shallow copy: the caller attaches this call's trace and
                 # trace id to the returned object, which must not leak
@@ -1568,13 +1602,9 @@ class AquaSystem:
                 root.set(cache="rollup")
                 if key is not None:
                     self._cache.record_tier_hit("rollup")
-                    if answer.guard is None or not answer.guard.degraded:
-                        self._cache.put(
-                            self._cache_key(
-                                query, base_name, policy, budget, canonical
-                            ),
-                            self._cache_entry(answer, query, canonical),
-                        )
+                    self._store_answer(
+                        answer, query, base_name, policy, budget, canonical
+                    )
                 return answer
 
         answer = self._answer_stages(
@@ -1592,14 +1622,29 @@ class AquaSystem:
             self._observe_portfolio_answer(
                 base_name, choice, answer, max_rel_error
             )
-        if key is not None and (
-            answer.guard is None or not answer.guard.degraded
-        ):
+        if key is not None:
+            self._store_answer(
+                answer, query, base_name, policy, budget, canonical
+            )
+        return answer
+
+    def _store_answer(
+        self,
+        answer: ApproximateAnswer,
+        query: Query,
+        base_name: str,
+        policy: Optional[GuardPolicy],
+        budget: Tuple,
+        canonical,
+    ) -> None:
+        """Cache a clean answer under the version that produced it."""
+        if answer.guard is not None and answer.guard.degraded:
+            return
+        with self.telemetry.tracer.span("cache_store"):
             self._cache.put(
                 self._cache_key(query, base_name, policy, budget, canonical),
                 self._cache_entry(answer, query, canonical),
             )
-        return answer
 
     def _cache_entry(
         self, answer: ApproximateAnswer, query: Query, canonical
@@ -1722,15 +1767,16 @@ class AquaSystem:
         synopsis = self._synopses.get(base_name)
         if synopsis is None:
             return None
-        match = self._reuse.lookup(
-            base_name=base_name,
-            version=state.version,
-            synopsis_signature=self._synopsis_signature(synopsis),
-            where=query.where,
-            group_by=query.group_by,
-            aggregates=aggregates,
-            confidence=self._confidence,
-        )
+        with tracer.span("rollup_probe"):
+            match = self._reuse.lookup(
+                base_name=base_name,
+                version=state.version,
+                synopsis_signature=self._synopsis_signature(synopsis),
+                where=query.where,
+                group_by=query.group_by,
+                aggregates=aggregates,
+                confidence=self._confidence,
+            )
         if match is None:
             return None
         check_deadline("rollup")
@@ -1747,8 +1793,16 @@ class AquaSystem:
             elapsed_seconds=time.perf_counter() - start,
         )
         if policy is not None:
+            __, __, support = self._rollup_rows(
+                rollup, result, query.group_by
+            )
             answer = self._guard_answer(
-                query, synopsis, answer, policy, state.inserts_since_refresh
+                query,
+                synopsis,
+                answer,
+                policy,
+                state.inserts_since_refresh,
+                support,
             )
         source = match.snapshot.describe_source
         if match.extra_conjuncts:
@@ -1970,10 +2024,10 @@ class AquaSystem:
 
         check_deadline("error_bounds")
         with tracer.span("error_bounds"):
-            self._reuse_local.snapshot = None
+            self._reuse_local.bounds = None
             result = self._attach_error_bounds(query, synopsis, result)
-            snapshot = getattr(self._reuse_local, "snapshot", None)
-            self._reuse_local.snapshot = None
+            snapshot, support = self._reuse_local.bounds or (None, None)
+            self._reuse_local.bounds = None
         answer = ApproximateAnswer(
             result=result,
             confidence=self._confidence,
@@ -1984,7 +2038,7 @@ class AquaSystem:
             check_deadline("guard")
             with tracer.span("guard") as guard_span:
                 answer = self._guard_answer(
-                    query, synopsis, answer, policy, stale
+                    query, synopsis, answer, policy, stale, support
                 )
                 if answer.guard is not None:
                     guard_span.set(**answer.guard.counts)
@@ -2005,12 +2059,33 @@ class AquaSystem:
         self, table: Table, group_by: Sequence[str]
     ) -> List[GroupKey]:
         if not group_by:
-            return [() for __ in range(table.num_rows)]
-        arrays = [table.column(name) for name in group_by]
-        return [
-            make_key(tuple(arr[i] for arr in arrays))
-            for i in range(table.num_rows)
-        ]
+            return [()] * table.num_rows
+        return key_tuples([table.column(name) for name in group_by])
+
+    @staticmethod
+    def _rollup_rows(
+        rollup: RollupAnswer, result: Table, group_by: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Match result rows to the roll-up's groups by integer code.
+
+        Returns ``(found, group, support)``: which rows' answer groups the
+        roll-up holds, those rows' group positions in it (``group`` lines
+        up with ``found``'s true entries), and every row's qualifying
+        sample tuples (0 where not found).
+        """
+        if group_by:
+            position = align_rows(
+                rollup.key_arrays, [result.column(name) for name in group_by]
+            )
+        else:
+            # one global group, at position 0 -- or nowhere (-1) when no
+            # sample tuple qualified and the roll-up is empty
+            position = np.full(result.num_rows, len(rollup.keys) - 1)
+        found = position >= 0
+        group = position[found]
+        support = np.zeros(result.num_rows, dtype=np.int64)
+        support[found] = rollup.support[group]
+        return found, group, support
 
     def _missing_groups(
         self,
@@ -2032,61 +2107,81 @@ class AquaSystem:
             return []
         if not group_by or not set(group_by) <= set(synopsis.grouping_columns):
             return []
-        expected = set()
-        for key, stratum in synopsis.sample.strata.items():
-            if stratum.population > 0:
-                expected.add(
-                    project_key(key, synopsis.grouping_columns, group_by)
-                )
-        return sorted(expected - present)
+        return sorted(synopsis.sample.frame.expected_groups(group_by) - present)
 
     def _flag_groups(
         self,
         query: Query,
         result: Table,
         keys: List[GroupKey],
-        support: Dict[GroupKey, int],
+        support: np.ndarray,
         policy: GuardPolicy,
     ) -> Dict[GroupKey, str]:
-        """Per-row threshold checks: support, finiteness, bound quality."""
+        """Threshold checks per answer group: support, finiteness, bounds.
+
+        The checks run column-at-a-time; only the rows that fail one are
+        then visited to word their reasons.
+        """
         error_columns = {
             a.alias: f"{a.alias}_error"
             for a in query.aggregates()
             if a.func in _SCALED_AGGREGATES
         }
+        checked: List[Tuple[str, np.ndarray, Optional[np.ndarray]]] = []
+        failing = support < policy.min_group_support
+        for aggregate in query.aggregates():
+            column = result.column(aggregate.alias)
+            if column.dtype.kind not in "fiu":
+                continue  # non-numeric aggregate (e.g. MIN over strings)
+            values = column.astype(np.float64)
+            error_name = error_columns.get(aggregate.alias)
+            halfwidths = (
+                result.column(error_name) if error_name is not None else None
+            )
+            checked.append((aggregate.alias, values, halfwidths))
+            failing = failing | ~np.isfinite(values)
+            if halfwidths is not None:
+                failing = failing | np.isnan(halfwidths)
+                if policy.max_relative_halfwidth is not None:
+                    # relative_halfwidth(), array-at-a-time: 0 for a zero
+                    # half-width, inf over a zero estimate.
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        relative = np.where(
+                            halfwidths == 0.0,
+                            0.0,
+                            np.abs(halfwidths) / np.abs(values),
+                        )
+                    failing = failing | (
+                        relative > policy.max_relative_halfwidth
+                    )
         flagged: Dict[GroupKey, str] = {}
-        for i, key in enumerate(keys):
+        for i in np.flatnonzero(failing).tolist():
             reasons = []
-            group_support_count = support.get(key, 0)
-            if group_support_count < policy.min_group_support:
+            if support[i] < policy.min_group_support:
                 reasons.append(
-                    f"sample support {group_support_count} below minimum "
+                    f"sample support {int(support[i])} below minimum "
                     f"{policy.min_group_support}"
                 )
-            for aggregate in query.aggregates():
-                try:
-                    value = float(result.column(aggregate.alias)[i])
-                except (TypeError, ValueError):
-                    continue  # non-numeric aggregate (e.g. MIN over strings)
+            for alias, values, halfwidths in checked:
+                value = float(values[i])
                 if not math.isfinite(value):
-                    reasons.append(f"{aggregate.alias} is not finite")
+                    reasons.append(f"{alias} is not finite")
                     continue
-                error_name = error_columns.get(aggregate.alias)
-                if error_name is None:
+                if halfwidths is None:
                     continue
-                halfwidth = float(result.column(error_name)[i])
+                halfwidth = float(halfwidths[i])
                 if math.isnan(halfwidth):
-                    reasons.append(f"{error_name} is NaN")
+                    reasons.append(f"{alias}_error is NaN")
                 elif policy.max_relative_halfwidth is not None:
                     relative = relative_halfwidth(halfwidth, value)
                     if relative > policy.max_relative_halfwidth:
                         reasons.append(
-                            f"{aggregate.alias} relative half-width "
+                            f"{alias} relative half-width "
                             f"{relative:.3g} exceeds "
                             f"{policy.max_relative_halfwidth:.3g}"
                         )
             if reasons:
-                flagged[key] = "; ".join(reasons)
+                flagged[keys[i]] = "; ".join(reasons)
         return flagged
 
     def _guard_answer(
@@ -2096,15 +2191,26 @@ class AquaSystem:
         answer: ApproximateAnswer,
         policy: GuardPolicy,
         stale: int,
+        support: Optional[np.ndarray] = None,
     ) -> ApproximateAnswer:
+        """Check every answer group and escalate the ones that fail.
+
+        ``support`` is the qualifying sample tuples behind each result row
+        when the bounds stage already read it off the roll-up; without it
+        the sample is scanned for it here.
+        """
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         result = answer.result
         group_by = list(query.group_by)
         keys = self._result_keys(result, group_by)
-        with tracer.span("support"):
-            support = group_support(
-                synopsis.sample, predicate=query.where, group_by=group_by
+        if support is None:
+            with tracer.span("support"):
+                by_key = group_support(
+                    synopsis.sample, predicate=query.where, group_by=group_by
+                )
+            support = np.array(
+                [by_key.get(key, 0) for key in keys], dtype=np.int64
             )
         if metrics.enabled:
             support_histogram = metrics.histogram(
@@ -2112,19 +2218,20 @@ class AquaSystem:
                 "Sample tuples backing each answer group.",
                 buckets=(0, 1, 2, 5, 10, 25, 50, 100, 250, 1000, 10000),
             )
-            for key in keys:
-                support_histogram.observe(support.get(key, 0))
+            for count in support.tolist():
+                support_histogram.observe(count)
         flagged = self._flag_groups(query, result, keys, support, policy)
         missing = self._missing_groups(query, synopsis, group_by, set(keys))
 
         needy = len(flagged) + len(missing)
         if needy == 0:
-            provenance = {key: PROVENANCE_SYNOPSIS for key in keys}
             tagged = self._attach_provenance(
                 result, [PROVENANCE_SYNOPSIS] * len(keys), policy
             )
             report = GuardReport(
-                policy=policy, provenance=provenance, stale_inserts=stale
+                policy=policy,
+                provenance=dict.fromkeys(keys, PROVENANCE_SYNOPSIS),
+                stale_inserts=stale,
             )
             return ApproximateAnswer(
                 result=tagged,
@@ -2266,14 +2373,21 @@ class AquaSystem:
                 Col(group_by[0]), [key[0] for key in keys]
             )
         else:
-            terms = []
-            for key in keys:
-                equalities = [
-                    Comparison.of(Col(column), "=", value)
-                    for column, value in zip(group_by, key)
-                ]
-                terms.append(reduce(And, equalities))
-            key_predicate = reduce(Or, terms)
+            # Balanced trees: depth log2(groups), not one level per group,
+            # so the recursive predicate walkers stay far from the limit.
+            key_predicate = _balanced(
+                Or,
+                [
+                    _balanced(
+                        And,
+                        [
+                            Comparison.of(Col(column), "=", value)
+                            for column, value in zip(group_by, key)
+                        ],
+                    )
+                    for key in keys
+                ],
+            )
         where = (
             key_predicate
             if query.where is None
@@ -2622,18 +2736,16 @@ class AquaSystem:
         values and the half-widths are finalized from those moments --
         the exact arithmetic a future roll-up of this snapshot will run,
         which is what makes roll-up answers bit-identical to direct ones.
-        The built snapshot is deposited in a per-thread slot for
-        :meth:`_answer_stages` to register after the guard verdict.
-        Everything else falls back to the legacy per-aggregate
+        The snapshot and the per-row sample support read off its roll-up
+        are deposited in a per-thread slot for :meth:`_answer_stages`.
+        Everything else falls back to the per-aggregate
         :func:`~repro.estimators.point.estimate` path.
         """
         snapshot = self._reuse_snapshot(query, synopsis)
         if snapshot is not None:
-            self._reuse_local.snapshot = snapshot
             return self._snapshot_bounds(query, snapshot, result)
-        metrics = self.telemetry.metrics
         group_by = list(query.group_by)
-        key_arrays = [result.column(name) for name in group_by]
+        keys = self._result_keys(result, group_by)
         for aggregate in query.aggregates():
             if aggregate.func not in _SCALED_AGGREGATES:
                 continue
@@ -2642,30 +2754,22 @@ class AquaSystem:
                 and aggregate.func in ("sum", "count")
                 and set(group_by) <= set(synopsis.grouping_columns)
             )
+            halfwidths = np.full(result.num_rows, np.nan)
             if use_hoeffding:
                 hoeffding = self._hoeffding_halfwidths(
                     query, synopsis, aggregate, group_by
                 )
-            estimates = (
-                None
-                if use_hoeffding
-                else estimate(
+                for i, key in enumerate(keys):
+                    halfwidths[i] = hoeffding.get(key, np.nan)
+            else:
+                estimates = estimate(
                     synopsis.sample,
                     aggregate.func,
                     None if aggregate.func == "count" else aggregate.expr,
                     predicate=query.where,
                     group_by=group_by,
                 )
-            )
-            halfwidths = np.full(result.num_rows, np.nan)
-            for i in range(result.num_rows):
-                key = tuple(
-                    arr[i].item() if hasattr(arr[i], "item") else arr[i]
-                    for arr in key_arrays
-                )
-                if use_hoeffding:
-                    halfwidths[i] = hoeffding.get(key, np.nan)
-                else:
+                for i, key in enumerate(keys):
                     group_estimate = estimates.get(key)
                     if (
                         group_estimate is not None
@@ -2674,41 +2778,49 @@ class AquaSystem:
                         halfwidths[i] = chebyshev_halfwidth(
                             group_estimate.std_error, self._confidence
                         )
-            if metrics.enabled:
-                halfwidth_histogram = metrics.histogram(
-                    "aqua_relative_halfwidth",
-                    "Error-bound half-width over estimate magnitude, per "
-                    "answer group and aggregate.",
-                    buckets=(
-                        0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-                        0.25, 0.5, 1.0, 2.5,
-                    ),
-                )
-                values = result.column(aggregate.alias)
-                for i in range(result.num_rows):
-                    if not math.isfinite(halfwidths[i]):
-                        continue
-                    relative = relative_halfwidth(
-                        halfwidths[i], float(values[i])
-                    )
-                    if math.isfinite(relative):
-                        halfwidth_histogram.observe(relative)
+            self._observe_halfwidths(
+                halfwidths, result.column(aggregate.alias)
+            )
             result = result.with_column(
                 Column(f"{aggregate.alias}_error", ColumnType.FLOAT), halfwidths
             )
         return result
+
+    def _observe_halfwidths(
+        self, halfwidths: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Record each group's relative half-width (metrics enabled only)."""
+        metrics = self.telemetry.metrics
+        if not metrics.enabled:
+            return
+        halfwidth_histogram = metrics.histogram(
+            "aqua_relative_halfwidth",
+            "Error-bound half-width over estimate magnitude, per "
+            "answer group and aggregate.",
+            buckets=(
+                0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+                0.25, 0.5, 1.0, 2.5,
+            ),
+        )
+        for halfwidth, value in zip(halfwidths.tolist(), values.tolist()):
+            if not math.isfinite(halfwidth):
+                continue
+            relative = relative_halfwidth(halfwidth, float(value))
+            if math.isfinite(relative):
+                halfwidth_histogram.observe(relative)
 
     def _reuse_snapshot(
         self, query: Query, synopsis: Synopsis
     ) -> Optional[ReuseSnapshot]:
         """Build per-stratum moments when the query is expansion-servable.
 
-        ``None`` when the roll-up tier is disabled or the query needs the
-        legacy estimate path (Hoeffding bounds, non-scaled aggregates,
-        HAVING, nested FROM, or a GROUP BY outside the stratification
-        columns).
+        ``None`` when the query needs the per-aggregate estimate path
+        (Hoeffding bounds, non-scaled aggregates, HAVING, nested FROM, or a
+        GROUP BY outside the stratification columns).  Whether the roll-up
+        tier is enabled plays no part: it only decides if the snapshot is
+        registered afterwards.
         """
-        if self._reuse is None or self._bound_method != "chebyshev":
+        if self._bound_method != "chebyshev":
             return None
         if query.having is not None or not isinstance(query.from_item, str):
             return None
@@ -2749,51 +2861,25 @@ class AquaSystem:
         serving the finalized values is what guarantees roll-up answers
         reproduce direct ones bit-for-bit) and appends the ``_error``
         columns, preserving the legacy layout and the relative-half-width
-        histogram.
+        histogram.  Result rows are matched to the roll-up's groups by
+        integer code; a row the roll-up does not hold keeps its plan value
+        and gets a NaN half-width.
         """
-        metrics = self.telemetry.metrics
-        group_by = list(query.group_by)
-        key_arrays = [result.column(name) for name in group_by]
         rollup = snapshot.finalize(query.group_by, query.aggregates())
-        index = {key: g for g, key in enumerate(rollup.keys)}
-        row_keys = [
-            tuple(
-                arr[i].item() if hasattr(arr[i], "item") else arr[i]
-                for arr in key_arrays
-            )
-            for i in range(result.num_rows)
-        ]
+        found, group, support = self._rollup_rows(
+            rollup, result, query.group_by
+        )
+        self._reuse_local.bounds = (snapshot, support)
         replaced = result.columns()
         errors: List[Tuple[str, np.ndarray]] = []
         for aggregate in query.aggregates():
             values = np.array(
                 result.column(aggregate.alias), dtype=np.float64
             )
+            values[found] = rollup.values[aggregate.alias][group]
             halfwidths = np.full(result.num_rows, np.nan)
-            for i, key in enumerate(row_keys):
-                g = index.get(key)
-                if g is None:
-                    continue
-                values[i] = rollup.values[aggregate.alias][g]
-                halfwidths[i] = rollup.halfwidths[aggregate.alias][g]
-            if metrics.enabled:
-                halfwidth_histogram = metrics.histogram(
-                    "aqua_relative_halfwidth",
-                    "Error-bound half-width over estimate magnitude, per "
-                    "answer group and aggregate.",
-                    buckets=(
-                        0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-                        0.25, 0.5, 1.0, 2.5,
-                    ),
-                )
-                for i in range(result.num_rows):
-                    if not math.isfinite(halfwidths[i]):
-                        continue
-                    relative = relative_halfwidth(
-                        halfwidths[i], float(values[i])
-                    )
-                    if math.isfinite(relative):
-                        halfwidth_histogram.observe(relative)
+            halfwidths[found] = rollup.halfwidths[aggregate.alias][group]
+            self._observe_halfwidths(halfwidths, values)
             replaced[aggregate.alias] = values
             errors.append((f"{aggregate.alias}_error", halfwidths))
         result = Table(result.schema, replaced)

@@ -30,7 +30,10 @@ from .schema import Column, ColumnType, Schema
 from .table import Table
 
 __all__ = [
+    "factorize",
+    "key_tuples",
     "group_ids_for",
+    "align_rows",
     "group_by",
     "distinct",
     "GroupByPartial",
@@ -38,6 +41,72 @@ __all__ = [
     "merge_group_partials",
     "finalize_group_by",
 ]
+
+
+# A combined code must stay below this; past it the prefix is re-compacted.
+_CODE_LIMIT = 2**63
+
+
+def factorize(
+    arrays: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Dense ids for the distinct row combinations of equal-length arrays.
+
+    Each column is dictionary-encoded with one ``np.unique``, the per-column
+    codes are combined mixed-radix (first column most significant) into one
+    ``int64`` and a single integer ``np.unique`` yields the ids.  Returns
+    ``(ids, key_arrays)``: ``key_arrays[j][g]`` is column ``j``'s value in
+    group ``g``, decoded from the group's code.  Groups are in sorted
+    lexicographic order of their keys.  NaN keys compare equal to each
+    other, so all NaNs of a column fall into one group (sorted last).
+
+    When the product of the column cardinalities would pass ``2**63`` the
+    codes combined so far are re-compacted to their dense ranks (at most one
+    per row) before the next column is folded in, so the code never wraps.
+    """
+    if not arrays:
+        raise ValueError("factorize needs at least one array")
+    # Each digit of the mixed-radix code: its cardinality and, per key
+    # column it covers, the value of every digit code.
+    digits: List[Tuple[int, List[np.ndarray]]] = []
+    combined = None
+    span = 1
+    for array in arrays:
+        uniques, codes = np.unique(array, return_inverse=True)
+        codes = codes.astype(np.int64, copy=False).reshape(-1)
+        cardinality = max(len(uniques), 1)
+        if combined is None:
+            combined = codes
+        else:
+            if span * cardinality >= _CODE_LIMIT:
+                prefix, combined = np.unique(combined, return_inverse=True)
+                digits = [(len(prefix), _decode(prefix, digits))]
+                span = len(prefix)
+            combined = combined * cardinality + codes
+        span *= cardinality
+        digits.append((cardinality, [uniques]))
+    if len(digits) == 1:
+        return combined, [uniques]  # one column: its codes are the ids
+    group_codes, ids = np.unique(combined, return_inverse=True)
+    return ids.astype(np.int64, copy=False), _decode(group_codes, digits)
+
+
+def _decode(
+    codes: np.ndarray, digits: Sequence[Tuple[int, List[np.ndarray]]]
+) -> List[np.ndarray]:
+    """Per-column key values of each combined code (inverse of the combine)."""
+    per_digit: List[List[np.ndarray]] = []
+    remainder = codes
+    for cardinality, tables in reversed(digits):
+        digit = remainder % cardinality
+        remainder = remainder // cardinality
+        per_digit.append([table[digit] for table in tables])
+    return [column for columns in reversed(per_digit) for column in columns]
+
+
+def key_tuples(key_arrays: Sequence[np.ndarray]) -> List[Tuple]:
+    """Row tuples of plain Python scalars from parallel key columns."""
+    return list(zip(*(column.tolist() for column in key_arrays)))
 
 
 def group_ids_for(
@@ -48,21 +117,35 @@ def group_ids_for(
     Returns:
         ``(group_ids, group_keys, num_groups)`` where ``group_ids`` maps each
         row to ``[0, num_groups)`` and ``group_keys[i]`` is the tuple of key
-        values for group ``i``.  With no key columns, every row belongs to the
-        single group ``()`` (the paper's "no group-bys" case).
+        values (plain Python scalars) for group ``i``, groups sorted
+        lexicographically by key.  With no key columns, every row belongs to
+        the single group ``()`` (the paper's "no group-bys" case).  Rows
+        whose key is NaN in some column share one group per distinct
+        combination of the other columns (see :func:`factorize`).
     """
     if not key_columns:
         return np.zeros(table.num_rows, dtype=np.int64), [()], 1
-    arrays = [table.column(name) for name in key_columns]
-    if len(arrays) == 1:
-        uniques, ids = np.unique(arrays[0], return_inverse=True)
-        keys = [(value,) for value in uniques.tolist()]
-        return ids.astype(np.int64), keys, len(keys)
-    # Multi-key: unique over a structured view of the key columns.
-    record = np.rec.fromarrays(arrays)
-    uniques, ids = np.unique(record, return_inverse=True)
-    keys = [tuple(np.asarray(u).tolist()) for u in uniques]
-    return ids.astype(np.int64), keys, len(keys)
+    ids, key_arrays = factorize([table.column(name) for name in key_columns])
+    keys = key_tuples(key_arrays)
+    return ids, keys, len(keys)
+
+
+def align_rows(
+    reference: Sequence[np.ndarray], probe: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Position of each probe row's key among the reference rows (-1: absent).
+
+    ``reference`` and ``probe`` are parallel lists of key columns; reference
+    keys must be distinct.  Both sides are encoded by one :func:`factorize`
+    over their concatenation, so rows are matched by integer code.
+    """
+    num_reference = len(reference[0])
+    ids, __ = factorize(
+        [np.concatenate([ref, col]) for ref, col in zip(reference, probe)]
+    )
+    position = np.full(int(ids.max()) + 1 if len(ids) else 0, -1, dtype=np.int64)
+    position[ids[:num_reference]] = np.arange(num_reference)
+    return position[ids[num_reference:]]
 
 
 @dataclass

@@ -20,6 +20,7 @@ __all__ = [
     "StaleSynopsisError",
     "SynopsisCorruptError",
     "GuardViolationError",
+    "QueryTooDeepError",
     "StreamError",
     "TransientError",
     "ServeError",
@@ -52,6 +53,13 @@ class SynopsisCorruptError(AquaError):
 
 class GuardViolationError(AquaError):
     """An answer failed the guard policy and every fallback is disabled."""
+
+
+class QueryTooDeepError(AquaError):
+    """A predicate or expression tree nests deeper than the recursive
+    walkers (evaluation, rendering, canonicalization, optimizer rules) can
+    follow; the interpreter's ``RecursionError`` re-raised as a typed one.
+    """
 
 
 class StreamError(AquaError):

@@ -27,11 +27,18 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..engine.expressions import Expression
+from ..engine.groupby import group_ids_for
 from ..engine.predicates import Predicate
-from ..sampling.groups import GroupKey, make_key
+from ..sampling.groups import GroupKey
 from ..sampling.stratified import StratifiedSample
 
-__all__ = ["GroupEstimate", "estimate", "estimate_single", "group_support"]
+__all__ = [
+    "GroupEstimate",
+    "estimate",
+    "estimate_single",
+    "expansion_variance",
+    "group_support",
+]
 
 
 @dataclass(frozen=True)
@@ -88,84 +95,66 @@ def estimate(
     if func != "count" and column is None:
         raise ValueError(f"{func} requires an aggregate column")
 
-    strata = [s for s in sample.strata.values() if s.sample_size > 0]
-    if not strata:
+    frame = sample.frame
+    if not frame.num_strata:
         return {}
-
-    base = sample.base_table
-    group_cols = list(group_by)
-
-    # Assemble per-sampled-row arrays: value, scale factor, stratum id.
-    indices = np.concatenate([s.row_indices for s in strata])
-    sf = np.concatenate(
-        [np.full(s.sample_size, s.scale_factor) for s in strata]
-    )
-    stratum_ids = np.concatenate(
-        [np.full(s.sample_size, i, dtype=np.int64) for i, s in enumerate(strata)]
-    )
-    rows = base.take(indices)
-
-    qualifies = (
-        predicate.evaluate(rows)
-        if predicate is not None
-        else np.ones(rows.num_rows, dtype=bool)
-    )
-    if column is None:
-        values = np.ones(rows.num_rows)
+    rows = frame.rows
+    keep = np.flatnonzero(frame.qualifies(predicate))
+    if column is None or func == "count":
+        values = np.ones(len(keep))
     elif isinstance(column, Expression):
-        values = np.asarray(column.evaluate(rows), dtype=np.float64)
+        values = np.asarray(column.evaluate(rows), dtype=np.float64)[keep]
     else:
-        values = np.asarray(rows.column(column), dtype=np.float64)
+        values = np.asarray(rows.column(column), dtype=np.float64)[keep]
 
-    # Answer-group id per sampled row.
-    if group_cols:
-        from ..engine.groupby import group_ids_for
+    answer_ids, answer_keys, num_answers = group_ids_for(rows, list(group_by))
+    answer_ids = answer_ids[keep]
+    stratum_ids = frame.stratum_ids[keep]
+    tuples = np.bincount(answer_ids, minlength=num_answers)
 
-        answer_ids, raw_keys, num_answers = group_ids_for(rows, group_cols)
-        answer_keys = [make_key(k) for k in raw_keys]
-    else:
-        answer_ids = np.zeros(rows.num_rows, dtype=np.int64)
-        answer_keys = [()]
-        num_answers = 1
+    # One (answer group, stratum) cell per pair that holds a qualifying
+    # tuple; every other pair contributes nothing to value or variance.
+    cells, cell_of = np.unique(
+        answer_ids * frame.num_strata + stratum_ids, return_inverse=True
+    )
+    cell_answer, cell_stratum = np.divmod(cells, frame.num_strata)
+    cell_populations = frame.populations[cell_stratum]
+    cell_sizes = frame.sizes[cell_stratum]
+    sf = frame.sf[keep]
 
-    populations = np.array([s.population for s in strata], dtype=np.float64)
-    sizes = np.array([s.sample_size for s in strata], dtype=np.float64)
+    def expansion(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        total = np.bincount(answer_ids, weights=y * sf, minlength=num_answers)
+        terms = expansion_variance(
+            cell_populations,
+            cell_sizes,
+            np.bincount(cell_of, weights=y, minlength=len(cells)),
+            np.bincount(cell_of, weights=y * y, minlength=len(cells)),
+        )
+        return total, np.bincount(
+            cell_answer, weights=terms, minlength=num_answers
+        )
 
-    out: Dict[GroupKey, GroupEstimate] = {}
-    for aid in range(num_answers):
-        in_answer = answer_ids == aid
-        mask = in_answer & qualifies
-        tuples = int(mask.sum())
-        if tuples == 0:
-            continue
-        if func == "sum":
-            value, variance = _expansion(
-                values, mask, sf, stratum_ids, populations, sizes
-            )
-        elif func == "count":
-            value, variance = _expansion(
-                np.ones_like(values), mask, sf, stratum_ids, populations, sizes
-            )
-        else:  # avg -- ratio of scaled sum to scaled count
-            num, num_var = _expansion(
-                values, mask, sf, stratum_ids, populations, sizes
-            )
-            den, den_var = _expansion(
-                np.ones_like(values), mask, sf, stratum_ids, populations, sizes
-            )
-            if den == 0:
-                continue
+    if func == "avg":
+        num, num_var = expansion(values)
+        den, den_var = expansion(np.ones(len(keep)))
+        with np.errstate(divide="ignore", invalid="ignore"):
             value = num / den
             # First-order (delta-method) variance for the ratio estimator,
             # ignoring the covariance term (conservative simplification).
             variance = (num_var + value * value * den_var) / (den * den)
-        out[answer_keys[aid]] = GroupEstimate(
+        answered = (tuples > 0) & (den != 0)
+    else:
+        value, variance = expansion(values)
+        answered = tuples > 0
+    return {
+        answer_keys[aid]: GroupEstimate(
             key=answer_keys[aid],
-            value=float(value),
-            variance=float(variance),
-            sample_tuples=tuples,
+            value=float(value[aid]),
+            variance=float(variance[aid]),
+            sample_tuples=int(tuples[aid]),
         )
-    return out
+        for aid in np.flatnonzero(answered)
+    }
 
 
 def estimate_single(
@@ -191,68 +180,40 @@ def group_support(
     small-group problem, observed at answer time).  Groups with zero
     qualifying tuples are absent, mirroring :func:`estimate`.
     """
-    strata = [s for s in sample.strata.values() if s.sample_size > 0]
-    if not strata:
+    frame = sample.frame
+    if not frame.num_strata:
         return {}
-
-    base = sample.base_table
-    indices = np.concatenate([s.row_indices for s in strata])
-    rows = base.take(indices)
-    qualifies = (
-        predicate.evaluate(rows)
-        if predicate is not None
-        else np.ones(rows.num_rows, dtype=bool)
+    answer_ids, answer_keys, num_answers = group_ids_for(
+        frame.rows, list(group_by)
     )
-
-    group_cols = list(group_by)
-    if group_cols:
-        from ..engine.groupby import group_ids_for
-
-        answer_ids, raw_keys, num_answers = group_ids_for(rows, group_cols)
-        answer_keys = [make_key(k) for k in raw_keys]
-    else:
-        answer_ids = np.zeros(rows.num_rows, dtype=np.int64)
-        answer_keys = [()]
-        num_answers = 1
-
     counts = np.bincount(
-        answer_ids[qualifies], minlength=num_answers
+        answer_ids[frame.qualifies(predicate)], minlength=num_answers
     )
     return {
-        answer_keys[aid]: int(counts[aid])
-        for aid in range(num_answers)
-        if counts[aid] > 0
+        answer_keys[aid]: int(counts[aid]) for aid in np.flatnonzero(counts)
     }
 
 
-def _expansion(
-    values: np.ndarray,
-    mask: np.ndarray,
-    sf: np.ndarray,
-    stratum_ids: np.ndarray,
+def expansion_variance(
     populations: np.ndarray,
     sizes: np.ndarray,
-) -> Tuple[float, float]:
-    """Stratified expansion estimator and its variance estimate.
+    sums: np.ndarray,
+    sumsq: np.ndarray,
+) -> np.ndarray:
+    """Per-stratum contributions to the expansion estimator's variance.
 
-    Works on the *zero-extended* values ``y' = y * mask`` so that the
-    predicate/answer-group restriction is handled inside each stratum: the
-    estimator is ``sum_g (N_g/n_g) * sum_{i in sample_g} y'_i`` and its
-    estimated variance is ``sum_g N_g^2 (1 - n_g/N_g) s'^2_g / n_g`` with
-    ``s'^2_g`` the within-stratum sample variance of ``y'`` [Coc77, ch. 5].
+    The estimator works on the *zero-extended* values ``y' = y * mask`` so
+    that the predicate/answer-group restriction is handled inside each
+    stratum: the estimate is ``sum_g (N_g/n_g) * sum_{i in sample_g} y'_i``
+    and its estimated variance is ``sum_g N_g^2 (1 - n_g/N_g) s'^2_g / n_g``
+    with ``s'^2_g`` the within-stratum sample variance of ``y'`` [Coc77,
+    ch. 5].  ``sums`` and ``sumsq`` are each stratum's sums of ``y'`` and
+    ``y'^2`` (the zeros add nothing), ``populations`` and ``sizes`` its
+    ``N_g`` and ``n_g``; entry ``g`` of the result is stratum ``g``'s term.
     Singleton strata contribute zero estimated variance (their variance is
     not estimable from one observation; with full enumeration the true
     variance is 0 anyway because the FPC vanishes).
     """
-    num_strata = len(populations)
-    masked = np.where(mask, values, 0.0)
-
-    total = float(np.sum(masked * sf))
-
-    sums = np.bincount(stratum_ids, weights=masked, minlength=num_strata)
-    sumsq = np.bincount(
-        stratum_ids, weights=masked * masked, minlength=num_strata
-    )
     with np.errstate(divide="ignore", invalid="ignore"):
         means = sums / sizes
         sample_var = np.where(
@@ -262,6 +223,4 @@ def _expansion(
             0.0,
         )
         fpc = 1.0 - sizes / populations
-        per_stratum = populations * populations * fpc * sample_var / sizes
-    variance = float(np.sum(per_stratum))
-    return total, variance
+        return populations * populations * fpc * sample_var / sizes

@@ -16,15 +16,23 @@ layouts required by the four rewriting strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine.groupby import factorize, key_tuples
 from ..engine.schema import Column, ColumnType, Schema
 from ..engine.table import Table
-from .groups import GroupKey, finest_group_ids
+from .groups import GroupKey, finest_group_ids, make_key, project_key
 
-__all__ = ["Stratum", "StratifiedSample", "SF_COLUMN", "GID_COLUMN"]
+__all__ = [
+    "Stratum",
+    "SampleFrame",
+    "StratifiedSample",
+    "SF_COLUMN",
+    "GID_COLUMN",
+]
 
 SF_COLUMN = "sf"
 GID_COLUMN = "gid"
@@ -57,8 +65,152 @@ class Stratum:
         return self.population / self.sample_size
 
 
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class SampleFrame:
+    """Everything about one sample that is the same for every query.
+
+    A :class:`StratifiedSample` never changes after construction, so the
+    arrays every answer needs -- which base rows were sampled, each row's
+    scale factor and stratum, the gathered sample rows, the per-stratum
+    populations and sizes, and how strata project onto a coarser ``GROUP BY``
+    -- are computed once, here, and only read afterwards.  The frame is
+    built lazily by :attr:`StratifiedSample.frame` and owned by that sample
+    object: whoever installs a different sample (a rebuild, a refresh, a
+    fault injector) necessarily installs a different frame, so nothing
+    cached here can outlive the strata it was computed from.  All arrays
+    are read-only.
+
+    Per-row arrays and the unsuffixed per-stratum arrays cover the strata
+    holding at least one sample tuple, in ``strata`` insertion order (the
+    order every estimator accumulates in); the ``all_*`` arrays cover every
+    stratum, sampled or not.
+    """
+
+    def __init__(self, sample: "StratifiedSample"):
+        self._base = sample.base_table
+        self.grouping_columns = sample.grouping_columns
+        strata = sample._strata
+        self.all_keys: Tuple[GroupKey, ...] = tuple(strata)
+        count = len(strata)
+        self.all_populations = _readonly(
+            np.fromiter(
+                (s.population for s in strata.values()), np.int64, count
+            )
+        )
+        self.all_sizes = _readonly(
+            np.fromiter(
+                (s.sample_size for s in strata.values()), np.int64, count
+            )
+        )
+        sampled = [s for s in strata.values() if s.sample_size > 0]
+        self.stratum_keys: Tuple[GroupKey, ...] = tuple(
+            make_key(s.key) for s in sampled
+        )
+        has_rows = self.all_sizes > 0
+        sizes = self.all_sizes[has_rows]
+        self.populations = _readonly(
+            self.all_populations[has_rows].astype(np.float64)
+        )
+        self.sizes = _readonly(sizes.astype(np.float64))
+        self.row_indices = _readonly(
+            np.concatenate([s.row_indices for s in sampled])
+            if sampled
+            else np.empty(0, dtype=np.int64)
+        )
+        self.stratum_ids = _readonly(
+            np.repeat(np.arange(len(sampled), dtype=np.int64), sizes)
+        )
+        # population / size, exactly Stratum.scale_factor for each row
+        self.sf = _readonly(np.repeat(self.populations / self.sizes, sizes))
+        self._projections: Dict[Tuple[str, ...], tuple] = {}
+        self._expected: Dict[Tuple[str, ...], FrozenSet[GroupKey]] = {}
+
+    @property
+    def num_strata(self) -> int:
+        """Strata holding at least one sample tuple."""
+        return len(self.stratum_keys)
+
+    @cached_property
+    def total_population(self) -> int:
+        """Base rows the strata (sampled or not) stand for."""
+        return int(self.all_populations.sum())
+
+    @cached_property
+    def rows(self) -> Table:
+        """The sampled base rows, aligned with ``row_indices``."""
+        return self._base.take(self.row_indices)
+
+    @cached_property
+    def key_table(self) -> Table:
+        """One row per sampled stratum: its key over the grouping columns."""
+        schema = Schema(
+            [self._base.schema.column(c) for c in self.grouping_columns]
+        )
+        return Table.from_rows(schema, self.stratum_keys)
+
+    def qualifies(self, predicate) -> np.ndarray:
+        """Which sample rows satisfy ``predicate`` (``None``: all of them)."""
+        if predicate is None:
+            return np.ones(len(self.row_indices), dtype=bool)
+        return predicate.evaluate(self.rows)
+
+    def projection(
+        self, group_by: Sequence[str]
+    ) -> Tuple[np.ndarray, List[GroupKey], List[np.ndarray]]:
+        """How the sampled strata roll up to ``group_by``.
+
+        Returns ``(targets, keys, key_arrays)``: ``targets[h]`` is the index
+        in ``keys`` of the answer group stratum ``h`` lies in, ``keys`` the
+        sorted distinct answer-group keys and ``key_arrays`` the same keys
+        column by column.  ``group_by`` must be a subset of the grouping
+        columns.  Memoised per ``group_by``.
+        """
+        group_by = tuple(group_by)
+        cached = self._projections.get(group_by)
+        if cached is None:
+            if group_by:
+                targets, key_arrays = factorize(
+                    [self.key_table.column(c) for c in group_by]
+                )
+                keys = key_tuples(key_arrays)
+            else:
+                targets = np.zeros(self.num_strata, dtype=np.int64)
+                keys, key_arrays = [()], []
+            cached = (
+                _readonly(targets),
+                keys,
+                [_readonly(column) for column in key_arrays],
+            )
+            self._projections[group_by] = cached
+        return cached
+
+    def expected_groups(self, group_by: Sequence[str]) -> FrozenSet[GroupKey]:
+        """Answer groups under ``group_by`` that some populated stratum
+        (sampled or not) projects onto.  Memoised per ``group_by``."""
+        group_by = tuple(group_by)
+        cached = self._expected.get(group_by)
+        if cached is None:
+            cached = frozenset(
+                project_key(key, self.grouping_columns, group_by)
+                for key, population in zip(
+                    self.all_keys, self.all_populations.tolist()
+                )
+                if population > 0
+            )
+            self._expected[group_by] = cached
+        return cached
+
+
 class StratifiedSample:
-    """Per-group uniform samples of a base table, with stratum metadata."""
+    """Per-group uniform samples of a base table, with stratum metadata.
+
+    Immutable after construction: a changed sample is a new object (which is
+    what lets :attr:`frame` cache per-sample work without invalidation).
+    """
 
     def __init__(
         self,
@@ -196,7 +348,20 @@ class StratifiedSample:
 
     @property
     def total_population(self) -> int:
-        return sum(s.population for s in self._strata.values())
+        return self.frame.total_population
+
+    @cached_property
+    def frame(self) -> SampleFrame:
+        """The per-sample arrays every answer reads (built on first use)."""
+        return SampleFrame(self)
+
+    def release_frame(self) -> None:
+        """Let go of the frame's memory; a later use builds it again.
+
+        For whoever replaces this sample while other objects (cached
+        answers) may still reference it.
+        """
+        self.__dict__.pop("frame", None)
 
     def sample_sizes(self) -> Dict[GroupKey, int]:
         return {key: s.sample_size for key, s in self._strata.items()}

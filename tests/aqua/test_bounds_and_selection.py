@@ -89,6 +89,54 @@ class TestBoundMethods:
         assert covered / total >= 0.90
 
 
+class TestOneBoundsPath:
+    """An expansion-servable query is bounded from the per-stratum moments
+    whether or not the caches are on; the knobs only decide what is kept."""
+
+    QUERIES = (
+        "SELECT st, sum(sal) s, avg(sal) m FROM census GROUP BY st",
+        "SELECT st, gen, count(*) c FROM census WHERE sal > 30000 "
+        "GROUP BY st, gen ORDER BY st, gen",
+        "SELECT sum(sal) s FROM census WHERE sal < 50000",
+    )
+
+    @pytest.fixture(scope="class")
+    def census(self):
+        from repro.synthetic import CensusConfig, generate_census
+
+        return generate_census(CensusConfig(population=40_000, seed=3))
+
+    def _system(self, census, **knobs):
+        aqua = AquaSystem(
+            space_budget=2000, rng=np.random.default_rng(0), **knobs
+        )
+        aqua.register_table("census", census)
+        return aqua
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"cache": False},
+            {"semantic_reuse": False},
+            {"cache": False, "plan_cache": False},
+        ],
+        ids=["no_cache", "no_rollup_tier", "no_cache_no_plan_cache"],
+    )
+    def test_same_bits_with_and_without_the_caches(self, census, knobs):
+        default = self._system(census)
+        other = self._system(census, **knobs)
+        assert (other.rollup_index is None) == (
+            "cache" in knobs or "semantic_reuse" in knobs
+        )
+        for sql in self.QUERIES:
+            want, got = default.answer(sql).result, other.answer(sql).result
+            assert got.schema.names == want.schema.names
+            for name in want.schema.names:
+                assert np.array_equal(
+                    got.column(name), want.column(name), equal_nan=name.endswith("_error")
+                ), (sql, name)
+
+
 class TestRecommendStrategy:
     def test_rare_updates_small_groups(self):
         assert isinstance(recommend_strategy(0.0, 100), NestedIntegrated)

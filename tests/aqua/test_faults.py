@@ -129,3 +129,84 @@ class TestInjectorMechanics:
     def test_empty_allocation_visible_in_synopsis(self, system):
         fault = FaultInjector(system).empty_allocation("rel")
         assert fault.key in system.synopsis("rel").empty_strata
+
+
+# What the guard says on the first fresh-literal answer after each
+# structural fault, a clean answer having come before (install route:
+# the damaged sample re-materialised through ``_install``; patch route:
+# ``synopsis.sample`` replaced, relations left as they were).
+FRESH_SQL = "select a, b, sum(q) s from rel where q > -1 group by a, b order by a, b"
+STRUCTURAL_FAULTS = (
+    "drop_stratum",
+    "corrupt_scale_factor",
+    "truncate_sample",
+    "empty_allocation",
+    "corrupt_row_indices",
+)
+_COVERAGE = (
+    "synopsis strata cover 1225 rows but 5000 were present at the last refresh"
+)
+_EXACT = {PROVENANCE_EXACT: 6}
+_ONE_REPAIRED = {"repaired": 1, "synopsis": 5}
+VERDICTS = {
+    "drop_stratum": (_EXACT, {}, (_COVERAGE,)),
+    "corrupt_scale_factor": (
+        _EXACT,
+        {},
+        (
+            "stratum ('a1', 'b1'): sample size 164 exceeds population 0",
+            "stratum ('a1', 'b1'): corrupt scale factor 0.0",
+            _COVERAGE,
+        ),
+    ),
+    "truncate_sample": (
+        _ONE_REPAIRED,
+        {("a1", "b1"): "sample support 1 below minimum 2"},
+        (),
+    ),
+    "empty_allocation": (_ONE_REPAIRED, {}, ()),
+    "corrupt_row_indices": (
+        _EXACT,
+        {},
+        (
+            "stratum ('a1', 'b1'): row indices out of bounds for base table "
+            "of 5000 rows",
+        ),
+    ),
+}
+# The patch route leaves the sample relation whole, so the emptied stratum's
+# group is still estimated by the plan -- and flagged for having no support.
+PATCH_VERDICTS = dict(
+    VERDICTS,
+    empty_allocation=(
+        _ONE_REPAIRED,
+        {("a1", "b1"): "sample support 0 below minimum 2; s_error is NaN"},
+        (),
+    ),
+)
+
+
+class TestFaultAfterCleanAnswer:
+    """A sample that answered cleanly and is then damaged -- whichever way
+    the damaged sample gets installed -- is judged on the very next answer."""
+
+    @pytest.mark.parametrize("route", ["install", "patch"])
+    @pytest.mark.parametrize("kind", STRUCTURAL_FAULTS)
+    def test_fault_after_a_clean_verdict_is_caught_on_the_next_answer(
+        self, system, monkeypatch, kind, route
+    ):
+        assert not system.answer(SQL).guard.degraded
+        if route == "patch":
+            def refuse(name, sample):
+                raise RuntimeError("not materialisable")
+
+            monkeypatch.setattr(system, "_install", refuse)
+        inject(system, kind, "rel")
+        report = system.answer(FRESH_SQL).guard
+        counts, flagged, issues = (
+            PATCH_VERDICTS if route == "patch" else VERDICTS
+        )[kind]
+        assert report.counts == counts
+        assert report.flagged == flagged
+        assert report.issues == issues
+        assert (report.fallback_reason is not None) == bool(issues)

@@ -10,8 +10,14 @@ from repro.aqua import (
     PROVENANCE_REPAIRED,
     PROVENANCE_SYNOPSIS,
 )
-from repro.engine import Column, ColumnType, Schema, Table
-from repro.errors import GuardViolationError, StaleSynopsisError
+from repro.engine import Column, ColumnType, Schema, Table, parse_query
+from repro.engine.predicates import Predicate
+from repro.errors import (
+    AquaError,
+    GuardViolationError,
+    QueryTooDeepError,
+    StaleSynopsisError,
+)
 from repro.testing import FaultInjector
 
 SQL = "select a, b, sum(q) s from rel group by a, b order by a, b"
@@ -134,6 +140,71 @@ class TestRepair:
         for row in answer.result.to_dicts():
             if row[PROVENANCE_COLUMN] == PROVENANCE_REPAIRED:
                 assert row["s"] == pytest.approx(exact[(row["a"], row["b"])])
+
+
+class TestManyGroupRepair:
+    """ROADMAP item 1c: the repair predicate over hundreds of multi-column
+    groups used to be a left-deep ``Or`` chain, one level per group, that the
+    recursive predicate walkers could not follow."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = np.random.default_rng(11)
+        n = 8 * 8 * 8 * 12
+        schema = Schema(
+            [
+                Column("a", ColumnType.INT, "grouping"),
+                Column("b", ColumnType.INT, "grouping"),
+                Column("c", ColumnType.STR, "grouping"),
+                Column("q", ColumnType.FLOAT, "aggregate"),
+            ]
+        )
+        table = Table.from_columns(
+            schema,
+            a=np.arange(n) % 8,
+            b=(np.arange(n) // 8) % 8,
+            c=np.char.add("c", ((np.arange(n) // 64) % 8).astype(str)),
+            q=rng.normal(50.0, 5.0, n),
+        )
+        system = AquaSystem(space_budget=2048, rng=np.random.default_rng(2))
+        system.register_table("wide", table)
+        return system
+
+    def test_repairs_hundreds_of_three_column_groups(self, wide):
+        sql = "select a, b, c, sum(q) s from wide group by a, b, c"
+        # every group has 4 sample tuples of 12: demanding 5 flags them all
+        policy = GuardPolicy(min_group_support=5, max_repair_fraction=1.0)
+        answer = wide.answer(sql, guard=policy)
+        assert len(answer.guard.flagged) == 512 >= 400
+        assert answer.guard.counts == {PROVENANCE_REPAIRED: 512}
+        assert answer.guard.fallback_reason is None
+        exact = wide.exact(sql).sort_by(["a", "b", "c"])
+        repaired = answer.result.sort_by(["a", "b", "c"])
+        assert np.allclose(repaired.column("s"), exact.column("s"))
+
+    def test_repair_predicate_is_a_shallow_tree(self, wide):
+        query = parse_query("select a, b, c, sum(q) s from wide group by a, b, c")
+        keys = [(a, b, f"c{c}") for a in range(8) for b in range(8) for c in range(8)]
+        restricted = wide._restrict_to_groups(query, ["a", "b", "c"], keys)
+
+        def depth(node):
+            children = [
+                getattr(node, name)
+                for name in ("left", "right")
+                if isinstance(getattr(node, name, None), Predicate)
+            ]
+            return 1 + max((depth(child) for child in children), default=0)
+
+        assert depth(restricted.where) <= 2 + 9 + 2  # log2(512) Or levels
+        mask = restricted.where.evaluate(wide.catalog.get("wide"))
+        assert mask.all()
+
+    def test_residual_recursion_error_is_typed(self, wide):
+        clauses = " or ".join(f"q > {1000 + i}" for i in range(3000))
+        with pytest.raises(AquaError) as caught:
+            wide.answer(f"select a, sum(q) s from wide where {clauses} group by a")
+        assert isinstance(caught.value, QueryTooDeepError)
+        assert isinstance(caught.value.__cause__, RecursionError)
 
 
 class TestFullFallback:

@@ -135,3 +135,90 @@ class TestValidation:
     def test_sum_requires_column(self, full_sample):
         with pytest.raises(ValueError):
             estimate(full_sample, "sum", None)
+
+
+def loop_estimate(sample, func, column, predicate=None, group_by=()):
+    """The estimator as it was: one masked pass over the whole sample per
+    answer group, O(groups x rows).  ``{key: (value, variance, tuples)}``."""
+    from repro.engine import group_ids_for
+
+    strata = [s for s in sample.strata.values() if s.sample_size > 0]
+    rows = sample.base_table.take(np.concatenate([s.row_indices for s in strata]))
+    sf = np.concatenate([np.full(s.sample_size, s.scale_factor) for s in strata])
+    stratum_ids = np.concatenate(
+        [np.full(s.sample_size, i) for i, s in enumerate(strata)]
+    )
+    qualifies = (
+        predicate.evaluate(rows) if predicate is not None
+        else np.ones(rows.num_rows, dtype=bool)
+    )
+    values = (
+        np.ones(rows.num_rows) if column is None
+        else np.asarray(rows.column(column), dtype=np.float64)
+    )
+    answer_ids, answer_keys, num_answers = group_ids_for(rows, list(group_by))
+    populations = np.array([s.population for s in strata], dtype=np.float64)
+    sizes = np.array([s.sample_size for s in strata], dtype=np.float64)
+
+    def expansion(y, mask):
+        masked = np.where(mask, y, 0.0)
+        sums = np.bincount(stratum_ids, weights=masked, minlength=len(strata))
+        sumsq = np.bincount(
+            stratum_ids, weights=masked * masked, minlength=len(strata)
+        )
+        means = sums / sizes
+        sample_var = np.where(
+            sizes > 1,
+            np.maximum(sumsq - sizes * means * means, 0.0)
+            / np.maximum(sizes - 1.0, 1.0),
+            0.0,
+        )
+        fpc = 1.0 - sizes / populations
+        return (
+            float(np.sum(masked * sf)),
+            float(np.sum(populations * populations * fpc * sample_var / sizes)),
+        )
+
+    out = {}
+    for aid in range(num_answers):
+        mask = (answer_ids == aid) & qualifies
+        if not mask.any():
+            continue
+        if func == "avg":
+            num, num_var = expansion(values, mask)
+            den, den_var = expansion(np.ones_like(values), mask)
+            value = num / den
+            variance = (num_var + value * value * den_var) / (den * den)
+        else:
+            y = values if func == "sum" else np.ones_like(values)
+            value, variance = expansion(y, mask)
+        out[answer_keys[aid]] = (value, variance, int(mask.sum()))
+    return out
+
+
+class TestAgainstPerGroupLoop:
+    """The (answer group, stratum)-cell bincounts give what the per-group
+    loop gave, to the last few bits of a float sum."""
+
+    @pytest.mark.parametrize("func", ["sum", "count", "avg"])
+    @pytest.mark.parametrize(
+        "group_by", [(), ("a",), ("b",), ("a", "b"), ("id",)]
+    )
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_same_estimates(self, skewed_table, func, group_by, filtered):
+        sample = build_sample(
+            Congress(), skewed_table, ["a", "b"], 400,
+            rng=np.random.default_rng(9),
+        )
+        predicate = Comparison.of(col("q"), ">", 4.0) if filtered else None
+        column = None if func == "count" else "q"
+        got = estimate(
+            sample, func, column, predicate=predicate, group_by=group_by
+        )
+        want = loop_estimate(sample, func, column, predicate, group_by)
+        assert list(got) == list(want)
+        for key, (value, variance, tuples) in want.items():
+            assert got[key].key == key
+            assert got[key].value == pytest.approx(value, rel=1e-12)
+            assert got[key].variance == pytest.approx(variance, rel=1e-9, abs=1e-9)
+            assert got[key].sample_tuples == tuples
