@@ -28,11 +28,8 @@ Three pieces:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..obs import MetricsRegistry
 from ..sampling.groups import GroupKey
@@ -369,31 +366,9 @@ def validate_sample(sample: StratifiedSample) -> List[str]:
     Returns a list of human-readable issues; an empty list means the sample
     is structurally sound (populations plausible, scale factors finite and
     positive, row indices inside the base table and duplicate-free).  Used
-    by the answer-time guard and by :meth:`AquaSystem.health`.
+    by the answer-time guard and by :meth:`AquaSystem.health`.  The checks
+    are one pass over the arrays of ``sample.frame``, the ones every
+    estimator reads
+    (:meth:`~repro.sampling.stratified.SampleFrame.structural_issues`).
     """
-    issues: List[str] = []
-    num_base = sample.base_table.num_rows
-    for key, stratum in sorted(sample.strata.items()):
-        if stratum.population < 0:
-            issues.append(
-                f"stratum {key}: negative population {stratum.population}"
-            )
-        if stratum.sample_size > max(stratum.population, 0):
-            issues.append(
-                f"stratum {key}: sample size {stratum.sample_size} exceeds "
-                f"population {stratum.population}"
-            )
-        indices = np.asarray(stratum.row_indices)
-        if len(indices):
-            if indices.min() < 0 or indices.max() >= num_base:
-                issues.append(
-                    f"stratum {key}: row indices out of bounds for base "
-                    f"table of {num_base} rows"
-                )
-            elif len(np.unique(indices)) != len(indices):
-                issues.append(f"stratum {key}: duplicate row indices")
-        if stratum.sample_size > 0:
-            sf = stratum.scale_factor
-            if not math.isfinite(sf) or sf <= 0:
-                issues.append(f"stratum {key}: corrupt scale factor {sf}")
-    return issues
+    return sample.frame.structural_issues()

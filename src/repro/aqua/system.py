@@ -1052,11 +1052,8 @@ class AquaSystem:
                 issues=("no synopsis built",),
                 stale_after_fraction=stale_after_fraction,
             )
-        strata = synopsis.sample.strata
-        total = sum(1 for s in strata.values() if s.population > 0)
-        covered = sum(
-            1 for s in strata.values() if s.population > 0 and s.sample_size > 0
-        )
+        frame = synopsis.sample.frame
+        populated = frame.all_populations > 0
         return SynopsisHealth(
             table=name,
             built=True,
@@ -1064,8 +1061,8 @@ class AquaSystem:
             pending_rows=len(state.pending_rows),
             sample_size=synopsis.sample_size,
             budget=self._budget,
-            strata_total=total,
-            strata_covered=covered,
+            strata_total=int(populated.sum()),
+            strata_covered=int((populated & (frame.all_sizes > 0)).sum()),
             inserts_since_refresh=state.inserts_since_refresh,
             rows_at_refresh=state.rows_at_refresh,
             maintained=maintained,
@@ -1688,15 +1685,10 @@ class AquaSystem:
         if mapping:
             result = result.rename(mapping)
         if tuple(entry.group_by) != tuple(query.group_by) and not query.order_by:
-            alias_of = {
-                item.expr.name: item.alias
-                for item in query.projections()
-                if isinstance(item.expr, Col)
-            }
             order = [
-                alias_of[name]
-                for name in query.group_by
-                if name in alias_of
+                name
+                for name in query.group_by_aliases()
+                if name in result.schema
             ]
             if order:
                 result = result.sort_by(order)
@@ -1794,7 +1786,7 @@ class AquaSystem:
         )
         if policy is not None:
             __, __, support = self._rollup_rows(
-                rollup, result, query.group_by
+                rollup, result, query.group_by_aliases()
             )
             answer = self._guard_answer(
                 query,
@@ -2056,26 +2048,31 @@ class AquaSystem:
     # -- the guard ladder ---------------------------------------------------
 
     def _result_keys(
-        self, table: Table, group_by: Sequence[str]
+        self, table: Table, key_columns: Sequence[str]
     ) -> List[GroupKey]:
-        if not group_by:
+        """Each row's group key; ``key_columns`` are the *output* names of
+        the ``GROUP BY`` columns (:meth:`Query.group_by_aliases`)."""
+        if not key_columns:
             return [()] * table.num_rows
-        return key_tuples([table.column(name) for name in group_by])
+        return key_tuples([table.column(name) for name in key_columns])
 
     @staticmethod
     def _rollup_rows(
-        rollup: RollupAnswer, result: Table, group_by: Sequence[str]
+        rollup: RollupAnswer, result: Table, key_columns: Sequence[str]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Match result rows to the roll-up's groups by integer code.
 
-        Returns ``(found, group, support)``: which rows' answer groups the
-        roll-up holds, those rows' group positions in it (``group`` lines
-        up with ``found``'s true entries), and every row's qualifying
-        sample tuples (0 where not found).
+        ``key_columns`` names the result's group columns, in ``GROUP BY``
+        order (:meth:`Query.group_by_aliases`).  Returns ``(found, group,
+        support)``: which rows' answer groups the roll-up holds, those
+        rows' group positions in it (``group`` lines up with ``found``'s
+        true entries), and every row's qualifying sample tuples (0 where
+        not found).
         """
-        if group_by:
+        if key_columns:
             position = align_rows(
-                rollup.key_arrays, [result.column(name) for name in group_by]
+                rollup.key_arrays,
+                [result.column(name) for name in key_columns],
             )
         else:
             # one global group, at position 0 -- or nowhere (-1) when no
@@ -2203,7 +2200,7 @@ class AquaSystem:
         metrics = self.telemetry.metrics
         result = answer.result
         group_by = list(query.group_by)
-        keys = self._result_keys(result, group_by)
+        keys = self._result_keys(result, query.group_by_aliases())
         if support is None:
             with tracer.span("support"):
                 by_key = group_support(
@@ -2297,7 +2294,9 @@ class AquaSystem:
         repair_elapsed = time.perf_counter() - start
 
         repair_rows: Dict[GroupKey, Dict[str, object]] = {}
-        for i, key in enumerate(self._result_keys(repair, group_by)):
+        for i, key in enumerate(
+            self._result_keys(repair, query.group_by_aliases())
+        ):
             repair_rows[key] = {
                 name: repair.column(name)[i] for name in repair.schema.names
             }
@@ -2429,7 +2428,7 @@ class AquaSystem:
                 Column(f"{aggregate.alias}_error", ColumnType.FLOAT),
                 np.zeros(result.num_rows),
             )
-        keys = self._result_keys(result, list(query.group_by))
+        keys = self._result_keys(result, query.group_by_aliases())
         result = self._attach_provenance(
             result, [PROVENANCE_EXACT] * len(keys), policy
         )
@@ -2480,7 +2479,7 @@ class AquaSystem:
         from ..metrics.groupby_error import GroupByError, groupby_error
 
         per_aggregate: Dict[str, GroupByError] = {}
-        key_columns = list(query.group_by)
+        key_columns = query.group_by_aliases()
         for aggregate in query.aggregates():
             per_aggregate[aggregate.alias] = groupby_error(
                 exact, answer.result, key_columns, aggregate.alias
@@ -2745,7 +2744,7 @@ class AquaSystem:
         if snapshot is not None:
             return self._snapshot_bounds(query, snapshot, result)
         group_by = list(query.group_by)
-        keys = self._result_keys(result, group_by)
+        keys = self._result_keys(result, query.group_by_aliases())
         for aggregate in query.aggregates():
             if aggregate.func not in _SCALED_AGGREGATES:
                 continue
@@ -2867,7 +2866,7 @@ class AquaSystem:
         """
         rollup = snapshot.finalize(query.group_by, query.aggregates())
         found, group, support = self._rollup_rows(
-            rollup, result, query.group_by
+            rollup, result, query.group_by_aliases()
         )
         self._reuse_local.bounds = (snapshot, support)
         replaced = result.columns()

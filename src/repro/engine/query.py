@@ -96,6 +96,16 @@ class Query:
     def output_aliases(self) -> List[str]:
         return [item.alias for item in self.select]
 
+    def group_by_aliases(self) -> List[str]:
+        """The output column each ``GROUP BY`` column is selected under
+        (its own name when the select list leaves it out)."""
+        alias_of = {
+            item.expr.name: item.alias
+            for item in self.projections()
+            if isinstance(item.expr, Col)
+        }
+        return [alias_of.get(name, name) for name in self.group_by]
+
     def base_table_name(self) -> str:
         """The name of the innermost base table."""
         item = self.from_item

@@ -15,6 +15,7 @@ layouts required by the four rewriting strategies:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
@@ -24,6 +25,7 @@ import numpy as np
 from ..engine.groupby import factorize, key_tuples
 from ..engine.schema import Column, ColumnType, Schema
 from ..engine.table import Table
+from ..errors import SynopsisCorruptError
 from .groups import GroupKey, finest_group_ids, make_key, project_key
 
 __all__ = [
@@ -93,7 +95,7 @@ class SampleFrame:
     def __init__(self, sample: "StratifiedSample"):
         self._base = sample.base_table
         self.grouping_columns = sample.grouping_columns
-        strata = sample._strata
+        strata = self._strata = sample._strata
         self.all_keys: Tuple[GroupKey, ...] = tuple(strata)
         count = len(strata)
         self.all_populations = _readonly(
@@ -141,8 +143,87 @@ class SampleFrame:
 
     @cached_property
     def rows(self) -> Table:
-        """The sampled base rows, aligned with ``row_indices``."""
-        return self._base.take(self.row_indices)
+        """The sampled base rows, aligned with ``row_indices``.
+
+        Raises :class:`~repro.errors.SynopsisCorruptError`, worded by
+        :meth:`structural_issues`, when an index lies outside the base
+        table.
+        """
+        try:
+            return self._base.take(self.row_indices)
+        except IndexError as exc:
+            raise SynopsisCorruptError(
+                "sample rows cannot be read from the base table: "
+                + "; ".join(self.structural_issues())
+            ) from exc
+
+    def damaged_strata(self) -> np.ndarray:
+        """Which strata fail a structural check: a mask over ``all_keys``.
+
+        One array-at-a-time pass over the arrays the estimators read.  A
+        stratum is marked when its population is negative, it holds more
+        rows than its population, its scale factor is not finite and
+        positive, a row index lies outside the base table, or an index
+        occurs twice in it.
+        """
+        populations, sizes = self.all_populations, self.all_sizes
+        damaged = (populations < 0) | (sizes > np.maximum(populations, 0))
+        sampled = np.flatnonzero(sizes > 0)
+        if not len(sampled):
+            return damaged
+        scale = self.populations / self.sizes
+        corrupt = ~(np.isfinite(scale) & (scale > 0))
+        sampled_sizes = sizes[sampled]
+        starts = np.cumsum(sampled_sizes) - sampled_sizes
+        outside = (np.minimum.reduceat(self.row_indices, starts) < 0) | (
+            np.maximum.reduceat(self.row_indices, starts)
+            >= self._base.num_rows
+        )
+        # sort by (stratum, index): a repeated index is next to its twin
+        order = np.lexsort((self.row_indices, self.stratum_ids))
+        indices = self.row_indices[order]
+        stratum = self.stratum_ids[order]
+        twin = (indices[1:] == indices[:-1]) & (stratum[1:] == stratum[:-1])
+        repeated = np.zeros(len(sampled), dtype=bool)
+        repeated[stratum[1:][twin]] = True
+        damaged[sampled] |= corrupt | outside | repeated
+        return damaged
+
+    def structural_issues(self) -> List[str]:
+        """What :meth:`damaged_strata` found, in words, in sorted key order.
+
+        An empty list means the sample is structurally sound.  Only the
+        marked strata are visited; each is re-read by the checks that word
+        its issues, so the list is the one a visit to every stratum gives.
+        """
+        num_base = self._base.num_rows
+        marked = np.flatnonzero(self.damaged_strata()).tolist()
+        issues: List[str] = []
+        for key in sorted(self.all_keys[i] for i in marked):
+            stratum = self._strata[key]
+            if stratum.population < 0:
+                issues.append(
+                    f"stratum {key}: negative population {stratum.population}"
+                )
+            if stratum.sample_size > max(stratum.population, 0):
+                issues.append(
+                    f"stratum {key}: sample size {stratum.sample_size} exceeds "
+                    f"population {stratum.population}"
+                )
+            indices = np.asarray(stratum.row_indices)
+            if len(indices):
+                if indices.min() < 0 or indices.max() >= num_base:
+                    issues.append(
+                        f"stratum {key}: row indices out of bounds for base "
+                        f"table of {num_base} rows"
+                    )
+                elif (np.diff(np.sort(indices)) == 0).any():
+                    issues.append(f"stratum {key}: duplicate row indices")
+            if stratum.sample_size > 0:
+                sf = stratum.scale_factor
+                if not math.isfinite(sf) or sf <= 0:
+                    issues.append(f"stratum {key}: corrupt scale factor {sf}")
+        return issues
 
     @cached_property
     def key_table(self) -> Table:

@@ -210,3 +210,16 @@ class TestFaultAfterCleanAnswer:
         assert report.flagged == flagged
         assert report.issues == issues
         assert (report.fallback_reason is not None) == bool(issues)
+
+    def test_unguarded_answer_over_out_of_range_indices_is_a_typed_error(
+        self, system
+    ):
+        """No guard to judge the sample first: reading its rows must still
+        fail as a ``SynopsisCorruptError``, in the walk's own words."""
+        assert not system.answer(SQL).guard.degraded
+        inject(system, "corrupt_row_indices", "rel")
+        with pytest.raises(SynopsisCorruptError) as caught:
+            system.answer(FRESH_SQL, guard=False)
+        (wording,) = VERDICTS["corrupt_row_indices"][2]
+        assert wording in str(caught.value)
+        assert isinstance(caught.value.__cause__, IndexError)

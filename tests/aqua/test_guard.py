@@ -142,6 +142,77 @@ class TestRepair:
                 assert row["s"] == pytest.approx(exact[(row["a"], row["b"])])
 
 
+# SQL, and the output names of its GROUP BY columns in GROUP BY order
+ALIASED = {
+    "one column": ("select a as x, sum(q) as s from rel group by a", ["x"]),
+    "two columns": (
+        "select a as x, b as y, sum(q) as s from rel group by a, b",
+        ["x", "y"],
+    ),
+    "names swapped": (
+        "select b as a, a as b, sum(q) as s from rel group by a, b",
+        ["b", "a"],
+    ),
+}
+
+
+class TestAliasedGroupColumns:
+    """A group column selected under an alias: the bounds, guard and repair
+    stages look it up under its output name, as ``exact()`` always did."""
+
+    @staticmethod
+    def by_key(table, key_columns):
+        return {
+            tuple(row[name] for name in key_columns): row
+            for row in table.to_dicts()
+        }
+
+    @pytest.mark.parametrize("guard", [None, False], ids=["guarded", "off"])
+    @pytest.mark.parametrize("shape", sorted(ALIASED))
+    def test_answers_the_groups_exact_does(self, system, shape, guard):
+        sql, key_columns = ALIASED[shape]
+        exact = self.by_key(system.exact(sql), key_columns)
+        answer = system.answer(sql, guard=guard)
+        names = answer.result.schema.names
+        assert names[: len(key_columns) + 1] == system.exact(sql).schema.names
+        approx = self.by_key(answer.result, key_columns)
+        assert set(approx) == set(exact)
+        for key, row in approx.items():
+            assert row["s"] == pytest.approx(exact[key]["s"], rel=0.15)
+            assert 0.0 <= row["s_error"] < abs(row["s"])  # and not NaN
+        if guard is None:
+            assert not answer.guard.degraded
+            assert set(answer.guard.provenance) == set(exact)
+
+    @pytest.mark.parametrize("shape", sorted(ALIASED))
+    def test_repairs_the_flagged_groups(self, system, shape):
+        sql, key_columns = ALIASED[shape]
+        policy = GuardPolicy(
+            max_relative_halfwidth=1e-9, max_repair_fraction=1.0
+        )
+        answer = system.answer(sql, guard=policy)
+        assert answer.guard.fallback_reason is None
+        assert answer.guard.counts[PROVENANCE_REPAIRED] >= 2
+        exact = self.by_key(system.exact(sql), key_columns)
+        approx = self.by_key(answer.result, key_columns)
+        assert set(approx) == set(exact) == set(answer.guard.provenance)
+        for key, row in approx.items():
+            if row[PROVENANCE_COLUMN] == PROVENANCE_REPAIRED:
+                assert row["s"] == pytest.approx(exact[key]["s"])
+                assert row["s_error"] == 0.0
+
+    def test_exact_fallback_and_compare(self, system):
+        sql, key_columns = ALIASED["two columns"]
+        FaultInjector(system).corrupt_scale_factor("rel")
+        answer = system.answer(sql)
+        assert answer.guard.fallback_reason is not None
+        assert len(answer.guard.provenance) == answer.result.num_rows == 6
+        report = system.compare(sql, guard=False)
+        assert report.errors["s"].per_group.keys() == set(
+            self.by_key(report.exact, key_columns)
+        )
+
+
 class TestManyGroupRepair:
     """ROADMAP item 1c: the repair predicate over hundreds of multi-column
     groups used to be a left-deep ``Or`` chain, one level per group, that the
