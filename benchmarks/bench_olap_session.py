@@ -5,13 +5,6 @@ roll-up/drill-down process -- as a latency benchmark: time a six-step
 navigation session (rollup -> drilldowns -> slice -> rollup) through the
 CubeExplorer, and compare the session against running the same six queries
 exactly.
-
-``test_cache_session`` extends the claim to the semantic answer-reuse
-ladder (``docs/CACHING.md``): a seeded Zipf-weighted drill-down/roll-up
-session -- repeats, respelled repeats, coarser roll-ups, whole-strata
-slices -- is replayed against the tiered cache, and the combined
-exact+canonical+rollup hit rate must beat exact-text matching alone.
-Saved as ``BENCH_cache.json``.
 """
 
 import time
@@ -56,8 +49,6 @@ def run_session(aqua, exact: bool):
 
 
 def test_olap_session(benchmark, aqua, save_result):
-    import time
-
     approx_results = benchmark(lambda: run_session(aqua, exact=False))
     assert all(table.num_rows > 0 for table in approx_results)
 
@@ -88,121 +79,3 @@ def test_olap_session(benchmark, aqua, save_result):
     )
     assert approx_seconds < exact_seconds
 
-
-# -- semantic answer reuse across a Zipf session ---------------------------
-
-# Dashboard-style templates over the lineitem cube.  The respelled
-# variants (permuted GROUP BY clause, renamed aliases, reordered WHERE
-# conjuncts) are canonical-tier food; the coarser group-bys and
-# whole-strata slices are roll-up-tier food; straight repeats are
-# exact-tier food.  Weights follow a Zipf law: a few views dominate a
-# real session.
-_SESSION_TEMPLATES = [
-    # fine cube view and its respellings
-    "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS qty, "
-    "COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag, l_linestatus",
-    "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS total_qty, "
-    "COUNT(*) AS rows_seen FROM lineitem "
-    "GROUP BY l_linestatus, l_returnflag",
-    # roll-ups served from the fine snapshot
-    "SELECT l_returnflag, SUM(l_quantity) AS qty, COUNT(*) AS cnt "
-    "FROM lineitem GROUP BY l_returnflag",
-    "SELECT l_linestatus, SUM(l_quantity) AS qty, COUNT(*) AS cnt "
-    "FROM lineitem GROUP BY l_linestatus",
-    "SELECT l_returnflag, AVG(l_quantity) AS mean_qty FROM lineitem "
-    "GROUP BY l_returnflag",
-    # whole-strata slices (datacube slicing)
-    "SELECT l_returnflag, SUM(l_quantity) AS qty FROM lineitem "
-    "WHERE l_linestatus = 0 GROUP BY l_returnflag",
-    "SELECT l_linestatus, SUM(l_quantity) AS qty FROM lineitem "
-    "WHERE l_returnflag = 1 GROUP BY l_linestatus",
-    # a second measure, still moment-covered by its own fine view
-    "SELECT l_returnflag, l_linestatus, SUM(l_extendedprice) AS rev "
-    "FROM lineitem GROUP BY l_returnflag, l_linestatus",
-    "SELECT l_returnflag, SUM(l_extendedprice) AS rev FROM lineitem "
-    "GROUP BY l_returnflag",
-]
-
-
-def _zipf_session(rng, length):
-    ranks = np.arange(1, len(_SESSION_TEMPLATES) + 1, dtype=np.float64)
-    weights = 1.0 / ranks
-    weights /= weights.sum()
-    draws = rng.choice(len(_SESSION_TEMPLATES), size=length, p=weights)
-    return [_SESSION_TEMPLATES[i] for i in draws]
-
-
-def _fresh_system(semantic):
-    lineitem = generate_lineitem(
-        LineitemConfig(table_size=80_000, num_groups=64, group_skew=1.0, seed=9)
-    )
-    system = AquaSystem(
-        space_budget=4000,
-        rng=np.random.default_rng(21),
-        cache=True,
-        semantic_reuse=semantic,
-    )
-    system.register_table(
-        "lineitem", lineitem, ["l_returnflag", "l_linestatus"]
-    )
-    return system
-
-
-def test_cache_session(save_result, save_json):
-    session = _zipf_session(np.random.default_rng(33), 60)
-
-    tiered = _fresh_system(semantic=True)
-    start = time.perf_counter()
-    for sql in session:
-        tiered.answer(sql)
-    tiered_seconds = time.perf_counter() - start
-
-    baseline = _fresh_system(semantic=False)
-    start = time.perf_counter()
-    for sql in session:
-        baseline.answer(sql)
-    baseline_seconds = time.perf_counter() - start
-
-    stats = tiered.answer_cache.stats
-    queries = len(session)
-    exact_only_rate = stats.exact_hits / queries
-    semantic_rate = (
-        stats.exact_hits + stats.canonical_hits + stats.rollup_hits
-    ) / queries
-    payload = {
-        "session_queries": queries,
-        "exact_hits": stats.exact_hits,
-        "canonical_hits": stats.canonical_hits,
-        "rollup_hits": stats.rollup_hits,
-        "exact_only_hit_rate": exact_only_rate,
-        "semantic_hit_rate": semantic_rate,
-        "rollup_index": {
-            "registrations": tiered.rollup_index.stats().registrations,
-            "hits": tiered.rollup_index.stats().hits,
-        },
-        "tiered_seconds": tiered_seconds,
-        "baseline_seconds": baseline_seconds,
-        "mean_ms_per_query_tiered": 1000.0 * tiered_seconds / queries,
-        "mean_ms_per_query_baseline": 1000.0 * baseline_seconds / queries,
-    }
-    save_json("BENCH_cache", payload)
-    save_result(
-        "cache_session",
-        format_mapping_table(
-            "tier",
-            {
-                "exact": {"hits": stats.exact_hits},
-                "canonical": {"hits": stats.canonical_hits},
-                "rollup": {"hits": stats.rollup_hits},
-                "semantic_rate": {"hits": semantic_rate},
-                "exact_only_rate": {"hits": exact_only_rate},
-            },
-            precision=4,
-            title="Zipf session: answers served per semantic cache tier",
-        ),
-    )
-    # The ladder must add real coverage: canonical + rollup hits beyond
-    # what exact-text matching already gets, on every tier.
-    assert stats.canonical_hits > 0
-    assert stats.rollup_hits > 0
-    assert semantic_rate > exact_only_rate

@@ -21,7 +21,7 @@ from .guard import (
 )
 from ..engine.executor import ParallelConfig, ParallelExecutor
 from ..obs import MetricsRegistry, QueryTrace, Telemetry, Tracer
-from .cache import AnswerCache, CacheStats
+from .cache import AnswerCache, CacheStats, LRUCache, LRUStats
 from .olap import CubeExplorer, Measure
 from .portfolio import (
     CostErrorModel,
@@ -44,6 +44,8 @@ __all__ = [
     "AquaSystem",
     "CacheStats",
     "ComparisonReport",
+    "LRUCache",
+    "LRUStats",
     "ParallelConfig",
     "ParallelExecutor",
     "GuardPolicy",

@@ -1,16 +1,24 @@
-"""Bounded LRU cache for served approximate answers.
+"""The one bounded LRU store behind every cache tier.
 
-Identical aggregate queries are common in dashboard-style workloads; the
-synopsis scan is already fast, but parse + rewrite + scan + error bounds +
-guard still cost a pipeline per call.  :class:`AnswerCache` memoizes whole
-:class:`~repro.aqua.system.ApproximateAnswer` objects.
+:class:`LRUCache` is an ``OrderedDict`` under one re-entrant lock with
+hit/miss/eviction counters, optionally mirrored to
+``<prefix>_{hits,misses,evictions}_total``.  Every memo in the middleware
+stores its entries in one: the answer cache (:class:`AnswerCache`, below),
+the optimized-plan cache (``AquaSystem.plan_cache``, prefix
+``aqua_plan_cache``), the roll-up index
+(:class:`~repro.aqua.reuse.RollupIndex`) and the portfolio's budget
+resolutions (:class:`~repro.aqua.portfolio.SynopsisPortfolio`).
 
-Correctness is carried by the key, not by heuristics:
+Correctness is carried by the key, not by eviction: callers put the base
+table's *data version* in every key, and
+:class:`~repro.aqua.system.AquaSystem` advances that version on every
+mutation (insert, pending-row flush, synopsis build/refresh, portfolio
+build, re-registration), so entries for older data are never looked up
+again and age out of the LRU order.
 
-* the key includes the base table's *data version*, a counter
-  :class:`~repro.aqua.system.AquaSystem` bumps on every ``insert()``,
-  pending-row flush, synopsis build/refresh, and re-registration -- so any
-  mutation invalidates all prior entries for that table at lookup time;
+:class:`AnswerCache` memoizes whole
+:class:`~repro.aqua.system.ApproximateAnswer` objects:
+
 * the query is keyed by its alias-insensitive *canonical fingerprint*
   (:func:`repro.plan.canonicalize_query`), so semantically equivalent
   spellings -- reordered conjuncts, renamed output aliases, permuted
@@ -22,11 +30,9 @@ Correctness is carried by the key, not by heuristics:
   never stored: a degraded answer reflects transient synopsis trouble and
   must not be replayed as a clean one.
 
-Hit/miss counts are tracked locally and (when a registry is supplied)
-mirrored to ``aqua_answer_cache_{hits,misses,evictions}_total``; semantic
-tier attribution (``exact`` / ``canonical`` / ``rollup``, recorded by the
-system's tier ladder via :meth:`AnswerCache.record_tier_hit`) is mirrored
-to ``aqua_answer_cache_semantic_hits_total{tier=...}``.  See
+Its semantic tier attribution (``exact`` / ``canonical`` / ``rollup``,
+recorded by the system's tier ladder via :meth:`AnswerCache.record_tier_hit`)
+is mirrored to ``aqua_answer_cache_semantic_hits_total{tier=...}``.  See
 ``docs/CACHING.md`` for the tier ladder.
 """
 
@@ -34,17 +40,40 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from dataclasses import asdict, dataclass
+from typing import Dict, Hashable, List, Optional
 
 from ..obs import MetricsRegistry
 
-__all__ = ["AnswerCache", "CacheStats"]
+__all__ = ["AnswerCache", "CacheStats", "LRUCache", "LRUStats"]
 
 
 @dataclass(frozen=True)
-class CacheStats:
-    """Cumulative cache effectiveness counters.
+class LRUStats:
+    """Cumulative counters of one :class:`LRUCache`."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    size: int = 0
+    capacity: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def describe(self) -> str:
+        return (
+            f"{self.size}/{self.capacity} entries, "
+            f"{self.hits} hits / {self.misses} misses "
+            f"({self.hit_rate:.0%} hit rate), {self.evictions} evicted"
+        )
+
+
+@dataclass(frozen=True)
+class CacheStats(LRUStats):
+    """Answer-cache counters, with semantic tier attribution.
 
     ``hits``/``misses`` count lookups against the entry map;
     ``exact_hits``/``canonical_hits``/``rollup_hits`` attribute served
@@ -53,19 +82,9 @@ class CacheStats:
     ``hits + rollup_hits`` is the total served without recomputation).
     """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    size: int = 0
-    capacity: int = 0
     exact_hits: int = 0
     canonical_hits: int = 0
     rollup_hits: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     @property
     def semantic_hit_rate(self) -> float:
@@ -75,45 +94,42 @@ class CacheStats:
 
     def describe(self) -> str:
         return (
-            f"answer cache: {self.size}/{self.capacity} entries, "
-            f"{self.hits} hits / {self.misses} misses "
-            f"({self.hit_rate:.0%} hit rate), {self.evictions} evicted\n"
+            f"answer cache: {super().describe()}\n"
             f"tiers: exact={self.exact_hits} "
             f"canonical={self.canonical_hits} rollup={self.rollup_hits} "
             f"({self.semantic_hit_rate:.0%} served without recomputation)"
         )
 
 
-class AnswerCache:
-    """A bounded least-recently-used answer store.
+class LRUCache:
+    """A bounded, thread-safe least-recently-used map.
 
-    Keys are opaque hashables built by the caller (see
-    :meth:`AquaSystem._cache_key`): ``(table, version, canonical
-    fingerprint, policy fingerprint, ...)``.  ``get`` promotes on hit;
-    ``put`` evicts the least-recently-used entry once ``capacity`` is
-    exceeded.
-
-    Thread-safe: the serving layer's worker pool hits one shared cache
-    concurrently, so every entry-map access (including the LRU
-    ``move_to_end`` that makes even ``get`` a write) runs under one lock.
-    Cached values are treated as immutable by all callers.
+    Keys are opaque hashables built by the caller; by convention the
+    first element of a tuple key is the base table's name, which is what
+    :meth:`invalidate` matches.  ``get`` promotes and counts; ``peek``
+    does neither; ``put`` evicts the least-recently-used entry once
+    ``capacity`` is exceeded.  Every entry-map access (including the LRU
+    promotion that makes even ``get`` a write) runs under one lock, since
+    serving workers share each cache.  Values are treated as immutable by
+    all callers.
     """
 
     def __init__(
         self,
-        capacity: int = 128,
+        capacity: int,
         metrics: Optional[MetricsRegistry] = None,
+        prefix: Optional[str] = None,
     ):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._metrics = metrics
+        self._prefix = prefix
         self._lock = threading.RLock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._tier_hits: Dict[str, int] = {}
 
     def attach_metrics(self, metrics: Optional[MetricsRegistry]) -> None:
         """(Re)bind the registry the cache mirrors its counters into."""
@@ -129,21 +145,96 @@ class AnswerCache:
             entry = self._entries.get(key)
             if entry is None:
                 self._misses += 1
-                self._count("aqua_answer_cache_misses_total")
+                self._count("misses")
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            self._count("aqua_answer_cache_hits_total")
+            self._count("hits")
             return entry
 
     def peek(self, key: Hashable):
-        """The cached value for ``key`` without counting or promoting.
-
-        Used by ``explain`` to report which tier *would* serve a query
-        without perturbing the hit/miss counters or the LRU order.
-        """
+        """The cached value for ``key`` without counting or promoting."""
         with self._lock:
             return self._entries.get(key)
+
+    def put(self, key: Hashable, value) -> None:
+        """Store ``value``, evicting the LRU entry when over capacity."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self._evictions += 1
+                self._count("evictions")
+
+    def invalidate(self, table: Optional[str] = None) -> int:
+        """Drop entries (all, or those whose key starts with ``table``).
+
+        Version-keyed lookups make this unnecessary for correctness; it
+        reclaims memory eagerly and returns the number of entries dropped.
+        """
+        with self._lock:
+            if table is None:
+                dropped = len(self._entries)
+                self._entries.clear()
+                return dropped
+            doomed = [
+                key
+                for key in self._entries
+                if isinstance(key, tuple) and key and key[0] == table
+            ]
+            for key in doomed:
+                del self._entries[key]
+            return len(doomed)
+
+    def clear(self) -> int:
+        """Drop every entry; returns the number dropped."""
+        return self.invalidate()
+
+    def values(self) -> List[object]:
+        """A snapshot of the stored values, least-recently-used first."""
+        with self._lock:
+            return list(self._entries.values())
+
+    @property
+    def stats(self) -> LRUStats:
+        with self._lock:
+            return LRUStats(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                size=len(self._entries),
+                capacity=self.capacity,
+            )
+
+    def _count(self, outcome: str) -> None:
+        if self._prefix is None:
+            return
+        if self._metrics is None or not self._metrics.enabled:
+            return
+        self._metrics.counter(
+            f"{self._prefix}_{outcome}_total",
+            "Cache lookups by outcome (see repro.aqua.cache).",
+        ).inc()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({len(self)}/{self.capacity})"
+
+
+class AnswerCache(LRUCache):
+    """The answer-cache tier: an :class:`LRUCache` plus tier counters.
+
+    Keys are built by :meth:`AquaSystem._cache_key`: ``(table, version,
+    canonical fingerprint, policy fingerprint, ...)``.
+    """
+
+    def __init__(
+        self,
+        capacity: int = 128,
+        metrics: Optional[MetricsRegistry] = None,
+    ):
+        super().__init__(capacity, metrics, prefix="aqua_answer_cache")
+        self._tier_hits: Dict[str, int] = {}
 
     def record_tier_hit(self, tier: str) -> None:
         """Attribute one served answer to a semantic tier.
@@ -162,58 +253,12 @@ class AnswerCache:
                 ("tier",),
             ).inc(tier=tier)
 
-    def put(self, key: Hashable, value) -> None:
-        """Store ``value``, evicting the LRU entry when over capacity."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                self._count("aqua_answer_cache_evictions_total")
-
-    def invalidate(self, table: Optional[str] = None) -> int:
-        """Drop entries (all, or those whose key starts with ``table``).
-
-        Version-keyed lookups make explicit invalidation unnecessary for
-        correctness; this exists to reclaim memory eagerly (the shell's
-        ``.cache clear``) and returns the number of entries dropped.
-        """
-        with self._lock:
-            if table is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-                return dropped
-            doomed = [
-                key
-                for key in self._entries
-                if isinstance(key, tuple) and key and key[0] == table
-            ]
-            for key in doomed:
-                del self._entries[key]
-            return len(doomed)
-
     @property
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                capacity=self.capacity,
+                **asdict(super().stats),
                 exact_hits=self._tier_hits.get("exact", 0),
                 canonical_hits=self._tier_hits.get("canonical", 0),
                 rollup_hits=self._tier_hits.get("rollup", 0),
             )
-
-    def _count(self, name: str) -> None:
-        if self._metrics is None or not self._metrics.enabled:
-            return
-        self._metrics.counter(
-            name,
-            "Answer-cache lookups by outcome (see repro.aqua.cache).",
-        ).inc()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AnswerCache({len(self._entries)}/{self.capacity})"

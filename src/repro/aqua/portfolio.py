@@ -59,6 +59,7 @@ from ..engine.query import Query
 from ..engine.render import render_query
 from ..errors import AquaError
 from ..estimators.point import group_support
+from .cache import LRUCache
 from .synopsis import Synopsis
 from .workload_log import QueryLog
 
@@ -331,8 +332,9 @@ class SynopsisPortfolio:
     members: "OrderedDict[str, PortfolioMember]" = field(
         default_factory=OrderedDict
     )
-    _resolutions: "OrderedDict[Tuple, PortfolioChoice]" = field(
-        default_factory=OrderedDict, repr=False
+    _resolutions: LRUCache = field(
+        default_factory=lambda: LRUCache(_RESOLUTION_CACHE_CAPACITY),
+        repr=False,
     )
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False
@@ -435,17 +437,11 @@ class SynopsisPortfolio:
                 "build_portfolio() first"
             )
         key = (version, render_query(query), max_rel_error, max_ms)
-        with self._lock:
-            cached = self._resolutions.get(key)
-            if cached is not None:
-                self._resolutions.move_to_end(key)
-                return cached
+        cached = self._resolutions.get(key)
+        if cached is not None:
+            return cached
         choice = self._resolve_uncached(query, max_rel_error, max_ms)
-        with self._lock:
-            self._resolutions[key] = choice
-            self._resolutions.move_to_end(key)
-            while len(self._resolutions) > _RESOLUTION_CACHE_CAPACITY:
-                self._resolutions.popitem(last=False)
+        self._resolutions.put(key, choice)
         return choice
 
     def _resolve_uncached(
@@ -522,13 +518,11 @@ class SynopsisPortfolio:
         )
 
     def invalidate_resolutions(self) -> None:
-        with self._lock:
-            self._resolutions.clear()
+        self._resolutions.clear()
 
     @property
     def resolution_cache_size(self) -> int:
-        with self._lock:
-            return len(self._resolutions)
+        return len(self._resolutions)
 
     def describe(self) -> str:
         """Multi-line human-readable summary (the shell's ``.portfolio``)."""

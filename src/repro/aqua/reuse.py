@@ -38,7 +38,6 @@ represent a completed synopsis scan at a single version).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -61,6 +60,7 @@ from ..plan.canonical import (
 from ..plan.optimizer import _conjoin, _split_and
 from ..sampling.groups import GroupKey
 from ..sampling.stratified import SampleFrame, StratifiedSample
+from .cache import LRUCache
 
 __all__ = [
     "ONES_KEY",
@@ -360,25 +360,23 @@ class _Match:
 class RollupIndex:
     """Bounded per-table index of :class:`ReuseSnapshot` entries.
 
-    LRU-bounded; thread-safe.  Entries are keyed by
-    ``(table, version, synopsis, predicate fingerprint, confidence)`` so
+    Entries live in an :class:`~repro.aqua.cache.LRUCache` keyed by
+    ``(table, version, synopsis, predicate fingerprint, confidence)``, so
     re-registering the same logical scan replaces rather than grows, and
-    invalidation by table name drops every entry atomically with the
-    answer-cache entries it mirrors (callers hold the table lock).
+    :meth:`invalidate` drops a table's entries by key prefix -- which
+    :class:`~repro.aqua.system.AquaSystem` does on every version bump.
     """
 
     def __init__(self, capacity: int = 64):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[Tuple, ReuseSnapshot]" = OrderedDict()
-        self._lock = threading.RLock()
+        self._entries = LRUCache(capacity)
+        self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._registrations = 0
         self._invalidations = 0
 
-    def _key(self, snapshot: ReuseSnapshot) -> Tuple:
+    @staticmethod
+    def _key(snapshot: ReuseSnapshot) -> Tuple:
         return (
             snapshot.base_name,
             snapshot.version,
@@ -388,14 +386,9 @@ class RollupIndex:
         )
 
     def register(self, snapshot: ReuseSnapshot) -> None:
+        self._entries.put(self._key(snapshot), snapshot)
         with self._lock:
-            key = self._key(snapshot)
-            if key in self._entries:
-                self._entries.pop(key)
-            self._entries[key] = snapshot
             self._registrations += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
 
     def lookup(
         self,
@@ -425,15 +418,14 @@ class RollupIndex:
         probe_set = set(texts)
 
         best: Optional[_Match] = None
-        with self._lock:
-            candidates = [
-                snapshot
-                for snapshot in self._entries.values()
-                if snapshot.base_name == base_name
-                and snapshot.version == version
-                and snapshot.synopsis_signature == synopsis_signature
-                and snapshot.confidence == confidence
-            ]
+        candidates = [
+            snapshot
+            for snapshot in self._entries.values()
+            if snapshot.base_name == base_name
+            and snapshot.version == version
+            and snapshot.synopsis_signature == synopsis_signature
+            and snapshot.confidence == confidence
+        ]
         for snapshot in candidates:
             entry_set = set(snapshot.conjuncts)
             if not entry_set <= probe_set:
@@ -461,29 +453,25 @@ class RollupIndex:
                 extra_conjuncts=tuple(text for _, text in extra),
             )
         if count:
+            if best is not None:
+                self._entries.get(self._key(best.snapshot))  # promote
             with self._lock:
                 if best is not None:
                     self._hits += 1
-                    self._entries.move_to_end(self._key(best.snapshot))
                 else:
                     self._misses += 1
         return best
 
-    def invalidate(self, base_name: str) -> int:
-        """Drop every entry for ``base_name``; returns the count dropped."""
+    def invalidate(self, base_name: Optional[str] = None) -> int:
+        """Drop every entry for ``base_name`` (all entries for ``None``);
+        returns the count dropped."""
+        dropped = self._entries.invalidate(base_name)
         with self._lock:
-            stale = [
-                key for key in self._entries if key[0] == base_name
-            ]
-            for key in stale:
-                self._entries.pop(key)
-            self._invalidations += len(stale)
-            return len(stale)
+            self._invalidations += dropped
+        return dropped
 
     def clear(self) -> None:
-        with self._lock:
-            self._invalidations += len(self._entries)
-            self._entries.clear()
+        self.invalidate()
 
     def stats(self) -> RollupIndexStats:
         with self._lock:

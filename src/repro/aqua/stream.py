@@ -55,13 +55,7 @@ from ..engine.stream import (
 from ..engine.table import Table
 from ..errors import DeadlineExceeded, StreamError
 from ..estimators.errors import relative_halfwidth
-from ..plan import (
-    canonicalize,
-    canonicalize_query,
-    execute_plan,
-    lower_query,
-    optimize as optimize_plan,
-)
+from ..plan import canonicalize_query, execute_plan, lower_query
 from ..plan.logical import Filter, GroupBy, Scan, walk
 from ..serve.deadline import Deadline, current_deadline, deadline_scope
 
@@ -468,7 +462,11 @@ def stream_answers(
             )
             return
 
-    logical = _optimized_stream_plan(system, query, base_name)
+    # The same plan exact() builds, cached under a stream-specific
+    # strategy tag so rewritten synopsis plans never collide with it.
+    logical, __ = system._optimized_plan(
+        lower_query(query, system.catalog), base_name, "stream"
+    )
     stream_plan = _extract_stream_plan(logical, base_name)
     tracer = system.telemetry.tracer
     metrics = _stream_metrics(system, base_name)
@@ -690,22 +688,3 @@ def _stream_cache_key(system, query: Query, base_name: str):
         system._bound_method,
     )
 
-
-def _optimized_stream_plan(system, query: Query, base_name: str):
-    """Lower + optimize the base-table query, memoized under ``"stream"``.
-
-    The same plan :meth:`AquaSystem.exact` would build, cached in the
-    :class:`~repro.plan.PlanCache` under a stream-specific strategy tag so
-    rewritten synopsis plans never collide with streamed base scans.
-    """
-    lowered = lower_query(query, system.catalog)
-    if system._plan_cache is None:
-        return optimize_plan(lowered)
-    lowered, fingerprint = canonicalize(lowered)
-    key = system._plan_key(base_name, "stream", "", fingerprint)
-    cached = system._plan_cache.get(key)
-    if cached is not None:
-        return cached
-    logical = optimize_plan(lowered)
-    system._plan_cache.put(key, logical)
-    return logical

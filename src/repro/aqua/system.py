@@ -62,7 +62,6 @@ from ..estimators.point import estimate, group_support
 from ..obs import MetricsRegistry, QueryTrace, Telemetry, Tracer
 from ..plan import (
     CostModel,
-    PlanCache,
     canonicalize,
     canonicalize_query,
     execute_plan,
@@ -83,7 +82,7 @@ from ..serve.deadline import (
     deadline_scope,
 )
 from ..sampling.stratified import StratifiedSample
-from .cache import AnswerCache, CacheStats
+from .cache import AnswerCache, CacheStats, LRUCache
 from .guard import (
     PROVENANCE_COLUMN,
     PROVENANCE_EXACT,
@@ -118,8 +117,8 @@ __all__ = [
     "CostErrorModel",
     "GuardPolicy",
     "GuardReport",
+    "LRUCache",
     "ParallelConfig",
-    "PlanCache",
     "PortfolioChoice",
     "RefreshPolicy",
     "SynopsisHealth",
@@ -346,9 +345,10 @@ class _TableState:
     inserts_since_refresh: int = 0
     rows_at_refresh: int = 0
     refresh_policy: Optional[RefreshPolicy] = None
-    # Monotonic data version: bumped on every insert, flush, synopsis
-    # (re)build and re-registration.  Answer-cache keys embed it, so any
-    # mutation invalidates all prior cached answers for this table.
+    # Monotonic data version: advanced only by AquaSystem._bump_version,
+    # on every insert, flush, synopsis or portfolio (re)build and
+    # re-registration.  Every cache key embeds it, so any mutation
+    # invalidates all prior cached answers and plans for this table.
     version: int = 0
     # Serializes mutation (insert, pending-row flush, synopsis install)
     # against concurrent serving workers; reentrant because a flush can
@@ -371,8 +371,6 @@ class AquaSystem:
         telemetry: Union[Telemetry, bool, None] = None,
         parallel: Union[ParallelConfig, bool, None] = None,
         cache: Union[AnswerCache, int, bool, None] = None,
-        plan_cache: Union[PlanCache, int, bool, None] = None,
-        semantic_reuse: Union[RollupIndex, int, bool, None] = None,
     ):
         """Args:
         space_budget: sample tuples per synopsis (the paper's ``X``).
@@ -408,23 +406,10 @@ class AquaSystem:
             capacity, an :class:`AnswerCache` is used as-is, and ``False``
             disables caching.  Entries are keyed by table data version and
             normalized plan, so inserts and refreshes invalidate; guard-
-            degraded answers are never cached.
-        plan_cache: the optimized-logical-plan cache (see
-            :class:`~repro.plan.PlanCache`).  ``None``/``True`` installs a
-            default 256-entry LRU, an ``int`` sets the capacity, a
-            :class:`~repro.plan.PlanCache` is used as-is, and ``False``
-            plans every query from scratch.  Keys embed the table data
-            version and rewrite strategy, so mutations invalidate.
-        semantic_reuse: the roll-up subsumption index (see
-            :class:`~repro.aqua.reuse.RollupIndex` and
-            ``docs/CACHING.md``).  ``None`` (default) follows the answer
-            cache -- enabled with a default 64-entry LRU unless
-            ``cache=False``; ``True`` force-enables, an ``int`` sets the
-            capacity, a :class:`~repro.aqua.reuse.RollupIndex` is used
-            as-is, and ``False`` disables the roll-up tier
-            (exact/canonical caching still applies).  Entries are
-            version-keyed and additionally invalidated eagerly on
-            insert/flush/refresh/re-register.
+            degraded answers are never cached.  The roll-up subsumption
+            index (:class:`~repro.aqua.reuse.RollupIndex`) is on exactly
+            when the answer cache is.  The 256-entry optimized-plan cache
+            (:attr:`plan_cache`) is always on.
         """
         if space_budget < 1:
             raise AquaError(f"space budget must be >= 1, got {space_budget}")
@@ -493,46 +478,15 @@ class AquaSystem:
                 "cache must be an AnswerCache, int capacity, True, False, "
                 f"or None; got {cache!r}"
             )
+        # ``cache=False`` means "recompute every answer", which the roll-up
+        # tier honours too.
+        self._reuse: Optional[RollupIndex] = None
         if self._cache is not None:
             self._cache.attach_metrics(self.telemetry.metrics)
-        if plan_cache is False:
-            self._plan_cache: Optional[PlanCache] = None
-        elif plan_cache is None or plan_cache is True:
-            self._plan_cache = PlanCache()
-        elif isinstance(plan_cache, PlanCache):
-            self._plan_cache = plan_cache
-        elif isinstance(plan_cache, int):
-            self._plan_cache = PlanCache(capacity=plan_cache)
-        else:
-            raise AquaError(
-                "plan_cache must be a PlanCache, int capacity, True, False, "
-                f"or None; got {plan_cache!r}"
-            )
-        if self._plan_cache is not None:
-            self._plan_cache.attach_metrics(self.telemetry.metrics)
-        if semantic_reuse is False:
-            self._reuse: Optional[RollupIndex] = None
-        elif semantic_reuse is None:
-            # Follow the answer cache: ``cache=False`` means "recompute
-            # every answer", which the roll-up tier must honour too.
-            self._reuse = RollupIndex() if self._cache is not None else None
-        elif semantic_reuse is True:
             self._reuse = RollupIndex()
-        elif isinstance(semantic_reuse, RollupIndex):
-            self._reuse = semantic_reuse
-        elif isinstance(semantic_reuse, int):
-            self._reuse = RollupIndex(capacity=semantic_reuse)
-        else:
-            raise AquaError(
-                "semantic_reuse must be a RollupIndex, int capacity, True, "
-                f"False, or None; got {semantic_reuse!r}"
-            )
-        # Per-thread return channel: _attach_error_bounds deposits the
-        # ReuseSnapshot it built and the per-row sample support it read off
-        # it, so _answer_stages can hand the support to the guard and
-        # register the snapshot after the verdict, without changing the
-        # method's signature (testing.faults shadows it).
-        self._reuse_local = threading.local()
+        self._plan_cache = LRUCache(
+            256, self.telemetry.metrics, prefix="aqua_plan_cache"
+        )
         self._auditor = None
         self._slo = None
 
@@ -610,8 +564,8 @@ class AquaSystem:
         return self._cache
 
     @property
-    def plan_cache(self) -> Optional[PlanCache]:
-        """The optimized-plan cache (None = planning is never memoized)."""
+    def plan_cache(self) -> LRUCache:
+        """The optimized-plan cache."""
         return self._plan_cache
 
     @property
@@ -682,15 +636,13 @@ class AquaSystem:
             table.schema.column(column)
         self.catalog.register(name, table, replace=True)
         previous = self._tables.get(name)
-        self._tables[name] = _TableState(
-            table,
-            tuple(grouping_columns),
+        state = _TableState(table, tuple(grouping_columns))
+        if previous is not None:
             # Re-registration continues the version sequence so cached
             # answers for the replaced data can never be served again.
-            version=previous.version + 1 if previous is not None else 0,
-        )
-        if previous is not None and self._reuse is not None:
-            self._reuse.invalidate(name)
+            state.version = previous.version
+            self._bump_version(name, state, replaced=True)
+        self._tables[name] = state
         if build:
             return self.build_synopsis(name)
         return None
@@ -786,10 +738,35 @@ class AquaSystem:
                 state.rows_at_refresh = state.table.num_rows + len(
                     state.pending_rows
                 )
-                state.version += 1  # new synopsis -> new answers
-                if self._reuse is not None:
-                    self._reuse.invalidate(name)
+                self._bump_version(name, state)
         return synopsis
+
+    def _bump_version(
+        self, name: str, state: _TableState, replaced: bool = False
+    ) -> None:
+        """Advance the table's data version: the one invalidation hook.
+
+        Every cache key embeds the version, so entries for older data are
+        never looked up again; the roll-up index's entries for the table
+        are dropped eagerly here as well.  ``replaced`` (re-registration)
+        also drops the primary synopsis and the portfolio built from the
+        replaced table, so nothing answers from data that is gone: until
+        they are rebuilt, :meth:`answer` raises
+        :class:`~repro.errors.SynopsisMissingError`.
+        """
+        with state.lock:
+            state.version += 1
+            if self._reuse is not None:
+                self._reuse.invalidate(name)
+            if not replaced:
+                return
+            synopsis = self._synopses.pop(name, None)
+            if synopsis is not None:
+                synopsis.sample.release_frame()
+            portfolio = self._portfolios.pop(name, None)
+            if portfolio is not None:
+                for member in portfolio.members.values():
+                    member.synopsis.sample.release_frame()
 
     def synopsis(self, name: str) -> Synopsis:
         try:
@@ -887,10 +864,7 @@ class AquaSystem:
         if existing is not None:
             for member in existing.members.values():
                 member.synopsis.sample.release_frame()
-        with state.lock:
-            state.version += 1  # new members -> new answers and resolutions
-            if self._reuse is not None:
-                self._reuse.invalidate(name)
+        self._bump_version(name, state)
         metrics = self.telemetry.metrics
         if metrics.enabled:
             metrics.gauge(
@@ -1439,32 +1413,6 @@ class AquaSystem:
             budget,
         )
 
-    def _plan_key(
-        self, base_name: str, strategy: str, relation: str, fingerprint: str
-    ):
-        """The plan-cache key: version + strategy + relation + fingerprint.
-
-        ``None`` when plan caching is disabled.  ``fingerprint`` is the
-        canonical-plan digest from :func:`repro.plan.canonicalize`, so
-        trivially-equivalent spellings (predicate order, folded constants)
-        share one optimized plan.  The version covers every mutation that
-        can change synopsis relations (insert, flush, refresh,
-        re-register), so a stale optimized plan can never be replayed
-        against rebuilt samples.  ``relation`` is the sample relation the
-        rewrite reads: portfolio members of the same table produce
-        *different* plans for the same query, and the member relation name
-        keeps their cache entries apart.
-        """
-        if self._plan_cache is None:
-            return None
-        return (
-            base_name,
-            self._state(base_name).version,
-            strategy,
-            relation,
-            fingerprint,
-        )
-
     def _cost_model(self) -> CostModel:
         """A plan cost model seeded from the live catalog's cardinalities.
 
@@ -1476,21 +1424,31 @@ class AquaSystem:
         """
         return CostModel.from_catalog(self.catalog)
 
-    def _optimized_plan(self, rewritten, base_name, relation=""):
-        """Lower + optimize the rewritten query, memoized in the plan cache.
+    def _optimized_plan(
+        self, lowered, base_name: str, strategy: str, relation: str = ""
+    ):
+        """Optimize a lowered plan, memoized in the plan cache.
 
-        The lowered plan is canonicalized first, and its fingerprint keys
-        the cache -- so equivalent predicate spellings amortize the
-        optimizer pass, which is the expensive part.  Optimization is
-        cost-gated against catalog cardinalities (see :meth:`_cost_model`).
-        Returns ``(logical_plan, was_cached)``.
+        The plan is canonicalized first and keyed by ``(table, version,
+        strategy, relation, fingerprint)``: the canonical-plan digest
+        (:func:`repro.plan.canonicalize`) lets trivially-equivalent
+        spellings (predicate order, folded constants) share one optimized
+        plan, and the data version covers every mutation that can change
+        synopsis relations, so a stale plan is never replayed against
+        rebuilt samples.  ``relation`` is the sample relation the rewrite
+        reads (portfolio members of one table plan the same query
+        differently); ``strategy`` is the rewrite strategy's name, or
+        ``"stream"`` for base-table scans.  Optimization is cost-gated
+        against catalog cardinalities (see :meth:`_cost_model`).  Returns
+        ``(logical_plan, was_cached)``.
         """
-        lowered = lower_rewritten(rewritten, self.catalog)
-        if self._plan_cache is None:
-            return optimize_plan(lowered, cost_model=self._cost_model()), False
         lowered, fingerprint = canonicalize(lowered)
-        key = self._plan_key(
-            base_name, rewritten.strategy, relation, fingerprint
+        key = (
+            base_name,
+            self._state(base_name).version,
+            strategy,
+            relation,
+            fingerprint,
         )
         cached = self._plan_cache.get(key)
         if cached is not None:
@@ -1992,7 +1950,10 @@ class AquaSystem:
         check_deadline("plan_optimize")
         with tracer.span("plan_optimize") as plan_span:
             logical, cached_plan = self._optimized_plan(
-                plan, base_name, synopsis.installed.sample_name
+                lower_rewritten(plan, self.catalog),
+                base_name,
+                plan.strategy,
+                synopsis.installed.sample_name,
             )
             plan_span.set(cache="hit" if cached_plan else "miss")
 
@@ -2016,10 +1977,9 @@ class AquaSystem:
 
         check_deadline("error_bounds")
         with tracer.span("error_bounds"):
-            self._reuse_local.bounds = None
-            result = self._attach_error_bounds(query, synopsis, result)
-            snapshot, support = self._reuse_local.bounds or (None, None)
-            self._reuse_local.bounds = None
+            result, snapshot, support = self._attach_error_bounds(
+                query, synopsis, result
+            )
         answer = ApproximateAnswer(
             result=result,
             confidence=self._confidence,
@@ -2532,7 +2492,10 @@ class AquaSystem:
             synopsis = self.synopsis(base_name)
         plan = self._rewrite.plan(query, synopsis.installed)
         logical, __ = self._optimized_plan(
-            plan, base_name, synopsis.installed.sample_name
+            lower_rewritten(plan, self.catalog),
+            base_name,
+            plan.strategy,
+            synopsis.installed.sample_name,
         )
 
         installed = synopsis.installed
@@ -2725,7 +2688,7 @@ class AquaSystem:
 
     def _attach_error_bounds(
         self, query: Query, synopsis: Synopsis, result: Table
-    ) -> Table:
+    ) -> Tuple[Table, Optional[ReuseSnapshot], Optional[np.ndarray]]:
         """Attach ``<alias>_error`` half-width columns to a plan result.
 
         Expansion-servable queries (Chebyshev bounds, SUM/COUNT/AVG only,
@@ -2735,14 +2698,17 @@ class AquaSystem:
         values and the half-widths are finalized from those moments --
         the exact arithmetic a future roll-up of this snapshot will run,
         which is what makes roll-up answers bit-identical to direct ones.
-        The snapshot and the per-row sample support read off its roll-up
-        are deposited in a per-thread slot for :meth:`_answer_stages`.
         Everything else falls back to the per-aggregate
         :func:`~repro.estimators.point.estimate` path.
+
+        Returns ``(result, snapshot, support)``: the snapshot (for the
+        roll-up index) and the per-row sample support read off its roll-up
+        (for the guard), both ``None`` on the fallback path.
         """
         snapshot = self._reuse_snapshot(query, synopsis)
         if snapshot is not None:
-            return self._snapshot_bounds(query, snapshot, result)
+            result, support = self._snapshot_bounds(query, snapshot, result)
+            return result, snapshot, support
         group_by = list(query.group_by)
         keys = self._result_keys(result, query.group_by_aliases())
         for aggregate in query.aggregates():
@@ -2783,7 +2749,7 @@ class AquaSystem:
             result = result.with_column(
                 Column(f"{aggregate.alias}_error", ColumnType.FLOAT), halfwidths
             )
-        return result
+        return result, None, None
 
     def _observe_halfwidths(
         self, halfwidths: np.ndarray, values: np.ndarray
@@ -2852,7 +2818,7 @@ class AquaSystem:
 
     def _snapshot_bounds(
         self, query: Query, snapshot: ReuseSnapshot, result: Table
-    ) -> Table:
+    ) -> Tuple[Table, np.ndarray]:
         """Finalize values *and* half-widths from the snapshot's moments.
 
         Overwrites the plan-computed aggregate columns with the moment
@@ -2862,13 +2828,13 @@ class AquaSystem:
         columns, preserving the legacy layout and the relative-half-width
         histogram.  Result rows are matched to the roll-up's groups by
         integer code; a row the roll-up does not hold keeps its plan value
-        and gets a NaN half-width.
+        and gets a NaN half-width.  Returns the table and each row's
+        qualifying sample tuples.
         """
         rollup = snapshot.finalize(query.group_by, query.aggregates())
         found, group, support = self._rollup_rows(
             rollup, result, query.group_by_aliases()
         )
-        self._reuse_local.bounds = (snapshot, support)
         replaced = result.columns()
         errors: List[Tuple[str, np.ndarray]] = []
         for aggregate in query.aggregates():
@@ -2886,7 +2852,7 @@ class AquaSystem:
             result = result.with_column(
                 Column(name, ColumnType.FLOAT), halfwidths
             )
-        return result
+        return result, support
 
     def _hoeffding_halfwidths(
         self, query: Query, synopsis: Synopsis, aggregate, group_by
@@ -2966,9 +2932,7 @@ class AquaSystem:
         with state.lock:
             state.pending_rows.append(tuple(row))
             state.inserts_since_refresh += 1
-            state.version += 1  # invalidates cached answers for this table
-            if self._reuse is not None:
-                self._reuse.invalidate(name)
+            self._bump_version(name, state)
             if state.maintainer is not None:
                 state.maintainer.insert(row)
                 state.maintainer.inserts_seen += 1
@@ -3046,9 +3010,7 @@ class AquaSystem:
                 )
                 state.table = state.table.concat(appended)
                 state.pending_rows.clear()
-                state.version += 1
-                if self._reuse is not None:
-                    self._reuse.invalidate(name)
+                self._bump_version(name, state)
                 self.catalog.register(name, state.table, replace=True)
         metrics = self.telemetry.metrics
         if metrics.enabled:

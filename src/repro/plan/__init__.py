@@ -14,11 +14,8 @@ The package splits query execution into four stages (see
   under a fixpoint driver;
 * :mod:`repro.plan.physical` -- execution of a logical tree against the
   engine catalog, serial or partition-parallel, with per-operator spans.
-
-:class:`PlanCache` memoizes optimized plans under version-aware keys.
 """
 
-from .cache import PlanCache, PlanCacheStats
 from .canonical import (
     CanonicalQuery,
     canonicalize,
@@ -66,8 +63,6 @@ __all__ = [
     "Join",
     "Limit",
     "Plan",
-    "PlanCache",
-    "PlanCacheStats",
     "PlanError",
     "Project",
     "Ratio",

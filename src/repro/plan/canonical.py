@@ -11,7 +11,7 @@ cached twice.  This module provides pure canonicalization:
   so reordering commutative operands never changes the result.
 * :func:`canonicalize` -- canonicalize every predicate inside a logical
   plan and hash the result into a stable fingerprint.  Runs after
-  lowering (and again after ``optimize``), so the :class:`PlanCache`
+  lowering (and again after ``optimize``), so the system's plan cache
   keys on ``(table, version, strategy, fingerprint)`` instead of text.
 * :func:`canonicalize_query` -- query-level canonical form with two
   fingerprints: a *semantic* one that is alias-insensitive and ignores

@@ -487,7 +487,7 @@ class AnswerTamper:
         tamper = self
 
         def _attach_error_bounds(query, synopsis, result):
-            out = original(query, synopsis, result)
+            out, snapshot, support = original(query, synopsis, result)
             columns = dict(out.columns())
             touched = False
             for name in list(columns):
@@ -498,9 +498,9 @@ class AnswerTamper:
                 columns[name] = np.asarray(columns[name]) * tamper.scale
                 touched = True
             if not touched:
-                return out
+                return out, snapshot, support
             tamper.tampered += 1
-            return Table(out.schema, columns)
+            return Table(out.schema, columns), snapshot, support
 
         self.system._attach_error_bounds = _attach_error_bounds
         self._installed = True

@@ -113,21 +113,11 @@ class TestOneBoundsPath:
         aqua.register_table("census", census)
         return aqua
 
-    @pytest.mark.parametrize(
-        "knobs",
-        [
-            {"cache": False},
-            {"semantic_reuse": False},
-            {"cache": False, "plan_cache": False},
-        ],
-        ids=["no_cache", "no_rollup_tier", "no_cache_no_plan_cache"],
-    )
+    @pytest.mark.parametrize("knobs", [{"cache": False}], ids=["no_cache"])
     def test_same_bits_with_and_without_the_caches(self, census, knobs):
         default = self._system(census)
         other = self._system(census, **knobs)
-        assert (other.rollup_index is None) == (
-            "cache" in knobs or "semantic_reuse" in knobs
-        )
+        assert other.rollup_index is None
         for sql in self.QUERIES:
             want, got = default.answer(sql).result, other.answer(sql).result
             assert got.schema.names == want.schema.names

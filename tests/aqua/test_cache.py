@@ -5,6 +5,7 @@ import pytest
 
 from repro.aqua import AnswerCache, AquaSystem, CacheStats, GuardPolicy
 from repro.engine import Column, ColumnType, Schema, Table
+from tests.lru_contract import LRUContract
 
 SQL = "SELECT g, SUM(v) AS s FROM t GROUP BY g"
 
@@ -170,35 +171,11 @@ class TestCountersAgree:
         assert "3 hits / 1 misses" in stats.describe()
 
 
-class TestCacheMechanics:
-    def test_lru_eviction(self):
-        cache = AnswerCache(capacity=2)
-        cache.put("k1", "v1")
-        cache.put("k2", "v2")
-        assert cache.get("k1") == "v1"  # promotes k1 over k2
-        cache.put("k3", "v3")
-        assert cache.get("k2") is None  # k2 was least recently used
-        assert cache.get("k1") == "v1"
-        assert cache.stats.evictions == 1
+class TestCacheMechanics(LRUContract):
+    prefix = "aqua_answer_cache"
 
-    def test_invalidate_by_table_prefix(self):
-        cache = AnswerCache()
-        cache.put(("t", 0, "sql-a"), 1)
-        cache.put(("t", 0, "sql-b"), 2)
-        cache.put(("u", 0, "sql-a"), 3)
-        assert cache.invalidate("t") == 2
-        assert cache.get(("u", 0, "sql-a")) == 3
-
-    def test_invalidate_all(self):
-        cache = AnswerCache()
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.invalidate() == 2
-        assert len(cache) == 0
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            AnswerCache(capacity=0)
+    def make(self, capacity, metrics=None):
+        return AnswerCache(capacity, metrics)
 
     def test_system_cache_configuration(self):
         assert _system(cache=False).answer_cache is None

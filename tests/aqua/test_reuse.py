@@ -131,12 +131,6 @@ class TestRollupServing:
 
 
 class TestExclusions:
-    def test_semantic_reuse_false_disables_the_tier(self):
-        system = _system(semantic_reuse=False)
-        assert system.rollup_index is None
-        system.answer(FINE)
-        assert system.answer(COARSE).cache_tier is None
-
     def test_cache_false_disables_reuse_too(self):
         system = _system(cache=False)
         assert system.rollup_index is None
@@ -265,12 +259,17 @@ class TestSurfacing:
 
 class TestRollupIndexMechanics:
     def test_capacity_bounds_and_lru(self):
-        system = _system(semantic_reuse=1)
+        system = _system()
         system.answer(FINE)
         system.answer(
-            "SELECT g, h, SUM(v) AS s FROM t WHERE h = 'x' GROUP BY g, h"
+            "SELECT g, h, SUM(v) AS s FROM t WHERE v > 10 GROUP BY g, h"
         )
-        assert system.rollup_index.stats().entries == 1
+        fine, filtered = system.rollup_index._entries.values()
+        index = RollupIndex(capacity=1)
+        index.register(fine)
+        index.register(filtered)
+        assert index.stats().entries == 1
+        assert index._entries.values() == [filtered]
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from repro.aqua.cache import CacheStats
 from repro.engine import Column, ColumnType, Schema, Table
 from repro.obs import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.plan.cache import PlanCache
 
 THREADS = 8
 OPS = 200
@@ -58,22 +57,6 @@ class TestAnswerCacheConcurrency:
         _run_threads(worker)
         assert len(cache) <= 4
         assert cache.stats.evictions >= THREADS * OPS - 4
-
-
-class TestPlanCacheConcurrency:
-    def test_counters_stay_exact_under_contention(self):
-        cache = PlanCache(capacity=8)
-
-        def worker(k):
-            for i in range(OPS):
-                key = ("t", i % 4, "strategy", "sql")
-                if cache.get(key) is None:
-                    cache.put(key, object())
-
-        _run_threads(worker)
-        stats = cache.stats
-        assert stats.hits + stats.misses == THREADS * OPS
-        assert stats.size <= 8
 
 
 class TestMetricsRegistryConcurrency:

@@ -1,86 +1,18 @@
-"""PlanCache: LRU mechanics, stats, metrics, and AquaSystem integration."""
+"""The plan cache: LRU contract, and its use inside AquaSystem."""
 
 import pytest
 
 from repro.aqua import AquaSystem
-from repro.obs import MetricsRegistry, Telemetry
-from repro.plan import PlanCache, Scan
+from repro.aqua.cache import LRUCache
+from repro.obs import Telemetry
+from tests.lru_contract import LRUContract
 
-A, B, C = Scan("a"), Scan("b"), Scan("c")
 
+class TestPlanCacheUnit(LRUContract):
+    prefix = "aqua_plan_cache"
 
-class TestPlanCacheUnit:
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError, match="capacity"):
-            PlanCache(capacity=0)
-
-    def test_miss_then_hit(self):
-        cache = PlanCache(capacity=4)
-        assert cache.get(("t", 1)) is None
-        cache.put(("t", 1), A)
-        assert cache.get(("t", 1)) is A
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
-
-    def test_lru_eviction_order(self):
-        cache = PlanCache(capacity=2)
-        cache.put("a", A)
-        cache.put("b", B)
-        cache.get("a")  # promote a; b is now least-recent
-        cache.put("c", C)
-        assert cache.get("b") is None
-        assert cache.get("a") is A
-        assert cache.get("c") is C
-        assert cache.stats.evictions == 1
-
-    def test_put_same_key_replaces_without_evicting(self):
-        cache = PlanCache(capacity=1)
-        cache.put("k", A)
-        cache.put("k", B)
-        assert cache.get("k") is B
-        assert cache.stats.evictions == 0
-
-    def test_invalidate_all(self):
-        cache = PlanCache()
-        cache.put(("t", 1), A)
-        cache.put(("u", 1), B)
-        assert cache.invalidate() == 2
-        assert len(cache) == 0
-
-    def test_invalidate_by_table_prefix(self):
-        cache = PlanCache()
-        cache.put(("t", 1, "integrated", "sql1"), A)
-        cache.put(("t", 2, "integrated", "sql2"), B)
-        cache.put(("u", 1, "integrated", "sql1"), C)
-        assert cache.invalidate("t") == 2
-        assert len(cache) == 1
-        assert cache.invalidate("missing") == 0
-
-    def test_describe(self):
-        cache = PlanCache(capacity=8)
-        cache.put("k", A)
-        cache.get("k")
-        text = cache.stats.describe()
-        assert "1/8 entries" in text
-        assert "1 hits / 0 misses" in text
-
-    def test_metrics_mirroring(self):
-        registry = MetricsRegistry(enabled=True)
-        cache = PlanCache(capacity=1, metrics=registry)
-        cache.get("k")  # miss
-        cache.put("k", A)
-        cache.get("k")  # hit
-        cache.put("other", B)  # evicts k
-        assert registry.get("aqua_plan_cache_hits_total").value() == 1
-        assert registry.get("aqua_plan_cache_misses_total").value() == 1
-        assert registry.get("aqua_plan_cache_evictions_total").value() == 1
-
-    def test_disabled_registry_records_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        cache = PlanCache(metrics=registry)
-        cache.get("k")
-        assert registry.snapshot() == {}
+    def make(self, capacity, metrics=None):
+        return LRUCache(capacity, metrics, prefix=self.prefix)
 
 
 SQL = "select a, sum(q) s from rel group by a order by a"
@@ -99,7 +31,7 @@ class TestSystemIntegration:
         return aqua
 
     def test_default_system_has_a_plan_cache(self, system):
-        assert isinstance(system.plan_cache, PlanCache)
+        assert isinstance(system.plan_cache, LRUCache)
 
     def test_second_answer_hits(self, system):
         system.answer(SQL)
@@ -126,23 +58,6 @@ class TestSystemIntegration:
         misses = system.plan_cache.stats.misses
         system.answer(SQL)  # same SQL, new data version -> new key
         assert system.plan_cache.stats.misses == misses + 1
-
-    def test_plan_cache_false_disables(self, skewed_table, rng):
-        aqua = AquaSystem(space_budget=500, rng=rng, plan_cache=False)
-        aqua.register_table("rel", skewed_table)
-        assert aqua.plan_cache is None
-        aqua.answer(SQL)  # still answers, just never caches
-        aqua.answer(SQL)
-
-    def test_plan_cache_int_sets_capacity(self, skewed_table, rng):
-        aqua = AquaSystem(space_budget=500, rng=rng, plan_cache=7)
-        assert aqua.plan_cache.capacity == 7
-
-    def test_invalid_plan_cache_rejected(self):
-        from repro.aqua import AquaError
-
-        with pytest.raises(AquaError):
-            AquaSystem(space_budget=100, plan_cache="big")
 
     def test_cached_plan_answers_identically(self, system):
         first = system.answer(SQL).result

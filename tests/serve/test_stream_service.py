@@ -4,7 +4,7 @@ Covers the interruption contract end to end:
 
 * a deadline expiring mid-stream ends the stream with the last complete
   ``StreamingAnswer`` re-emitted under ``partial`` provenance -- and
-  leaves both the ``AnswerCache`` and the ``PlanCache`` unpolluted;
+  leaves both the answer cache and the plan cache unpolluted;
 * ``SlowScanTable`` + ``ManualClock`` make the timing a statement about
   the test, not the machine;
 * an open circuit breaker refuses *new* streams with ``OverloadError``
