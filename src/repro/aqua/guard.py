@@ -368,7 +368,8 @@ def validate_sample(sample: StratifiedSample) -> List[str]:
     positive, row indices inside the base table and duplicate-free).  Used
     by the answer-time guard and by :meth:`AquaSystem.health`.  The checks
     are one pass over the arrays of ``sample.frame``, the ones every
-    estimator reads
-    (:meth:`~repro.sampling.stratified.SampleFrame.structural_issues`).
+    estimator reads, run once per sample and remembered by the frame
+    (:attr:`~repro.sampling.stratified.SampleFrame.structural_issues`);
+    each call gets a list of its own.
     """
-    return sample.frame.structural_issues()
+    return list(sample.frame.structural_issues)

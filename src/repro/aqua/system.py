@@ -1054,10 +1054,13 @@ class AquaSystem:
     ) -> List[str]:
         """Structural validation plus base-coverage bookkeeping.
 
-        ``expected_rows`` is the base row count this synopsis is supposed
-        to cover: the table's ``rows_at_refresh`` for the primary synopsis
-        (the default), a member's ``rows_at_build`` for portfolio members
-        (which may legitimately differ from the primary's bookkeeping).
+        The structural part is the sample's remembered verdict (a fresh
+        list each call); the coverage line is worked out per call, since
+        the rows it is measured against move.  ``expected_rows`` is the
+        base row count this synopsis is supposed to cover: the table's
+        ``rows_at_refresh`` for the primary synopsis (the default), a
+        member's ``rows_at_build`` for portfolio members (which may
+        legitimately differ from the primary's bookkeeping).
         """
         issues = validate_sample(synopsis.sample)
         covered = synopsis.sample.total_population
@@ -1070,18 +1073,31 @@ class AquaSystem:
             )
         return issues
 
-    def _maybe_auto_refresh(self, name: str) -> None:
+    def _refresh_due(self, name: str) -> bool:
+        """Whether the table's refresh policy asks for a refresh now."""
         state = self._tables.get(name)
-        if (
-            state is None
-            or state.refresh_policy is None
-            or name not in self._synopses
-        ):
-            return
-        if state.refresh_policy.should_refresh(
-            state.inserts_since_refresh, state.rows_at_refresh
-        ):
+        return (
+            state is not None
+            and state.refresh_policy is not None
+            and name in self._synopses
+            and state.refresh_policy.should_refresh(
+                state.inserts_since_refresh, state.rows_at_refresh
+            )
+        )
+
+    def _maybe_auto_refresh(self, name: str) -> None:
+        if self._refresh_due(name):
             self.refresh_synopsis(name, trigger="auto")
+
+    @staticmethod
+    def _over_staleness_limit(
+        policy: Optional[GuardPolicy], stale: int
+    ) -> bool:
+        return (
+            policy is not None
+            and policy.staleness_limit is not None
+            and stale > policy.staleness_limit
+        )
 
     # -- observability -------------------------------------------------------
 
@@ -1179,7 +1195,7 @@ class AquaSystem:
 
         When the system's tracer is enabled, the returned answer carries a
         :class:`~repro.obs.QueryTrace` whose top-level stages (``parse``,
-        ``cache_probe``, ``rollup_probe``, ``validate``, ``moments``,
+        ``cache_probe``, ``validate``, ``rollup_probe``, ``moments``,
         ``finalize`` -- or, for a query :meth:`_servable` rejects,
         ``rewrite``, ``plan_optimize``, ``execute``, ``error_bounds`` --
         ``guard``, ``cache_store``) account for the pipeline's wall time;
@@ -1551,19 +1567,6 @@ class AquaSystem:
                 return answer
             root.set(cache="miss")
 
-        if choice is None:
-            answer = self._rollup_answer(
-                query, base_name, state, policy, tracer
-            )
-            if answer is not None:
-                root.set(cache="rollup")
-                if key is not None:
-                    self._cache.record_tier_hit("rollup")
-                    self._store_answer(
-                        answer, query, base_name, policy, budget, canonical
-                    )
-                return answer
-
         answer = self._answer_stages(
             query,
             policy,
@@ -1573,6 +1576,10 @@ class AquaSystem:
             choice=choice,
             budgets=(max_rel_error, max_ms),
         )
+        if answer.cache_tier == "rollup":
+            root.set(cache="rollup")
+            if key is not None:
+                self._cache.record_tier_hit("rollup")
         if choice is not None:
             answer.chosen_synopsis = choice.member
             answer.predicted_rel_error = choice.predicted_rel_error
@@ -1679,51 +1686,6 @@ class AquaSystem:
             synopsis.budget,
             tuple(synopsis.grouping_columns),
         )
-
-    def _rollup_answer(
-        self,
-        query: Query,
-        base_name: str,
-        state: _TableState,
-        policy: Optional[GuardPolicy],
-        tracer: Tracer,
-    ) -> Optional[ApproximateAnswer]:
-        """Serve from the roll-up subsumption tier, or ``None`` on a miss.
-
-        A hit merges a finer cached entry's per-stratum aggregate states
-        down to the probe's GROUP BY (the paper's Section 6 datacube
-        construction run in reverse) through :meth:`_serve_moments`, the
-        step every direct servable answer takes -- so the two agree bit
-        for bit.  Provenance is re-tagged ``rollup`` and the source entry
-        recorded in ``reused_from``.
-        """
-        synopsis = self._synopses.get(base_name)
-        if self._reuse is None or synopsis is None:
-            return None
-        with tracer.span("rollup_probe"):
-            match = (
-                self._rollup_match(query, base_name, synopsis)
-                if self._servable(query, synopsis)
-                else None
-            )
-        if match is None:
-            return None
-        answer = self._serve_moments(
-            query,
-            state,
-            synopsis,
-            match.snapshot,
-            policy,
-            state.inserts_since_refresh,
-            extra_predicate=match.extra_predicate,
-        )
-        source = match.snapshot.describe_source
-        if match.extra_conjuncts:
-            source += f" sliced by ({' AND '.join(match.extra_conjuncts)})"
-        answer = self._tag_rollup(answer, policy)
-        answer.cache_tier = "rollup"
-        answer.reused_from = source
-        return answer
 
     def _rollup_match(
         self, query: Query, base_name: str, synopsis: Synopsis, count=True
@@ -1860,15 +1822,27 @@ class AquaSystem:
         return result.take(order), support[order]
 
     def _tag_rollup(
-        self, answer: ApproximateAnswer, policy: Optional[GuardPolicy]
+        self, answer: ApproximateAnswer, policy: Optional[GuardPolicy], match
     ) -> ApproximateAnswer:
-        """Re-tag clean synopsis provenance as ``rollup``.
+        """Mark an answer served from the roll-up tier's ``match``.
 
-        Repaired/exact groups keep their tags (the guard really did that
-        work), and :attr:`GuardReport.degraded` treats ``rollup`` as
-        clean, so a roll-up-served answer is cacheable exactly when its
-        direct-path twin would be.
+        A hit merges a finer cached entry's per-stratum aggregate states
+        down to the probe's GROUP BY (the paper's Section 6 datacube
+        construction run in reverse) through :meth:`_serve_moments`, the
+        step every direct servable answer takes -- so the two agree bit
+        for bit.  Clean synopsis provenance is re-tagged ``rollup`` and
+        the source entry recorded in ``reused_from``.  Repaired/exact
+        groups keep their tags (the guard really did that work), and
+        :attr:`GuardReport.degraded` treats ``rollup`` as clean, so a
+        roll-up-served answer is cacheable exactly when its direct-path
+        twin would be.
         """
+        answer.cache_tier = "rollup"
+        answer.reused_from = match.snapshot.describe_source
+        if match.extra_conjuncts:
+            answer.reused_from += (
+                f" sliced by ({' AND '.join(match.extra_conjuncts)})"
+            )
         report = answer.guard
         if report is not None:
             answer.guard = dataclass_replace(
@@ -1909,12 +1883,16 @@ class AquaSystem:
     ) -> ApproximateAnswer:
         """The staged answer pipeline, one span per stage.
 
-        After ``validate``, a :meth:`_servable` query is answered from the
-        sample's moments (:meth:`_serve_moments`); any other runs the plan.
-        Each stage starts with an ambient-deadline check, so an expired
-        query dies at the next stage boundary with the stage name on the
-        typed error; the plan/parallel executors check at finer grain
-        (per operator, per partition) inside the execute stage.
+        ``validate`` is the one gate every answer passes: auto-refresh,
+        staleness and the sample's (remembered) structural verdict.  After
+        it, a :meth:`_servable` query is answered from per-stratum moments
+        (:meth:`_serve_moments`): a roll-up hit's when the index holds a
+        subsuming snapshot (``rollup_probe``), else its own (``moments``);
+        any other query runs the plan.  Each stage starts with an
+        ambient-deadline check, so an expired query dies at the next stage
+        boundary with the stage name on the typed error; the plan/parallel
+        executors check at finer grain (per operator, per partition)
+        inside the execute stage.
 
         With a portfolio ``choice`` the chosen member replaces the primary
         synopsis throughout: its sample answers the query, its build-time
@@ -1933,11 +1911,7 @@ class AquaSystem:
                 synopsis = self.synopsis(base_name)
                 stale = state.inserts_since_refresh
             validate_span.set(stale_inserts=stale)
-            if (
-                policy is not None
-                and policy.staleness_limit is not None
-                and stale > policy.staleness_limit
-            ):
+            if self._over_staleness_limit(policy, stale):
                 if policy.on_stale == "refresh":
                     if choice is not None:
                         portfolio = self.refresh_portfolio(
@@ -1980,6 +1954,13 @@ class AquaSystem:
                 # "serve": accept the staleness and continue.
 
             if policy is not None:
+                validate_span.set(
+                    structural=(
+                        "remembered"
+                        if synopsis.sample.frame.judged
+                        else "walked"
+                    )
+                )
                 issues = self._synopsis_issues(
                     state,
                     synopsis,
@@ -2007,6 +1988,20 @@ class AquaSystem:
                     )
 
         if self._servable(query, synopsis):
+            if choice is None and self._reuse is not None:
+                with tracer.span("rollup_probe"):
+                    match = self._rollup_match(query, base_name, synopsis)
+                if match is not None:
+                    answer = self._serve_moments(
+                        query,
+                        state,
+                        synopsis,
+                        match.snapshot,
+                        policy,
+                        stale,
+                        extra_predicate=match.extra_predicate,
+                    )
+                    return self._tag_rollup(answer, policy, match)
             check_deadline("moments")
             started = time.perf_counter()
             with tracer.span("moments"):
@@ -2615,7 +2610,10 @@ class AquaSystem:
         Probes with the system's *default* guard policy -- what a plain
         :meth:`answer` call would use -- and reports ``exact``,
         ``canonical``, ``rollup (from <source>)``, ``miss``, or
-        ``disabled``.
+        ``disabled``.  A roll-up match is reported only when ``validate``
+        would let the synopsis serve as it stands: no auto-refresh due
+        and, under the policy, neither stale past its limit (short of
+        ``on_stale="serve"``) nor structurally damaged.
         """
         if self._cache is None and self._reuse is None:
             return "disabled"
@@ -2630,15 +2628,26 @@ class AquaSystem:
                 return "canonical"
         synopsis = self._synopses.get(base_name)
         if (
-            self._reuse is not None
-            and not budget
-            and synopsis is not None
-            and self._servable(query, synopsis)
+            self._reuse is None
+            or budget
+            or synopsis is None
+            or not self._servable(query, synopsis)
+            or self._refresh_due(base_name)
         ):
-            match = self._rollup_match(query, base_name, synopsis, count=False)
-            if match is not None:
-                return f"rollup (from {match.snapshot.describe_source})"
-        return "miss"
+            return "miss"
+        state = self._state(base_name)
+        if policy is not None and (
+            (
+                self._over_staleness_limit(policy, state.inserts_since_refresh)
+                and policy.on_stale != "serve"
+            )
+            or self._synopsis_issues(state, synopsis)
+        ):
+            return "miss"
+        match = self._rollup_match(query, base_name, synopsis, count=False)
+        if match is None:
+            return "miss"
+        return f"rollup (from {match.snapshot.describe_source})"
 
     def trace_answer(
         self,

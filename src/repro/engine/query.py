@@ -13,7 +13,7 @@ nested FROM subqueries, which is why ``from_item`` may itself be a query.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .aggregates import Aggregate
 from .expressions import Col, Expression
@@ -45,7 +45,9 @@ class Query:
         group_by: grouping column names (empty = no GROUP BY).
         having: optional predicate over the *output aliases* (keys and
             aggregate results), applied after aggregation -- SQL HAVING.
-        order_by: output ordering column names (empty = unspecified).
+        order_by: output ordering column names (empty = unspecified);
+            a base column selected under an alias may be named by either,
+            and is stored as the alias.
         limit: optional cap on the number of output rows (SQL LIMIT).
     """
 
@@ -81,6 +83,34 @@ class Query:
                         f"column {item.expr.name!r} in select list is not in "
                         f"GROUP BY {list(self.group_by)}"
                     )
+        if self.order_by:
+            object.__setattr__(self, "order_by", self._output_order_by())
+
+    def _output_order_by(self) -> Tuple[str, ...]:
+        """ORDER BY as output columns: an output name stands, and a base
+        column selected under an alias becomes that alias."""
+        outputs = set(self.output_aliases())
+        alias_of = self._alias_of()
+        resolved = []
+        for name in self.order_by:
+            if name in outputs:
+                resolved.append(name)
+            elif name in alias_of:
+                resolved.append(alias_of[name])
+            else:
+                raise QueryError(
+                    f"ORDER BY {name!r} is not an output column "
+                    f"{self.output_aliases()} nor a selected base column"
+                )
+        return tuple(resolved)
+
+    def _alias_of(self) -> Dict[str, str]:
+        """The output name of each base column selected bare."""
+        return {
+            item.expr.name: item.alias
+            for item in self.projections()
+            if isinstance(item.expr, Col)
+        }
 
     # -- introspection -----------------------------------------------------
 
@@ -99,11 +129,7 @@ class Query:
     def group_by_aliases(self) -> List[str]:
         """The output column each ``GROUP BY`` column is selected under
         (its own name when the select list leaves it out)."""
-        alias_of = {
-            item.expr.name: item.alias
-            for item in self.projections()
-            if isinstance(item.expr, Col)
-        }
+        alias_of = self._alias_of()
         return [alias_of.get(name, name) for name in self.group_by]
 
     def base_table_name(self) -> str:

@@ -83,8 +83,10 @@ class SampleFrame:
     built lazily by :attr:`StratifiedSample.frame` and owned by that sample
     object: whoever installs a different sample (a rebuild, a refresh, a
     fault injector) necessarily installs a different frame, so nothing
-    cached here can outlive the strata it was computed from.  All arrays
-    are read-only.
+    cached here can outlive the strata it was computed from.  That holds
+    for the structural verdict too (:attr:`damaged_strata`,
+    :attr:`structural_issues`): it is worked out on first read and then
+    remembered for as long as the frame lives.  All arrays are read-only.
 
     Per-row arrays and the unsuffixed per-stratum arrays cover the strata
     holding at least one sample tuple, in ``strata`` insertion order (the
@@ -146,7 +148,7 @@ class SampleFrame:
         """The sampled base rows, aligned with ``row_indices``.
 
         Raises :class:`~repro.errors.SynopsisCorruptError`, worded by
-        :meth:`structural_issues`, when an index lies outside the base
+        :attr:`structural_issues`, when an index lies outside the base
         table.
         """
         try:
@@ -154,23 +156,24 @@ class SampleFrame:
         except IndexError as exc:
             raise SynopsisCorruptError(
                 "sample rows cannot be read from the base table: "
-                + "; ".join(self.structural_issues())
+                + "; ".join(self.structural_issues)
             ) from exc
 
+    @cached_property
     def damaged_strata(self) -> np.ndarray:
         """Which strata fail a structural check: a mask over ``all_keys``.
 
-        One array-at-a-time pass over the arrays the estimators read.  A
-        stratum is marked when its population is negative, it holds more
-        rows than its population, its scale factor is not finite and
-        positive, a row index lies outside the base table, or an index
-        occurs twice in it.
+        One array-at-a-time pass over the arrays the estimators read, run
+        on first read.  A stratum is marked when its population is
+        negative, it holds more rows than its population, its scale factor
+        is not finite and positive, a row index lies outside the base
+        table, or an index occurs twice in it.
         """
         populations, sizes = self.all_populations, self.all_sizes
         damaged = (populations < 0) | (sizes > np.maximum(populations, 0))
         sampled = np.flatnonzero(sizes > 0)
         if not len(sampled):
-            return damaged
+            return _readonly(damaged)
         scale = self.populations / self.sizes
         corrupt = ~(np.isfinite(scale) & (scale > 0))
         sampled_sizes = sizes[sampled]
@@ -187,17 +190,18 @@ class SampleFrame:
         repeated = np.zeros(len(sampled), dtype=bool)
         repeated[stratum[1:][twin]] = True
         damaged[sampled] |= corrupt | outside | repeated
-        return damaged
+        return _readonly(damaged)
 
-    def structural_issues(self) -> List[str]:
-        """What :meth:`damaged_strata` found, in words, in sorted key order.
+    @cached_property
+    def structural_issues(self) -> Tuple[str, ...]:
+        """What :attr:`damaged_strata` found, in words, in sorted key order.
 
-        An empty list means the sample is structurally sound.  Only the
-        marked strata are visited; each is re-read by the checks that word
-        its issues, so the list is the one a visit to every stratum gives.
+        Empty when the sample is structurally sound.  Only the marked
+        strata are visited; each is re-read by the checks that word its
+        issues, so the tuple is the one a visit to every stratum gives.
         """
         num_base = self._base.num_rows
-        marked = np.flatnonzero(self.damaged_strata()).tolist()
+        marked = np.flatnonzero(self.damaged_strata).tolist()
         issues: List[str] = []
         for key in sorted(self.all_keys[i] for i in marked):
             stratum = self._strata[key]
@@ -223,7 +227,12 @@ class SampleFrame:
                 sf = stratum.scale_factor
                 if not math.isfinite(sf) or sf <= 0:
                     issues.append(f"stratum {key}: corrupt scale factor {sf}")
-        return issues
+        return tuple(issues)
+
+    @property
+    def judged(self) -> bool:
+        """Whether :attr:`structural_issues` has been worked out already."""
+        return "structural_issues" in self.__dict__
 
     @cached_property
     def key_table(self) -> Table:
@@ -437,7 +446,8 @@ class StratifiedSample:
         return SampleFrame(self)
 
     def release_frame(self) -> None:
-        """Let go of the frame's memory; a later use builds it again.
+        """Let go of the frame's memory, its remembered structural verdict
+        included; a later use builds it again.
 
         For whoever replaces this sample while other objects (cached
         answers) may still reference it.

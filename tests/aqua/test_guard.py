@@ -1,5 +1,7 @@
 """The guarded answering escalation ladder: synopsis -> repaired -> exact."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,15 @@ from repro.aqua import (
     PROVENANCE_REPAIRED,
     PROVENANCE_SYNOPSIS,
 )
-from repro.engine import Column, ColumnType, Schema, Table, parse_query
+from repro.engine import (
+    Column,
+    ColumnType,
+    QueryError,
+    Schema,
+    SqlError,
+    Table,
+    parse_query,
+)
 from repro.engine.predicates import Predicate
 from repro.errors import (
     AquaError,
@@ -18,6 +28,7 @@ from repro.errors import (
     QueryTooDeepError,
     StaleSynopsisError,
 )
+from repro.plan import canonicalize_query
 from repro.testing import FaultInjector
 
 SQL = "select a, b, sum(q) s from rel group by a, b order by a, b"
@@ -211,6 +222,60 @@ class TestAliasedGroupColumns:
         assert report.errors["s"].per_group.keys() == set(
             self.by_key(report.exact, key_columns)
         )
+
+
+class TestOrderByAliasedBaseName:
+    """ORDER BY may name an aliased group column by its base name: the
+    query resolves it to the output name once, where it is built."""
+
+    SELECT = "select b as y, a as x, sum(q) as s from rel group by a, b"
+    BY_ALIAS = SELECT + " order by x, y"
+    BY_BASE = SELECT + " order by a, b"
+
+    def test_both_paths_sort_by_the_output_column(self, system):
+        exact = system.exact(self.BY_BASE)
+        assert exact.to_dicts() == system.exact(self.BY_ALIAS).to_dicts()
+        keys = [(row["x"], row["y"]) for row in exact.to_dicts()]
+        assert keys == sorted(keys) and len(keys) == 6
+        for guard in (None, False):
+            served = system.answer(self.BY_BASE, guard=guard).result
+            assert [(r["x"], r["y"]) for r in served.to_dicts()] == keys
+
+    def test_either_spelling_is_one_cache_entry(self, system):
+        by_base = parse_query(self.BY_BASE)
+        by_alias = parse_query(self.BY_ALIAS)
+        assert by_base.order_by == by_alias.order_by == ("x", "y")
+        assert (
+            canonicalize_query(by_base).fingerprint
+            == canonicalize_query(by_alias).fingerprint
+        )
+        first = system.answer(self.BY_ALIAS)
+        again = system.answer(self.BY_BASE)
+        assert again.cache_hit and again.cache_tier == "exact"
+        assert again.result.to_dicts() == first.result.to_dicts()
+
+    def test_an_output_name_wins_over_a_base_name(self, system):
+        sql, __ = ALIASED["names swapped"]
+        result = system.exact(sql + " order by a")
+        names = [row["a"] for row in result.to_dicts()]  # base column b
+        assert names == sorted(names)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select a as x, sum(q) as s from rel group by a order by b",
+            "select sum(q) as s from rel group by a order by a",
+        ],
+        ids=["unselected column", "unselected group column"],
+    )
+    def test_an_unknown_name_is_a_typed_error_before_execution(
+        self, system, sql
+    ):
+        for path in (system.exact, system.answer):
+            with pytest.raises(SqlError, match="ORDER BY"):
+                path(sql)
+        with pytest.raises(QueryError, match="ORDER BY"):
+            replace(parse_query(sql.split(" order by")[0]), order_by=("b",))
 
 
 class TestManyGroupRepair:

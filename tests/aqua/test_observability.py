@@ -55,13 +55,36 @@ class TestTracedAnswer:
 
     def test_servable_answer_runs_the_moments_stages(self, system):
         trace = system.answer(SQL).trace
+        # validate first: the roll-up tier passes the same gate as a miss
         assert [span.name for span in trace.stages] == [
-            "parse", "cache_probe", "rollup_probe", "validate", "moments",
+            "parse", "cache_probe", "validate", "rollup_probe", "moments",
             "finalize", "guard", "cache_store",
         ]
         stage_seconds = trace.stage_seconds()
         assert sum(stage_seconds.values()) >= 0.9 * trace.total_seconds
         assert sum(stage_seconds.values()) <= trace.total_seconds * 1.001
+
+    def test_rollup_hit_is_validated_before_it_is_served(self, system):
+        system.answer(SQL)
+        trace = system.answer("select a, sum(q) s from rel group by a").trace
+        assert trace.root.attributes["cache"] == "rollup"
+        assert [span.name for span in trace.stages] == [
+            "parse", "cache_probe", "validate", "rollup_probe", "finalize",
+            "guard", "cache_store",
+        ]
+
+    def test_validate_says_whether_this_answer_walked_the_sample(
+        self, system
+    ):
+        first = system.answer(SQL).trace.stage("validate")
+        second = system.answer(
+            "select a, b, sum(q) s from rel where q > 0 group by a, b"
+        ).trace.stage("validate")
+        assert first.attributes["structural"] == "walked"
+        assert second.attributes["structural"] == "remembered"
+        system.refresh_synopsis("rel")
+        third = system.answer(SQL).trace.stage("validate")
+        assert third.attributes["structural"] == "walked"
 
     def test_stages_are_ordered_and_execute_has_children(self, system):
         trace = system.answer(PLAN_SQL).trace

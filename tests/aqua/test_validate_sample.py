@@ -1,7 +1,9 @@
 """``validate_sample``: the array-at-a-time structural pass says exactly what
-the per-stratum loop it replaced said, and runs on every guarded answer."""
+the per-stratum loop it replaced said, judges every guarded answer, and
+walks each sample object once -- its frame remembers the verdict."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from test_faults import (  # noqa: E402
     VERDICTS,
     system,  # noqa: F401  (fixture)
 )
+from test_guard import make_table  # noqa: E402
 
 
 def oracle(sample):
@@ -232,24 +235,27 @@ class TestWording:
 def walks(monkeypatch):
     """Count the structural passes run from here on."""
     calls = []
-    walk = SampleFrame.damaged_strata
+    walk = SampleFrame.damaged_strata.func
 
     def counted(frame):
         calls.append(frame)
         return walk(frame)
 
-    monkeypatch.setattr(SampleFrame, "damaged_strata", counted)
+    memo = cached_property(counted)
+    memo.__set_name__(SampleFrame, "damaged_strata")
+    monkeypatch.setattr(SampleFrame, "damaged_strata", memo)
     return calls
 
 
 class TestEveryGuardedAnswerIsJudged:
-    def test_n_guarded_answers_run_the_pass_n_times(self, system, walks):  # noqa: F811
-        """This PR's contract: no verdict is remembered between answers."""
+    def test_n_guarded_answers_walk_each_sample_once(self, system, walks):  # noqa: F811
+        """The verdict is a property of the sample object, remembered by
+        its frame: five guarded answers over one sample walk it once."""
         frame = system.synopsis("rel").sample.frame
         for i in range(5):
             sql = f"select a, sum(q) s from rel where q > -{i + 1} group by a"
             assert not system.answer(sql).guard.degraded
-        assert walks == [frame] * 5
+        assert walks == [frame]
 
     def test_unguarded_and_cached_answers_do_not_run_it(self, system, walks):  # noqa: F811
         system.answer(SQL)
@@ -275,3 +281,107 @@ class TestEveryGuardedAnswerIsJudged:
         assert validate_sample(sample) == oracle(sample) == expected
         assert list(system.synopsis("rel").validate()) == expected
         assert walks[-1] is sample.frame  # the damaged sample's own arrays
+
+
+# A guarded answer no cached answer or roll-up entry can serve: a literal
+# of its own each time.
+def _fresh_answer(system, literal):
+    sql = f"select a, b, sum(q) s from rel where q > -{literal} group by a, b"
+    return system.answer(sql)
+
+
+def _refresh(system):
+    system.refresh_synopsis("rel")
+
+
+def _insert_and_refresh(system):
+    inject(system, "stale", "rel")
+    system.refresh_synopsis("rel")
+
+
+def _reregister(system):
+    system.register_table("rel", make_table())
+
+
+def _release_frame(system):
+    system.synopsis("rel").sample.release_frame()
+
+
+class TestANewSampleIsWalkedAnew:
+    """The memo lives on the frame of one sample object, so whatever installs
+    another sample -- or drops the frame -- starts from an unjudged one."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [_refresh, _insert_and_refresh, _reregister, _release_frame],
+        ids=["refresh", "insert_and_refresh", "reregister", "release_frame"],
+    )
+    def test_after(self, system, walks, change):  # noqa: F811
+        assert not _fresh_answer(system, 1).guard.degraded
+        (first,) = walks
+        change(system)
+        frame = system.synopsis("rel").sample.frame
+        assert frame is not first and not frame.judged
+        assert not _fresh_answer(system, 2).guard.degraded
+        assert not _fresh_answer(system, 3).guard.degraded
+        assert walks == [first, frame]
+
+    @pytest.mark.parametrize("route", ["install", "patch"])
+    @pytest.mark.parametrize("kind", STRUCTURAL_FAULTS)
+    def test_after_a_fault(self, system, monkeypatch, walks, kind, route):  # noqa: F811
+        assert not _fresh_answer(system, 1).guard.degraded
+        (first,) = walks
+        if route == "patch":
+            def refuse(name, sample):
+                raise RuntimeError("not materialisable")
+
+            monkeypatch.setattr(system, "_install", refuse)
+        inject(system, kind, "rel")
+        frame = system.synopsis("rel").sample.frame
+        assert frame is not first and not frame.judged
+        report = _fresh_answer(system, 2).guard
+        assert report.issues == VERDICTS[kind][2]
+        assert _fresh_answer(system, 3).guard.issues == report.issues
+        assert walks == [first, frame]
+
+
+def test_appending_to_a_returned_list_leaves_the_next_verdict_alone(system):  # noqa: F811
+    inject(system, "corrupt_scale_factor", "rel")
+    sample = system.synopsis("rel").sample
+    verdict = validate_sample(sample)
+    verdict.append("scribbled")
+    assert validate_sample(sample) == oracle(sample) == verdict[:-1]
+    # health() appends the coverage line to its own copy, every time
+    issues = system.health("rel").issues
+    assert issues == system.health("rel").issues
+    assert issues.count(_COVERAGE) == 1
+    assert "scribbled" not in issues
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    sample=samples(),
+    kind=st.sampled_from(DAMAGE),
+    seed=st.integers(0, 2**16),
+)
+def test_the_remembered_verdict_is_the_oracle_s_before_and_after_damage(
+    sample, kind, seed
+):
+    assert not sample.frame.judged
+    verdict = validate_sample(sample)
+    assert sample.frame.judged
+    assert not sample.frame.damaged_strata.flags.writeable
+    assert verdict == validate_sample(sample) == oracle(sample)
+    # damage a fresh copy: the judged original must not leak into it
+    rng = np.random.default_rng(seed)
+    strata = sample.strata
+    keys = list(strata)
+    at = int(rng.integers(len(keys)))
+    donor = strata[keys[(at + 1) % len(keys)]]
+    strata[keys[at]] = damaged(
+        kind, strata[keys[at]], donor, sample.base_table.num_rows, rng
+    )
+    hurt = StratifiedSample(sample.base_table, sample.grouping_columns, strata)
+    assert not hurt.frame.judged
+    assert validate_sample(hurt) == oracle(hurt)
+    assert validate_sample(sample) == verdict
