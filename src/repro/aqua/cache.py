@@ -13,8 +13,8 @@ Correctness is carried by the key, not by eviction: callers put the base
 table's *data version* in every key, and
 :class:`~repro.aqua.system.AquaSystem` advances that version on every
 mutation (insert, pending-row flush, synopsis build/refresh, portfolio
-build, re-registration), so entries for older data are never looked up
-again and age out of the LRU order.
+build, re-registration) and drops the table's entries from every store
+in the same step, so nothing built for older data is served or kept.
 
 :class:`AnswerCache` memoizes whole
 :class:`~repro.aqua.system.ApproximateAnswer` objects:
@@ -170,8 +170,8 @@ class LRUCache:
     def invalidate(self, table: Optional[str] = None) -> int:
         """Drop entries (all, or those whose key starts with ``table``).
 
-        Version-keyed lookups make this unnecessary for correctness; it
-        reclaims memory eagerly and returns the number of entries dropped.
+        Every version bump calls it for the bumped table, so stale entries
+        free what they hold at once; returns the number of entries dropped.
         """
         with self._lock:
             if table is None:

@@ -11,8 +11,8 @@ satisfy it.  This module is that layer:
 * :class:`SynopsisSpec` -- the recipe for one portfolio member (name,
   allocation strategy, tuple budget, optional grouping-column subset);
 * :class:`PortfolioMember` -- a built member: the installed
-  :class:`~repro.aqua.synopsis.Synopsis` plus the table version and row
-  count it was built against (staleness bookkeeping);
+  :class:`~repro.aqua.synopsis.Synopsis` plus the row count it was built
+  against (staleness bookkeeping);
 * :class:`CostErrorModel` -- the prediction side.  Error comes from the
   synopses' own stratum cardinalities: the qualifying sample tuples per
   answer group (measured by evaluating the query's WHERE against the
@@ -23,8 +23,7 @@ satisfy it.  This module is that layer:
   :class:`~repro.aqua.workload_log.QueryLog` history in coefficient form;
 * :class:`SynopsisPortfolio` -- membership, the budget resolver
   (:meth:`~SynopsisPortfolio.resolve`), and a version-keyed resolution
-  cache so a base-table insert (which bumps ``_TableState.version``)
-  invalidates every cached budget-to-synopsis decision.
+  cache that every version bump (insert, flush, refresh, rebuild) empties.
 
 Selection semantics (see ``docs/PORTFOLIO.md``):
 
@@ -114,7 +113,6 @@ class PortfolioMember:
 
     spec: SynopsisSpec
     synopsis: Synopsis
-    built_version: int = 0
     rows_at_build: int = 0
 
     @property
@@ -344,13 +342,11 @@ class SynopsisPortfolio:
         self,
         spec: SynopsisSpec,
         synopsis: Synopsis,
-        built_version: int,
         rows_at_build: int,
     ) -> PortfolioMember:
         member = PortfolioMember(
             spec=spec,
             synopsis=synopsis,
-            built_version=built_version,
             rows_at_build=rows_at_build,
         )
         with self._lock:
@@ -417,8 +413,9 @@ class SynopsisPortfolio:
         """Pick the cheapest member predicted to satisfy the budget(s).
 
         Resolutions are memoized under ``(version, rendered query,
-        budgets)``: any base-table mutation bumps the version, so a cached
-        pre-insert choice can never answer a post-insert query.
+        budgets)``; every version bump drops them all
+        (:meth:`invalidate_resolutions`), so a pre-insert choice can never
+        answer a post-insert query.
         """
         if max_rel_error is None and max_ms is None:
             raise AquaError(

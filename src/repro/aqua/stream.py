@@ -25,7 +25,8 @@ The emission contract (see ``docs/STREAMING.md``):
   ``converged=True``;
 * only a run-to-completion final answer is stored in the
   :class:`~repro.aqua.cache.AnswerCache` (early-stopped and interrupted
-  streams never pollute it).
+  streams never pollute it), and only while the data version it started
+  from is still current.
 """
 
 from __future__ import annotations
@@ -440,7 +441,8 @@ def stream_answers(
     base_name = query.base_table_name()
     state = system._state(base_name)
     system._flush_pending(base_name)
-    base = state.table
+    with state.lock:
+        base, version = state.table, state.version
 
     # The ambient (or explicit) deadline is captured once and checked
     # between chunks; deadline_scope is entered per resumption only, so the
@@ -449,7 +451,7 @@ def stream_answers(
     if resolved is None:
         resolved = current_deadline()
 
-    cache_key = _stream_cache_key(system, query, base_name)
+    cache_key = _stream_cache_key(system, query, base_name, version)
     if cache_key is not None:
         cached = system._cache.get(cache_key)
         if cached is not None:
@@ -465,7 +467,7 @@ def stream_answers(
     # The same plan exact() builds, cached under a stream-specific
     # strategy tag so rewritten synopsis plans never collide with it.
     logical, __ = system._optimized_plan(
-        lower_query(query, system.catalog), base_name, "stream"
+        lower_query(query, system.catalog), base_name, version, "stream"
     )
     stream_plan = _extract_stream_plan(logical, base_name)
     tracer = system.telemetry.tracer
@@ -561,8 +563,10 @@ def stream_answers(
         yield answer
         if answer.final:
             if cache_key is not None:
-                system._cache.put(
-                    _stream_cache_key(system, query, base_name), answer
+                system._store_if_current(
+                    base_name,
+                    version,
+                    lambda: system._cache.put(cache_key, answer),
                 )
             return
         if answer.converged:
@@ -665,11 +669,13 @@ def _exact_landing(
     )
 
 
-def _stream_cache_key(system, query: Query, base_name: str):
+def _stream_cache_key(system, query: Query, base_name: str, version: int):
     """Answer-cache key for a completed stream (None = caching disabled).
 
     ``"stream"`` marks the entry so batch answers and streams never alias;
-    otherwise the key mirrors the batch one: data version, the query's
+    otherwise the key mirrors the batch one: the data ``version`` read when
+    the stream started (its entry is stored only while that version is
+    still current), the query's
     *structural* canonical fingerprint (alias-sensitive, group order
     preserved -- a cached stream's result table bakes in the output
     schema, so alias-insensitive matching would serve wrongly-named
@@ -681,7 +687,7 @@ def _stream_cache_key(system, query: Query, base_name: str):
         return None
     return (
         base_name,
-        system._state(base_name).version,
+        version,
         "stream",
         canonicalize_query(query).structural,
         system._confidence,

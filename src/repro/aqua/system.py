@@ -55,7 +55,7 @@ from ..errors import (
 from ..estimators.errors import (
     DEFAULT_CONFIDENCE,
     chebyshev_halfwidth,
-    hoeffding_halfwidth_stratified_sum,
+    hoeffding_halfwidths,
     relative_halfwidth,
 )
 from ..estimators.point import estimate, group_support
@@ -70,7 +70,7 @@ from ..plan import (
     optimize as optimize_plan,
     render_plan,
 )
-from ..sampling.groups import GroupKey, finest_group_ids, make_key, project_key
+from ..sampling.groups import GroupKey, make_key
 from ..maintenance.base import SampleMaintainer
 from ..maintenance.onepass import maintainer_for, subsample_to_budget
 from ..rewrite.base import RewriteStrategy
@@ -178,6 +178,8 @@ class ApproximateAnswer:
         synopsis: the synopsis used.
         elapsed_seconds: wall-clock time of the answer's computation: the
             sample's moments and their finalization, or the rewritten plan.
+        version: the table's data version, read once with the synopsis it
+            was computed from; a cached answer is stored under it.
         guard: what the guard did (``None`` for unguarded answers).
         trace: the per-stage :class:`~repro.obs.QueryTrace` (``None`` when
             the system's tracer is disabled).
@@ -205,6 +207,7 @@ class ApproximateAnswer:
     confidence: float
     synopsis: Synopsis
     elapsed_seconds: float
+    version: int
     guard: Optional[GuardReport] = None
     trace: Optional[QueryTrace] = None
     trace_id: Optional[str] = None
@@ -251,6 +254,32 @@ def _balanced(
     return combine(
         _balanced(combine, terms[:middle]), _balanced(combine, terms[middle:])
     )
+
+
+def _group_key_projections(
+    query: Query, reserved: str = PROVENANCE_COLUMN
+) -> Tuple[Projection, ...]:
+    """Each GROUP BY column the select list leaves out, as a projection
+    named so that no output column, ``_error`` companion or ``reserved``
+    name clashes."""
+    selected = {
+        item.expr.name
+        for item in query.projections()
+        if isinstance(item.expr, Col)
+    }
+    unselected = [c for c in query.group_by if c not in selected]
+    if not unselected:
+        return ()
+    taken = {reserved, *query.output_aliases()}
+    taken.update(f"{aggregate.alias}_error" for aggregate in query.aggregates())
+    added = []
+    for column in unselected:
+        name = column
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        added.append(Projection(Col(column), name))
+    return tuple(added)
 
 
 def _fmt_pct(value: float) -> str:
@@ -339,8 +368,12 @@ class ComparisonReport:
 
 @dataclass
 class _TableState:
+    # One registered table.  Re-registration replaces the whole state, so
+    # the replaced synopsis and portfolio go with the data they came from.
     table: Table
     grouping_columns: Tuple[str, ...]
+    synopsis: Optional[Synopsis] = None
+    portfolio: Optional[SynopsisPortfolio] = None
     maintainer: Optional[SampleMaintainer] = None
     pending_rows: List[Tuple] = field(default_factory=list)
     inserts_since_refresh: int = 0
@@ -348,8 +381,9 @@ class _TableState:
     refresh_policy: Optional[RefreshPolicy] = None
     # Monotonic data version: advanced only by AquaSystem._bump_version,
     # on every insert, flush, synopsis or portfolio (re)build and
-    # re-registration.  Every cache key embeds it, so any mutation
-    # invalidates all prior cached answers and plans for this table.
+    # re-registration.  Every cache key embeds it, and the bump drops every
+    # entry keyed to the old one, so nothing built for replaced data is
+    # served -- or kept alive -- after a mutation.
     version: int = 0
     # Serializes mutation (insert, pending-row flush, synopsis install)
     # against concurrent serving workers; reentrant because a flush can
@@ -427,9 +461,7 @@ class AquaSystem:
         self._bound_method = bound_method
         self._rng = rng if rng is not None else np.random.default_rng()
         self._tables: Dict[str, _TableState] = {}
-        self._synopses: Dict[str, Synopsis] = {}
         self._query_logs: Dict[str, QueryLog] = {}
-        self._portfolios: Dict[str, SynopsisPortfolio] = {}
         if telemetry is None or telemetry is False:
             self.telemetry = Telemetry.disabled()
         elif telemetry is True:
@@ -452,39 +484,14 @@ class AquaSystem:
                 "guard_policy must be a GuardPolicy, True, False, or None; "
                 f"got {guard_policy!r}"
             )
-        if parallel is False:
-            self._executor: Optional[ParallelExecutor] = None
-        elif parallel is None or parallel is True:
-            config = (
-                ParallelConfig.from_env() if parallel is None else None
-            ) or ParallelConfig()
-            self._executor = ParallelExecutor(config, self.telemetry)
-        elif isinstance(parallel, ParallelConfig):
-            self._executor = ParallelExecutor(parallel, self.telemetry)
-        else:
-            raise AquaError(
-                "parallel must be a ParallelConfig, True, False, or None; "
-                f"got {parallel!r}"
-            )
-        if cache is False:
-            self._cache: Optional[AnswerCache] = None
-        elif cache is None or cache is True:
-            self._cache = AnswerCache()
-        elif isinstance(cache, AnswerCache):
-            self._cache = cache
-        elif isinstance(cache, int):
-            self._cache = AnswerCache(capacity=cache)
-        else:
-            raise AquaError(
-                "cache must be an AnswerCache, int capacity, True, False, "
-                f"or None; got {cache!r}"
-            )
-        # ``cache=False`` means "recompute every answer", which the roll-up
-        # tier honours too.
+        self._executor: Optional[ParallelExecutor] = None
+        # ``None`` honours REPRO_PARALLEL_WORKERS before the defaults.
+        self.set_parallel(
+            (ParallelConfig.from_env() or True) if parallel is None else parallel
+        )
+        self._cache: Optional[AnswerCache] = None
         self._reuse: Optional[RollupIndex] = None
-        if self._cache is not None:
-            self._cache.attach_metrics(self.telemetry.metrics)
-            self._reuse = RollupIndex()
+        self.set_cache(cache)
         self._plan_cache = LRUCache(
             256, self.telemetry.metrics, prefix="aqua_plan_cache"
         )
@@ -638,12 +645,16 @@ class AquaSystem:
         self.catalog.register(name, table, replace=True)
         previous = self._tables.get(name)
         state = _TableState(table, tuple(grouping_columns))
-        if previous is not None:
-            # Re-registration continues the version sequence so cached
-            # answers for the replaced data can never be served again.
-            state.version = previous.version
-            self._bump_version(name, state, replaced=True)
-        self._tables[name] = state
+        if previous is None:
+            self._tables[name] = state
+        else:
+            # A fresh state drops the replaced synopsis and portfolio; the
+            # version sequence continues, under the old state's lock, so
+            # nothing computed from the replaced data is stored after this.
+            with previous.lock:
+                state.version = previous.version
+                self._bump_version(name, state)
+                self._tables[name] = state
         if build:
             return self.build_synopsis(name)
         return None
@@ -726,60 +737,55 @@ class AquaSystem:
             sample=sample,
             installed=installed,
         )
-        replaced = self._synopses.get(name)
-        self._synopses[name] = synopsis
-        if replaced is not None and replaced.sample is not sample:
-            # Cached answers of earlier versions still name the replaced
-            # synopsis; they must not keep its frame's arrays alive too.
-            replaced.sample.release_frame()
-        state = self._tables.get(name)
-        if state is not None:
-            with state.lock:
-                state.inserts_since_refresh = 0
-                state.rows_at_refresh = state.table.num_rows + len(
-                    state.pending_rows
-                )
-                self._bump_version(name, state)
+        state = self._state(name)
+        with state.lock:
+            state.synopsis = synopsis
+            state.inserts_since_refresh = 0
+            state.rows_at_refresh = state.table.num_rows + len(
+                state.pending_rows
+            )
+            self._bump_version(name, state)
         return synopsis
 
-    def _bump_version(
-        self, name: str, state: _TableState, replaced: bool = False
-    ) -> None:
+    def _bump_version(self, name: str, state: _TableState) -> None:
         """Advance the table's data version: the one invalidation hook.
 
-        Every cache key embeds the version, so entries for older data are
-        never looked up again; the roll-up index's entries for the table
-        are dropped eagerly here as well.  ``replaced`` (re-registration)
-        also drops the primary synopsis and the portfolio built from the
-        replaced table, so nothing answers from data that is gone: until
-        they are rebuilt, :meth:`answer` raises
-        :class:`~repro.errors.SynopsisMissingError`.
+        Drops the table's entries from all four version-keyed stores --
+        the answer cache, the plan cache, the roll-up index and the
+        portfolio's budget resolutions -- so nothing the system holds
+        references a replaced sample.  Keys keep the version: it still
+        carries correctness against a concurrent writer.
         """
         with state.lock:
             state.version += 1
+            if self._cache is not None:
+                self._cache.invalidate(name)
+            self._plan_cache.invalidate(name)
             if self._reuse is not None:
                 self._reuse.invalidate(name)
-            if not replaced:
-                return
-            synopsis = self._synopses.pop(name, None)
-            if synopsis is not None:
-                synopsis.sample.release_frame()
-            portfolio = self._portfolios.pop(name, None)
-            if portfolio is not None:
-                for member in portfolio.members.values():
-                    member.synopsis.sample.release_frame()
+            if state.portfolio is not None:
+                state.portfolio.invalidate_resolutions()
+
+    def _store_if_current(
+        self, name: str, version: int, store: Callable[[], None]
+    ) -> None:
+        """Run ``store`` unless the table has moved past ``version``.
+
+        The check and the store run under the state lock, which every bump
+        holds, so nothing is stored for data a bump has already dropped.
+        """
+        state = self._tables.get(name)
+        if state is None:
+            return
+        with state.lock:
+            if self._tables.get(name) is state and state.version == version:
+                store()
 
     def synopsis(self, name: str) -> Synopsis:
-        try:
-            return self._synopses[name]
-        except KeyError:
-            if name not in self._tables:
-                raise TableNotRegisteredError(
-                    f"table {name!r} is not registered"
-                ) from None
-            raise SynopsisMissingError(
-                f"no synopsis built for table {name!r}"
-            ) from None
+        synopsis = self._state(name).synopsis
+        if synopsis is None:
+            raise SynopsisMissingError(f"no synopsis built for table {name!r}")
+        return synopsis
 
     def _state(self, name: str) -> _TableState:
         try:
@@ -793,9 +799,8 @@ class AquaSystem:
 
     def portfolio(self, name: str) -> SynopsisPortfolio:
         """The table's synopsis portfolio (see :meth:`build_portfolio`)."""
-        portfolio = self._portfolios.get(name)
+        portfolio = self._state(name).portfolio
         if portfolio is None:
-            self._state(name)  # typed error for unregistered tables
             raise SynopsisMissingError(
                 f"no portfolio built for table {name!r}; call "
                 "build_portfolio() before answering with "
@@ -804,7 +809,8 @@ class AquaSystem:
         return portfolio
 
     def has_portfolio(self, name: str) -> bool:
-        return name in self._portfolios
+        state = self._tables.get(name)
+        return state is not None and state.portfolio is not None
 
     def build_portfolio(
         self,
@@ -839,7 +845,7 @@ class AquaSystem:
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise AquaError(f"duplicate portfolio member names: {names}")
-        existing = self._portfolios.get(name)
+        existing = state.portfolio
         model = (
             existing.model
             if existing is not None
@@ -857,15 +863,12 @@ class AquaSystem:
                 portfolio.add_member(
                     spec,
                     synopsis,
-                    built_version=state.version,
                     rows_at_build=state.table.num_rows
                     + len(state.pending_rows),
                 )
-        self._portfolios[name] = portfolio
-        if existing is not None:
-            for member in existing.members.values():
-                member.synopsis.sample.release_frame()
-        self._bump_version(name, state)
+        with state.lock:
+            state.portfolio = portfolio
+            self._bump_version(name, state)
         metrics = self.telemetry.metrics
         if metrics.enabled:
             metrics.gauge(
@@ -942,7 +945,7 @@ class AquaSystem:
         max_rel_error: Optional[float],
     ) -> None:
         """Selection metrics, prediction-miss accounting, model feedback."""
-        portfolio = self._portfolios.get(table)
+        portfolio = self._state(table).portfolio
         if portfolio is not None and answer.elapsed_seconds > 0:
             portfolio.model.observe_latency(
                 choice.synopsis.sample_size, answer.elapsed_seconds
@@ -1005,7 +1008,7 @@ class AquaSystem:
     ) -> SynopsisHealth:
         """Health report: sample ratio, strata coverage, drift, validity."""
         state = self._state(name)
-        synopsis = self._synopses.get(name)
+        synopsis = state.synopsis
         maintained = state.maintainer is not None
         maintainer_inserts = (
             getattr(state.maintainer, "inserts_seen", 0) if maintained else 0
@@ -1079,7 +1082,7 @@ class AquaSystem:
         return (
             state is not None
             and state.refresh_policy is not None
-            and name in self._synopses
+            and state.synopsis is not None
             and state.refresh_policy.should_refresh(
                 state.inserts_since_refresh, state.rows_at_refresh
             )
@@ -1316,13 +1319,13 @@ class AquaSystem:
                 trace_id=trace_id,
                 table=table,
                 sql=sql if isinstance(sql, str) else render_query(sql),
-                synopsis_version=self._version_or_none(table),
+                synopsis_version=answer.version,
                 allocation=getattr(
                     self._allocation, "name", type(self._allocation).__name__
                 ),
                 strategy=self._rewrite.name,
                 provenance=answer.provenance_counts,
-                promised_rel_error=self._promised_rel_error(answer.result),
+                promised_rel_error=promised_rel_error_by_alias(answer.result),
                 chosen_synopsis=answer.chosen_synopsis,
                 predicted_rel_error=answer.predicted_rel_error,
                 groups=answer.result.num_rows,
@@ -1381,38 +1384,29 @@ class AquaSystem:
         if root.is_recording and trace_id is not None:
             telemetry.traces.offer(trace_id, QueryTrace(root), error=True)
 
-    def _version_or_none(self, table: str) -> Optional[int]:
-        try:
-            return self._state(table).version
-        except TableNotRegisteredError:
-            return None
-
-    @staticmethod
-    def _promised_rel_error(result: Table) -> Dict[str, float]:
-        """Worst finite per-group relative half-width, per aggregate alias."""
-        return promised_rel_error_by_alias(result)
-
     def _cache_key(
         self,
         query: Query,
         base_name: str,
         policy: Optional[GuardPolicy],
+        version: int,
         budget: Tuple = (),
         canonical=None,
     ):
         """The answer-cache key for this (query, serving configuration).
 
-        ``None`` when caching is disabled.  The key embeds the table's
-        *current* data version, the query's alias-insensitive canonical
+        ``None`` when caching is disabled.  The key embeds the data
+        ``version`` -- lookups pass the table's current one, stores the
+        answer's own -- the query's alias-insensitive canonical
         fingerprint (see :func:`repro.plan.canonicalize_query` -- predicate
         spelling, output aliases, and GROUP BY column order no longer
         fragment the cache), and every serve-time knob that changes the
         answer (guard policy -- hashable because it is frozen --
         confidence, bound method, and the budget tuple ``(max_rel_error,
-        max_ms, chosen member)`` for portfolio-resolved answers).  Reads
-        the version at call time: lookups use the pre-pipeline version,
-        stores the post-pipeline one, so a mid-pipeline refresh stores
-        under the version whose synopsis actually produced the answer.
+        max_ms, chosen member)`` for portfolio-resolved answers).  A query
+        leaving a GROUP BY column out of its select list keys on the
+        alias-sensitive, group-order-preserving fingerprint instead: its
+        rows could not be re-sorted to another spelling's group order.
 
         Pass a precomputed ``canonical`` (:class:`~repro.plan.CanonicalQuery`)
         to avoid re-canonicalizing between the lookup and the store.
@@ -1423,8 +1417,10 @@ class AquaSystem:
             canonical = canonicalize_query(query)
         return (
             base_name,
-            self._state(base_name).version,
-            canonical.fingerprint,
+            version,
+            canonical.structural
+            if _group_key_projections(query)
+            else canonical.fingerprint,
             policy,
             self._confidence,
             self._bound_method,
@@ -1443,7 +1439,7 @@ class AquaSystem:
         return CostModel.from_catalog(self.catalog)
 
     def _optimized_plan(
-        self, lowered, base_name: str, strategy: str, relation: str = ""
+        self, lowered, base_name: str, version: int, strategy: str, relation=""
     ):
         """Optimize a lowered plan, memoized in the plan cache.
 
@@ -1451,9 +1447,10 @@ class AquaSystem:
         strategy, relation, fingerprint)``: the canonical-plan digest
         (:func:`repro.plan.canonicalize`) lets trivially-equivalent
         spellings (predicate order, folded constants) share one optimized
-        plan, and the data version covers every mutation that can change
-        synopsis relations, so a stale plan is never replayed against
-        rebuilt samples.  ``relation`` is the sample relation the rewrite
+        plan, and the data ``version`` (the answer's own) covers every
+        mutation that can change synopsis relations, so a stale plan is
+        never replayed against rebuilt samples; a plan is kept only while
+        its version is current.  ``relation`` is the sample relation the rewrite
         reads (portfolio members of one table plan the same query
         differently); ``strategy`` is the rewrite strategy's name, or
         ``"stream"`` for base-table scans.  Optimization is cost-gated
@@ -1461,18 +1458,14 @@ class AquaSystem:
         ``(logical_plan, was_cached)``.
         """
         lowered, fingerprint = canonicalize(lowered)
-        key = (
-            base_name,
-            self._state(base_name).version,
-            strategy,
-            relation,
-            fingerprint,
-        )
+        key = (base_name, version, strategy, relation, fingerprint)
         cached = self._plan_cache.get(key)
         if cached is not None:
             return cached, True
         logical = optimize_plan(lowered, cost_model=self._cost_model())
-        self._plan_cache.put(key, logical)
+        self._store_if_current(
+            base_name, version, lambda: self._plan_cache.put(key, logical)
+        )
         return logical, False
 
     def _answer_pipeline(
@@ -1552,7 +1545,9 @@ class AquaSystem:
             canonical = (
                 canonicalize_query(query) if self._cache is not None else None
             )
-            key = self._cache_key(query, base_name, policy, budget, canonical)
+            key = self._cache_key(
+                query, base_name, policy, state.version, budget, canonical
+            )
             entry = self._cache.get(key) if key is not None else None
         if key is not None:
             if entry is not None:
@@ -1601,13 +1596,17 @@ class AquaSystem:
         budget: Tuple,
         canonical,
     ) -> None:
-        """Cache a clean answer under the version that produced it."""
+        """Cache a clean answer under the version that produced it, unless
+        a mutation has moved the table past that version meanwhile."""
         if answer.guard is not None and answer.guard.degraded:
             return
         with self.telemetry.tracer.span("cache_store"):
-            self._cache.put(
-                self._cache_key(query, base_name, policy, budget, canonical),
-                self._cache_entry(answer, query, canonical),
+            key = self._cache_key(
+                query, base_name, policy, answer.version, budget, canonical
+            )
+            entry = self._cache_entry(answer, query, canonical)
+            self._store_if_current(
+                base_name, answer.version, lambda: self._cache.put(key, entry)
             )
 
     def _cache_entry(
@@ -1688,13 +1687,15 @@ class AquaSystem:
         )
 
     def _rollup_match(
-        self, query: Query, base_name: str, synopsis: Synopsis, count=True
+        self, query: Query, base_name: str, synopsis: Synopsis, version: int,
+        count=True,
     ):
-        """The roll-up index's snapshot subsuming ``query``, or ``None``
-        (``count=False`` leaves the index's counters and LRU order alone)."""
+        """The roll-up index's snapshot of ``version`` subsuming ``query``,
+        or ``None`` (``count=False`` leaves the index's counters and LRU
+        order alone)."""
         return self._reuse.lookup(
             base_name=base_name,
-            version=self._state(base_name).version,
+            version=version,
             synopsis_signature=self._synopsis_signature(synopsis),
             where=query.where,
             group_by=query.group_by,
@@ -1708,9 +1709,9 @@ class AquaSystem:
 
         True for a Chebyshev-bounded query over a base table that
         aggregates only with SUM/COUNT/AVG, has no HAVING, and groups only
-        by stratification columns, all of them selected -- asked of a
-        sample holding at least one sampled stratum.  Servable queries
-        are answered by :meth:`_serve_moments`; the rest run the plan.
+        by stratification columns -- asked of a sample holding at least
+        one sampled stratum.  Servable queries are answered by
+        :meth:`_serve_moments`; the rest run the plan.
         """
         if self._bound_method != "chebyshev":
             return False
@@ -1722,12 +1723,8 @@ class AquaSystem:
             for aggregate in aggregates
         ):
             return False
-        # with aggregates, every projection is a bare GROUP BY column
-        selected = {item.expr.name for item in query.projections()}
-        group_by = set(query.group_by)
         return (
-            group_by <= selected
-            and group_by <= set(synopsis.grouping_columns)
+            set(query.group_by) <= set(synopsis.grouping_columns)
             and synopsis.sample.frame.num_strata > 0
         )
 
@@ -1739,6 +1736,7 @@ class AquaSystem:
         snapshot: ReuseSnapshot,
         policy: Optional[GuardPolicy],
         stale: int,
+        version: int,
         extra_predicate: Optional[Predicate] = None,
         started: Optional[float] = None,
     ) -> ApproximateAnswer:
@@ -1766,6 +1764,7 @@ class AquaSystem:
             time.perf_counter() - started,
             policy,
             stale,
+            version,
             support,
         )
 
@@ -1871,6 +1870,21 @@ class AquaSystem:
             answer.result = Table(answer.result.schema, data)
         return answer
 
+    def _serving_view(
+        self, state: _TableState, base_name: str, choice
+    ) -> Tuple[Synopsis, int, int]:
+        """``(synopsis, version, stale inserts)`` for one answer, read
+        together under the state lock."""
+        with state.lock:
+            if choice is None:
+                synopsis = self.synopsis(base_name)
+                stale = state.inserts_since_refresh
+            else:
+                rows = state.table.num_rows + len(state.pending_rows)
+                synopsis = choice.synopsis
+                stale = max(rows - choice.rows_at_build, 0)
+            return synopsis, state.version, stale
+
     def _answer_stages(
         self,
         query: Query,
@@ -1883,16 +1897,22 @@ class AquaSystem:
     ) -> ApproximateAnswer:
         """The staged answer pipeline, one span per stage.
 
+        A GROUP BY column the select list leaves out is first appended to
+        it, under a name no output uses, so every stage keys rows on
+        selected columns; the last step projects it away again.
+
         ``validate`` is the one gate every answer passes: auto-refresh,
-        staleness and the sample's (remembered) structural verdict.  After
-        it, a :meth:`_servable` query is answered from per-stratum moments
-        (:meth:`_serve_moments`): a roll-up hit's when the index holds a
-        subsuming snapshot (``rollup_probe``), else its own (``moments``);
-        any other query runs the plan.  Each stage starts with an
-        ambient-deadline check, so an expired query dies at the next stage
-        boundary with the stage name on the typed error; the plan/parallel
-        executors check at finer grain (per operator, per partition)
-        inside the execute stage.
+        staleness and the sample's (remembered) structural verdict.  It
+        ends holding the answer's one :meth:`_serving_view`, whose version
+        feeds the roll-up lookup, the moments, the plan-cache key and the
+        answer itself.  After it, a :meth:`_servable` query is answered
+        from per-stratum moments (:meth:`_serve_moments`): a roll-up hit's
+        when the index holds a subsuming snapshot (``rollup_probe``), else
+        its own (``moments``); any other query runs the plan.  Each stage
+        starts with an ambient-deadline check, so an expired query dies at
+        the next stage boundary with the stage name on the typed error;
+        the plan/parallel executors check at finer grain (per operator,
+        per partition) inside the execute stage.
 
         With a portfolio ``choice`` the chosen member replaces the primary
         synopsis throughout: its sample answers the query, its build-time
@@ -1900,16 +1920,25 @@ class AquaSystem:
         stale-triggered refresh rebuilds the *portfolio* (re-resolving the
         budgets against the fresh members) rather than the primary.
         """
+        added = _group_key_projections(
+            query, policy.provenance_column if policy else PROVENANCE_COLUMN
+        )
+        if added:
+            answer = self._answer_stages(
+                dataclass_replace(query, select=query.select + added),
+                policy, base_name, state, tracer, choice, budgets,
+            )
+            dropped = {projection.alias for projection in added}
+            answer.result = answer.result.project(
+                [n for n in answer.result.schema.names if n not in dropped]
+            )
+            return answer
         check_deadline("validate")
         with tracer.span("validate") as validate_span:
             self._maybe_auto_refresh(base_name)
-            if choice is not None:
-                synopsis = choice.synopsis
-                current_rows = state.table.num_rows + len(state.pending_rows)
-                stale = max(current_rows - choice.rows_at_build, 0)
-            else:
-                synopsis = self.synopsis(base_name)
-                stale = state.inserts_since_refresh
+            synopsis, version, stale = self._serving_view(
+                state, base_name, choice
+            )
             validate_span.set(stale_inserts=stale)
             if self._over_staleness_limit(policy, stale):
                 if policy.on_stale == "refresh":
@@ -1929,12 +1958,11 @@ class AquaSystem:
                             choice = portfolio.forced_choice(
                                 choice.member, query
                             )
-                        synopsis = choice.synopsis
                     else:
-                        synopsis = self.refresh_synopsis(
-                            base_name, trigger="guard"
-                        )
-                    stale = 0
+                        self.refresh_synopsis(base_name, trigger="guard")
+                    synopsis, version, stale = self._serving_view(
+                        state, base_name, choice
+                    )
                 elif policy.on_stale == "raise":
                     raise StaleSynopsisError(
                         f"synopsis for {base_name!r} is stale: {stale} "
@@ -1950,6 +1978,7 @@ class AquaSystem:
                         reason=f"stale synopsis ({stale} inserts over the "
                         f"limit of {policy.staleness_limit})",
                         stale=stale,
+                        version=version,
                     )
                 # "serve": accept the staleness and continue.
 
@@ -1984,13 +2013,16 @@ class AquaSystem:
                         policy,
                         reason=f"corrupt synopsis: {detail}",
                         stale=stale,
+                        version=version,
                         issues=tuple(issues),
                     )
 
         if self._servable(query, synopsis):
             if choice is None and self._reuse is not None:
                 with tracer.span("rollup_probe"):
-                    match = self._rollup_match(query, base_name, synopsis)
+                    match = self._rollup_match(
+                        query, base_name, synopsis, version
+                    )
                 if match is not None:
                     answer = self._serve_moments(
                         query,
@@ -1999,20 +2031,24 @@ class AquaSystem:
                         match.snapshot,
                         policy,
                         stale,
+                        version,
                         extra_predicate=match.extra_predicate,
                     )
                     return self._tag_rollup(answer, policy, match)
             check_deadline("moments")
             started = time.perf_counter()
             with tracer.span("moments"):
-                snapshot = self._moments(query, synopsis)
+                snapshot = self._moments(query, synopsis, version)
             answer = self._serve_moments(
-                query, state, synopsis, snapshot, policy, stale, started=started
+                query, state, synopsis, snapshot, policy, stale, version,
+                started=started,
             )
             if self._reuse is not None and (
                 answer.guard is None or not answer.guard.degraded
             ):
-                self._reuse.register(snapshot)
+                self._store_if_current(
+                    base_name, version, lambda: self._reuse.register(snapshot)
+                )
             return answer
 
         check_deadline("rewrite")
@@ -2024,6 +2060,7 @@ class AquaSystem:
             logical, cached_plan = self._optimized_plan(
                 lower_rewritten(plan, self.catalog),
                 base_name,
+                version,
                 plan.strategy,
                 synopsis.installed.sample_name,
             )
@@ -2052,7 +2089,7 @@ class AquaSystem:
             result = self._attach_error_bounds(query, synopsis, result)
             self._observe_halfwidths(query, result)
         return self._bounded_answer(
-            query, synopsis, result, elapsed, policy, stale
+            query, synopsis, result, elapsed, policy, stale, version
         )
 
     def _bounded_answer(
@@ -2063,6 +2100,7 @@ class AquaSystem:
         elapsed: float,
         policy: Optional[GuardPolicy],
         stale: int,
+        version: int,
         support: Optional[np.ndarray] = None,
     ) -> ApproximateAnswer:
         """A freshly computed result with its ``_error`` columns, guarded.
@@ -2076,6 +2114,7 @@ class AquaSystem:
             confidence=self._confidence,
             synopsis=synopsis,
             elapsed_seconds=elapsed,
+            version=version,
         )
         if policy is None:
             return answer
@@ -2250,6 +2289,7 @@ class AquaSystem:
                 confidence=answer.confidence,
                 synopsis=synopsis,
                 elapsed_seconds=answer.elapsed_seconds,
+                version=answer.version,
                 guard=report,
             )
 
@@ -2273,7 +2313,7 @@ class AquaSystem:
                 )
             return self._exact_answer(
                 query, synopsis, policy, reason=reason, stale=stale,
-                flagged=flagged,
+                version=answer.version, flagged=flagged,
             )
         return self._repair_answer(
             query, synopsis, answer, policy, stale, keys, flagged, missing
@@ -2375,6 +2415,7 @@ class AquaSystem:
             confidence=answer.confidence,
             synopsis=synopsis,
             elapsed_seconds=answer.elapsed_seconds + repair_elapsed,
+            version=answer.version,
             guard=report,
         )
 
@@ -2424,6 +2465,7 @@ class AquaSystem:
         policy: GuardPolicy,
         reason: str,
         stale: int,
+        version: int,
         issues: Tuple[str, ...] = (),
         flagged: Optional[Dict[GroupKey, str]] = None,
     ) -> ApproximateAnswer:
@@ -2460,6 +2502,7 @@ class AquaSystem:
             confidence=self._confidence,
             synopsis=synopsis,
             elapsed_seconds=elapsed,
+            version=version,
             guard=report,
         )
 
@@ -2535,6 +2578,7 @@ class AquaSystem:
         """
         query = parse_query(sql) if isinstance(sql, str) else sql
         base_name = query.base_table_name()
+        version = self._state(base_name).version
         choice = None
         if max_rel_error is not None or max_ms is not None:
             portfolio = self.portfolio(base_name)
@@ -2542,7 +2586,7 @@ class AquaSystem:
                 query,
                 max_rel_error=max_rel_error,
                 max_ms=max_ms,
-                version=self._state(base_name).version,
+                version=version,
             )
             synopsis = choice.synopsis
         else:
@@ -2551,6 +2595,7 @@ class AquaSystem:
         logical, __ = self._optimized_plan(
             lower_rewritten(plan, self.catalog),
             base_name,
+            version,
             plan.strategy,
             synopsis.installed.sample_name,
         )
@@ -2618,15 +2663,15 @@ class AquaSystem:
         if self._cache is None and self._reuse is None:
             return "disabled"
         policy = self._resolve_guard(None)
+        state = self._state(base_name)
         if self._cache is not None:
-            canonical = canonicalize_query(query)
-            key = self._cache_key(query, base_name, policy, budget, canonical)
+            key = self._cache_key(query, base_name, policy, state.version, budget)
             entry = self._cache.peek(key)
             if entry is not None:
                 if entry.sql == render_query(query):
                     return "exact"
                 return "canonical"
-        synopsis = self._synopses.get(base_name)
+        synopsis = state.synopsis
         if (
             self._reuse is None
             or budget
@@ -2635,7 +2680,6 @@ class AquaSystem:
             or self._refresh_due(base_name)
         ):
             return "miss"
-        state = self._state(base_name)
         if policy is not None and (
             (
                 self._over_staleness_limit(policy, state.inserts_since_refresh)
@@ -2644,7 +2688,9 @@ class AquaSystem:
             or self._synopsis_issues(state, synopsis)
         ):
             return "miss"
-        match = self._rollup_match(query, base_name, synopsis, count=False)
+        match = self._rollup_match(
+            query, base_name, synopsis, state.version, count=False
+        )
         if match is None:
             return "miss"
         return f"rollup (from {match.snapshot.describe_source})"
@@ -2765,8 +2811,12 @@ class AquaSystem:
             )
             halfwidths = np.full(result.num_rows, np.nan)
             if use_hoeffding:
-                hoeffding = self._hoeffding_halfwidths(
-                    query, synopsis, aggregate, group_by
+                hoeffding = hoeffding_halfwidths(
+                    self._state(synopsis.base_name).table,
+                    synopsis.sample,
+                    aggregate,
+                    group_by,
+                    self._confidence,
                 )
                 for i, key in enumerate(keys):
                     halfwidths[i] = hoeffding.get(key, np.nan)
@@ -2821,10 +2871,12 @@ class AquaSystem:
                 if math.isfinite(relative):
                     halfwidth_histogram.observe(relative)
 
-    def _moments(self, query: Query, synopsis: Synopsis) -> ReuseSnapshot:
+    def _moments(
+        self, query: Query, synopsis: Synopsis, version: int
+    ) -> ReuseSnapshot:
         """One pass over the sample: the servable query's per-stratum
-        moments, masked by its WHERE (see :meth:`_serve_moments`)."""
-        version = self._state(synopsis.base_name).version
+        moments at data ``version``, masked by its WHERE (see
+        :meth:`_serve_moments`)."""
         group_text = ", ".join(query.group_by) if query.group_by else "()"
         source = (
             f"{synopsis.base_name}@v{version} "
@@ -2842,57 +2894,6 @@ class AquaSystem:
             entry_group_by=tuple(query.group_by),
             describe_source=source,
         )
-
-    def _hoeffding_halfwidths(
-        self, query: Query, synopsis: Synopsis, aggregate, group_by
-    ) -> Dict[Tuple, float]:
-        """Per-answer-group Hoeffding half-widths for a SUM/COUNT estimate.
-
-        Uses exact per-stratum value ranges computed from the base table
-        (Aqua precomputes such hints with the synopsis).  Ranges are
-        zero-extended because the WHERE predicate zeroes out non-qualifying
-        tuples in the estimator.
-        """
-        state = self._state(synopsis.base_name)
-        base = state.table
-        if aggregate.func == "count":
-            values = np.ones(base.num_rows)
-        else:
-            values = np.asarray(
-                aggregate.expr.evaluate(base), dtype=np.float64
-            )
-        ids, keys = finest_group_ids(base, synopsis.grouping_columns)
-        num = len(keys)
-        from ..engine.aggregates import grouped_reduce
-
-        lows = np.minimum(grouped_reduce("min", values, ids, num), 0.0)
-        highs = np.maximum(grouped_reduce("max", values, ids, num), 0.0)
-        ranges = highs - lows
-
-        # Collect strata per answer group.
-        per_answer: Dict[Tuple, List[int]] = {}
-        for stratum_index, key in enumerate(keys):
-            answer = project_key(
-                key, synopsis.grouping_columns, group_by
-            )
-            per_answer.setdefault(answer, []).append(stratum_index)
-
-        sample = synopsis.sample
-        out: Dict[Tuple, float] = {}
-        for answer, stratum_indices in per_answer.items():
-            r, n, m = [], [], []
-            for index in stratum_indices:
-                stratum = sample.strata.get(keys[index])
-                if stratum is None or stratum.sample_size == 0:
-                    continue
-                r.append(float(ranges[index]))
-                n.append(float(stratum.population))
-                m.append(int(stratum.sample_size))
-            if m:
-                out[answer] = hoeffding_halfwidth_stratified_sum(
-                    r, n, m, self._confidence
-                )
-        return out
 
     # -- incremental maintenance -------------------------------------------
 

@@ -19,6 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
+
+from ..engine.aggregates import Aggregate, grouped_reduce
+from ..engine.table import Table
+from ..sampling.groups import GroupKey, finest_group_ids, project_key
+from ..sampling.stratified import StratifiedSample
 
 __all__ = [
     "ErrorBound",
@@ -28,6 +36,7 @@ __all__ = [
     "hoeffding_halfwidth_mean",
     "hoeffding_halfwidth_sum",
     "hoeffding_halfwidth_stratified_sum",
+    "hoeffding_halfwidths",
     "chebyshev_halfwidth",
     "chebyshev_from_variance",
     "relative_halfwidth",
@@ -208,6 +217,47 @@ def hoeffding_halfwidth_stratified_sum(
             raise ValueError("inputs must be non-negative")
         total += population * population * value_range * value_range / size
     return math.sqrt(math.log(2.0 / delta) / 2.0 * total)
+
+
+def hoeffding_halfwidths(
+    base: Table,
+    sample: StratifiedSample,
+    aggregate: Aggregate,
+    group_by: Sequence[str],
+    confidence: float = DEFAULT_CONFIDENCE,
+) -> Dict[GroupKey, float]:
+    """Per-answer-group Hoeffding half-widths of a SUM/COUNT estimate.
+
+    Per-stratum value ranges come from the base relation, zero-extended
+    because the WHERE predicate zeroes out non-qualifying tuples; the
+    sampled strata of each ``group_by`` group feed
+    :func:`hoeffding_halfwidth_stratified_sum`.
+    """
+    grouping = sample.grouping_columns
+    if aggregate.func == "count":
+        values = np.ones(base.num_rows)
+    else:
+        values = np.asarray(aggregate.expr.evaluate(base), dtype=np.float64)
+    ids, keys = finest_group_ids(base, grouping)
+    lows = np.minimum(grouped_reduce("min", values, ids, len(keys)), 0.0)
+    highs = np.maximum(grouped_reduce("max", values, ids, len(keys)), 0.0)
+    ranges = (highs - lows).tolist()
+    strata = sample.strata  # one copy of the stratum map, not one per key
+    per_answer: Dict[GroupKey, Tuple[List[float], List[float], List[int]]] = {}
+    for index, key in enumerate(keys):
+        stratum = strata.get(key)
+        if stratum is None or stratum.sample_size == 0:
+            continue
+        r, n, m = per_answer.setdefault(
+            project_key(key, grouping, group_by), ([], [], [])
+        )
+        r.append(ranges[index])
+        n.append(float(stratum.population))
+        m.append(int(stratum.sample_size))
+    return {
+        answer: hoeffding_halfwidth_stratified_sum(r, n, m, confidence)
+        for answer, (r, n, m) in per_answer.items()
+    }
 
 
 def chebyshev_halfwidth(

@@ -19,15 +19,16 @@ group:
   ``bound_violation_rate`` SLO.
 
 Correctness under concurrency: the audit runs *later* than the answer, so
-the base table may have moved.  Every task snapshots the table's
-monotonic data version at answer time and the auditor re-checks it before
-and after the exact recomputation -- any mismatch (insert, flush,
-refresh, re-registration) skips the audit rather than reporting a bogus
-violation against different data.
+the base table may have moved.  Every task carries the data version the
+answer was computed from (``answer.version``) and the auditor re-checks
+it against the table's before and after the exact recomputation -- any
+mismatch (insert, flush, refresh, re-registration) skips the audit rather
+than reporting a bogus violation against different data.
 
 The auditor is deliberately system-shape-agnostic (it needs only
-``table_version``, ``exact``, and ``telemetry``) so :mod:`repro.obs`
-stays importable without :mod:`repro.aqua`.
+``table_version``, ``exact``, and ``telemetry``, and answers with
+``result``, ``guard``, ``synopsis.base_name`` and ``version``) so
+:mod:`repro.obs` stays importable without :mod:`repro.aqua`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -253,11 +254,7 @@ class AccuracyAuditor:
             query=query,
             result=answer.result,
             table=answer.synopsis.base_name,
-            version=(
-                event.synopsis_version
-                if event is not None and event.synopsis_version is not None
-                else self._current_version(answer.synopsis.base_name)
-            ),
+            version=answer.version,
             trace_id=(
                 event.trace_id if event is not None else
                 getattr(answer, "trace_id", None)

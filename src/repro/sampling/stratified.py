@@ -445,15 +445,6 @@ class StratifiedSample:
         """The per-sample arrays every answer reads (built on first use)."""
         return SampleFrame(self)
 
-    def release_frame(self) -> None:
-        """Let go of the frame's memory, its remembered structural verdict
-        included; a later use builds it again.
-
-        For whoever replaces this sample while other objects (cached
-        answers) may still reference it.
-        """
-        self.__dict__.pop("frame", None)
-
     def sample_sizes(self) -> Dict[GroupKey, int]:
         return {key: s.sample_size for key, s in self._strata.items()}
 

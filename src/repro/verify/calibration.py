@@ -28,21 +28,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core import BasicCongress, Congress, House, Senate, build_sample
-from ..engine.aggregates import grouped_reduce
 from ..estimators.errors import (
     chebyshev_halfwidth,
-    hoeffding_halfwidth_stratified_sum,
+    hoeffding_halfwidths,
     normal_halfwidth,
 )
 from ..estimators.point import GroupEstimate, estimate
 from ..obs import Telemetry
 from ..rewrite import strategy_by_name
-from ..sampling.groups import GroupKey, finest_group_ids, project_key
+from ..sampling.groups import GroupKey
 from ..synthetic.queries import QueryClass
 from .stats import (
     EXACT_LEVEL_BOUNDS,
@@ -408,52 +407,6 @@ class CalibrationRunner:
             query.group_by
         ) <= set(grouping)
 
-    def _stratum_ranges(
-        self, testbed: Testbed, aggregate
-    ) -> Tuple[np.ndarray, List[GroupKey]]:
-        """Zero-extended per-finest-stratum value ranges (see the system's
-        Hoeffding path: the WHERE predicate zeroes non-qualifying tuples,
-        so each term ranges over ``[min(low, 0), max(high, 0)]``)."""
-        base = testbed.table
-        if aggregate.func == "count":
-            values = np.ones(base.num_rows)
-        else:
-            values = np.asarray(
-                aggregate.expr.evaluate(base), dtype=np.float64
-            )
-        ids, keys = finest_group_ids(base, testbed.grouping_columns)
-        lows = np.minimum(grouped_reduce("min", values, ids, len(keys)), 0.0)
-        highs = np.maximum(grouped_reduce("max", values, ids, len(keys)), 0.0)
-        return highs - lows, keys
-
-    def _hoeffding_halfwidths(
-        self,
-        sample,
-        ranges: np.ndarray,
-        finest_keys: List[GroupKey],
-        grouping: Sequence[str],
-        group_by: Sequence[str],
-    ) -> Dict[GroupKey, float]:
-        per_answer: Dict[GroupKey, List[int]] = {}
-        for index, key in enumerate(finest_keys):
-            answer = project_key(key, grouping, group_by)
-            per_answer.setdefault(answer, []).append(index)
-        out: Dict[GroupKey, float] = {}
-        for answer, indices in per_answer.items():
-            r, n, m = [], [], []
-            for index in indices:
-                stratum = sample.strata.get(finest_keys[index])
-                if stratum is None or stratum.sample_size == 0:
-                    continue
-                r.append(float(ranges[index]))
-                n.append(float(stratum.population))
-                m.append(int(stratum.sample_size))
-            if m:
-                out[answer] = hoeffding_halfwidth_stratified_sum(
-                    r, n, m, self.config.confidence
-                )
-        return out
-
     # -- the replication loop ------------------------------------------------
 
     def run(self, testbed: Optional[Testbed] = None) -> CalibrationResult:
@@ -541,15 +494,12 @@ class CalibrationRunner:
                 if "hoeffding" in config.bounds and self._hoeffding_supported(
                     query, aggregate, testbed.grouping_columns
                 ):
-                    ranges, finest_keys = self._stratum_ranges(
-                        testbed, aggregate
-                    )
-                    hoeffding[cell] = self._hoeffding_halfwidths(
+                    hoeffding[cell] = hoeffding_halfwidths(
+                        testbed.table,
                         sample,
-                        ranges,
-                        finest_keys,
-                        testbed.grouping_columns,
+                        aggregate,
                         query.group_by,
+                        config.confidence,
                     )
                 else:
                     hoeffding[cell] = None

@@ -294,10 +294,10 @@ class TestResolutionCache:
         size_before = portfolio.resolution_cache_size
         assert size_before >= 1
         built.insert("rel", ("z", "q", 123.0))
+        # The insert's version bump dropped the pre-insert resolution.
+        assert portfolio.resolution_cache_size == 0
         answer = built.answer(query, max_rel_error=0.5)
-        # The insert bumped the table version, so the second answer's
-        # resolution landed under a fresh cache key.
-        assert portfolio.resolution_cache_size > size_before
+        assert portfolio.resolution_cache_size == 1
         assert answer.chosen_synopsis in portfolio.members
         promised = answer.promised_rel_error
         assert promised is None or promised <= 0.5 * (1 + 1e-9)

@@ -228,14 +228,17 @@ class TestSurfacing:
         assert "-- route: plan" in system.explain(having)
 
     def test_explain_reports_no_rollup_that_answer_would_not_use(self):
-        # GROUP BY g without selecting g is not servable from moments:
-        # answer() takes the plan route (and rejects the query), so
-        # explain must not promise the roll-up tier.
+        # answer() appends the unselected GROUP BY column g for its stages,
+        # so the roll-up tier serves the query: explain promises exactly
+        # the tier and route answer() then takes.
         system = _system()
         system.answer("SELECT g, h, SUM(v) AS s FROM t GROUP BY g, h")
-        text = system.explain("SELECT SUM(v) AS s FROM t GROUP BY g")
-        assert "-- cache: miss" in text
-        assert "-- route: plan" in text
+        sql = "SELECT SUM(v) AS s FROM t GROUP BY g"
+        text = system.explain(sql)
+        assert "-- cache: rollup (from t@v" in text
+        assert "-- route: moments" in text
+        assert system.answer(sql).cache_tier == "rollup"
+        assert "-- cache: exact" in system.explain(sql)
 
     def test_explain_probe_leaves_counters_alone(self):
         system = _system()

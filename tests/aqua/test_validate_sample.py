@@ -303,18 +303,14 @@ def _reregister(system):
     system.register_table("rel", make_table())
 
 
-def _release_frame(system):
-    system.synopsis("rel").sample.release_frame()
-
-
 class TestANewSampleIsWalkedAnew:
     """The memo lives on the frame of one sample object, so whatever installs
-    another sample -- or drops the frame -- starts from an unjudged one."""
+    another sample starts from an unjudged one."""
 
     @pytest.mark.parametrize(
         "change",
-        [_refresh, _insert_and_refresh, _reregister, _release_frame],
-        ids=["refresh", "insert_and_refresh", "reregister", "release_frame"],
+        [_refresh, _insert_and_refresh, _reregister],
+        ids=["refresh", "insert_and_refresh", "reregister"],
     )
     def test_after(self, system, walks, change):  # noqa: F811
         assert not _fresh_answer(system, 1).guard.degraded
