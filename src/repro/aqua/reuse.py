@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,9 @@ from ..engine.aggregates import (
     rollup_state,
 )
 from ..engine.predicates import Predicate
+from ..engine.query import Query
+from ..engine.schema import Column, ColumnType, Schema
+from ..engine.table import Table
 from ..estimators.point import expansion_variance
 from ..engine.render import render_expression, render_predicate
 from ..plan.canonical import (
@@ -72,6 +75,7 @@ __all__ = [
     "RollupAnswer",
     "RollupIndex",
     "RollupIndexStats",
+    "lay_out",
     "moment_keys",
 ]
 
@@ -119,6 +123,51 @@ class RollupAnswer:
     support: np.ndarray
     values: Dict[str, np.ndarray]
     halfwidths: Dict[str, np.ndarray]
+
+
+def lay_out(
+    query: Query,
+    base_schema: Schema,
+    key_arrays: Sequence[Sequence],
+    values: Dict[str, np.ndarray],
+    halfwidths: Dict[str, np.ndarray],
+) -> Tuple[Table, np.ndarray]:
+    """A stage query's answer table from per-group arrays.
+
+    ``key_arrays`` holds one array per ``query.group_by`` column; every
+    other array lines up with them.  Columns come in select order, keys
+    typed as their base columns, then ``<alias>_error`` for each aggregate
+    in ``halfwidths``, in aggregate order.  HAVING, ORDER BY and LIMIT
+    apply as the physical plan applies them.  Returns the table and the
+    kept groups' indexes into the input arrays, in output order.
+    """
+    position = {name: i for i, name in enumerate(query.group_by)}
+    schema_columns: List[Column] = []
+    columns: Dict[str, object] = {}
+    for item in query.select:
+        if isinstance(item, Aggregate):
+            schema_columns.append(Column(item.alias, ColumnType.FLOAT))
+            columns[item.alias] = values[item.alias]
+        else:
+            name = item.expr.name
+            schema_columns.append(
+                Column(item.alias, base_schema.column(name).ctype)
+            )
+            columns[item.alias] = key_arrays[position[name]]
+    for aggregate in query.aggregates():
+        if aggregate.alias in halfwidths:
+            error_name = f"{aggregate.alias}_error"
+            schema_columns.append(Column(error_name, ColumnType.FLOAT))
+            columns[error_name] = halfwidths[aggregate.alias]
+    result = Table.from_columns(Schema(schema_columns), **columns)
+    order = np.arange(result.num_rows)
+    if query.having is not None:
+        order = np.flatnonzero(query.having.evaluate(result))
+    if query.order_by:
+        order = order[result.take(order).sort_order(query.order_by)]
+    if query.limit is not None:
+        order = order[: query.limit]
+    return result.take(order), order
 
 
 @dataclass(frozen=True)

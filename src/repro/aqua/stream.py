@@ -40,7 +40,7 @@ import numpy as np
 
 from ..engine.aggregates import Aggregate, finalize_state, grouped_reduce
 from ..engine.expressions import Lit
-from ..engine.groupby import GroupByPartial, group_ids_for
+from ..engine.groupby import GroupByPartial, group_ids_for, key_tuples
 from ..engine.query import Query
 from ..engine.schema import Column, ColumnType, Schema
 from ..engine.sql import parse_query
@@ -49,16 +49,17 @@ from ..engine.stream import (
     StreamChunk,
     chunk_bounds,
     expansion_estimate,
-    expansion_variance,
     stream_group_partials,
     stream_halfwidth,
 )
 from ..engine.table import Table
 from ..errors import DeadlineExceeded, StreamError
 from ..estimators.errors import relative_halfwidth
+from ..estimators.point import expansion_variance
 from ..plan import canonicalize_query, execute_plan, lower_query
 from ..plan.logical import Filter, GroupBy, Scan, walk
 from ..serve.deadline import Deadline, current_deadline, deadline_scope
+from .reuse import lay_out
 
 __all__ = [
     "PROVENANCE_STREAM",
@@ -217,81 +218,15 @@ def _hoeffding_ranges(
     return {key: float(highs[i] - lows[i]) for i, key in enumerate(keys)}
 
 
-def _shape_emission(
-    query: Query,
-    base_schema: Schema,
-    partial: GroupByPartial,
-    estimates: Dict[str, np.ndarray],
-    halfwidths: Dict[str, np.ndarray],
-) -> Table:
-    """Assemble one emission table in the batch answer's column order.
-
-    Select-list items first (keys renamed to their aliases, aggregate
-    estimates), then one ``<alias>_error`` column per bounded aggregate --
-    the same shape :meth:`AquaSystem.answer` results have, so callers can
-    swap a stream in for a batch answer without reshaping.
-    """
-    columns = {}
-    schema_cols = []
-    key_index = {name: i for i, name in enumerate(partial.key_columns)}
-    for item in query.select:
-        if isinstance(item, Aggregate):
-            schema_cols.append(Column(item.alias, ColumnType.FLOAT))
-            columns[item.alias] = estimates[item.alias]
-        else:
-            src = base_schema.column(item.expr.name)
-            pos = key_index[item.expr.name]
-            schema_cols.append(Column(item.alias, src.ctype))
-            columns[item.alias] = src.ctype.coerce(
-                [key[pos] for key in partial.group_keys]
-            )
-    for alias, values in halfwidths.items():
-        schema_cols.append(Column(f"{alias}_error", ColumnType.FLOAT))
-        columns[f"{alias}_error"] = values
-    table = Table(Schema(schema_cols), columns)
-    if query.having is not None:
-        table = table.filter(query.having.evaluate(table))
-    if query.order_by:
-        table = table.sort_by(list(query.order_by))
-    if query.limit is not None:
-        table = table.head(query.limit)
-    return table
-
-
-def _max_rel_halfwidth(
+def _relative_halfwidths(
     estimates: Dict[str, np.ndarray], halfwidths: Dict[str, np.ndarray]
-) -> float:
-    """Worst finite relative half-width across groups and bounded aliases."""
-    worst = float("nan")
-    for alias, widths in halfwidths.items():
-        values = estimates[alias]
-        for halfwidth, value in zip(widths, values):
-            rel = relative_halfwidth(float(halfwidth), float(value))
-            if math.isfinite(rel) and not (worst >= rel):
-                worst = rel
-    return worst
-
-
-def _converged(
-    estimates: Dict[str, np.ndarray],
-    halfwidths: Dict[str, np.ndarray],
-    until_rel_error: float,
-) -> bool:
-    """True when every (group, bounded aggregate) bound is tight enough.
-
-    Non-finite relative half-widths (no variance estimate yet, zero
-    estimates with nonzero bounds) block convergence -- an unknown bound
-    is not a tight one.
-    """
-    if not halfwidths:
-        return False
-    for alias, widths in halfwidths.items():
-        values = estimates[alias]
-        for halfwidth, value in zip(widths, values):
-            rel = relative_halfwidth(float(halfwidth), float(value))
-            if not (math.isfinite(rel) and rel <= until_rel_error):
-                return False
-    return True
+) -> List[float]:
+    """Each (group, bounded aggregate) relative half-width."""
+    return [
+        relative_halfwidth(float(halfwidth), float(value))
+        for alias, widths in halfwidths.items()
+        for halfwidth, value in zip(widths, estimates[alias])
+    ]
 
 
 def _stream_bound_method(system) -> str:
@@ -310,6 +245,14 @@ def _chunk_estimates(
     confidence = system._confidence
     m, n = chunk.rows_seen, chunk.rows_total
     partial = chunk.partial
+
+    def variance_of(totals: np.ndarray, totals_sq: np.ndarray) -> np.ndarray:
+        # The relation as one stratum: all n rows its population, the m
+        # seen its sample; no variance estimate until two rows are seen.
+        if m < 2:
+            return np.full(len(totals), np.nan)
+        return expansion_variance(n, m, totals, totals_sq)
+
     estimates: Dict[str, np.ndarray] = {}
     halfwidths: Dict[str, np.ndarray] = {}
     for agg in query.aggregates():
@@ -318,33 +261,9 @@ def _chunk_estimates(
             estimates[agg.alias] = finalize_state(state)
             continue
         estimates[agg.alias] = expansion_estimate(agg.func, state, m, n)
-        if agg.func == "avg":
-            # Ratio estimator: delta-method variance from the scaled
-            # numerator (sum) and denominator (count) expansions, matching
-            # the batch estimator's conservative simplification.
-            num_var = expansion_variance(state.total, state.total_sq, m, n)
-            den_var = expansion_variance(state.count, state.count, m, n)
-            den = state.count * (n / m) if m else np.zeros_like(state.count)
-            value = estimates[agg.alias]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                variance = np.where(
-                    den > 0,
-                    (num_var + value * value * den_var) / (den * den),
-                    np.nan,
-                )
-            widths = np.array(
-                [
-                    stream_halfwidth(
-                        "chebyshev", math.sqrt(v), confidence=confidence
-                    )
-                    if v >= 0
-                    else float("nan")
-                    for v in variance
-                ]
-            )
-        elif method == "hoeffding":
+        if method == "hoeffding" and agg.func != "avg":
             group_ranges = ranges[agg.alias]
-            widths = np.array(
+            halfwidths[agg.alias] = np.array(
                 [
                     stream_halfwidth(
                         "hoeffding",
@@ -357,22 +276,35 @@ def _chunk_estimates(
                     for key in partial.group_keys
                 ]
             )
+            continue
+        if agg.func == "avg":
+            # Ratio estimator: delta-method variance from the scaled
+            # numerator (sum) and denominator (count) expansions, matching
+            # the batch estimator's conservative simplification.
+            num_var = variance_of(state.total, state.total_sq)
+            den_var = variance_of(state.count, state.count)
+            den = state.count * (n / m) if m else np.zeros_like(state.count)
+            value = estimates[agg.alias]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                variance = np.where(
+                    den > 0,
+                    (num_var + value * value * den_var) / (den * den),
+                    np.nan,
+                )
+        elif agg.func == "count":
+            variance = variance_of(state.count, state.count)
         else:
-            if agg.func == "count":
-                variance = expansion_variance(state.count, state.count, m, n)
-            else:
-                variance = expansion_variance(state.total, state.total_sq, m, n)
-            widths = np.array(
-                [
-                    stream_halfwidth(
-                        method, math.sqrt(v), confidence=confidence
-                    )
-                    if v >= 0
-                    else float("nan")
-                    for v in variance
-                ]
-            )
-        halfwidths[agg.alias] = widths
+            variance = variance_of(state.total, state.total_sq)
+        halfwidths[agg.alias] = np.array(
+            [
+                stream_halfwidth(
+                    "chebyshev", math.sqrt(v), confidence=confidence
+                )
+                if v >= 0
+                else float("nan")
+                for v in variance
+            ]
+        )
     return estimates, halfwidths
 
 
@@ -428,7 +360,12 @@ def stream_answers(
     deadline: Union[Deadline, float, None] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> Iterator[StreamingAnswer]:
-    """The generator behind :meth:`AquaSystem.sql_stream` (see its docs)."""
+    """The generator behind :meth:`AquaSystem.sql_stream` (see its docs).
+
+    Streams the stage query (:meth:`~repro.engine.query.Query.bind`) and
+    presents each emission in the query's own columns; a completed stream
+    is cached in stage layout.
+    """
     if chunk_rows < 1:
         raise StreamError(f"chunk_rows must be >= 1, got {chunk_rows}")
     if until_rel_error is not None and until_rel_error <= 0:
@@ -436,8 +373,15 @@ def stream_answers(
             f"until_rel_error must be > 0, got {until_rel_error}"
         )
     started = time.perf_counter()
-    query = parse_query(sql) if isinstance(sql, str) else sql
-    _validate_query(query)
+    user = parse_query(sql) if isinstance(sql, str) else sql
+    _validate_query(user)
+    query, present = user.bind()
+
+    def shown(answer: StreamingAnswer) -> StreamingAnswer:
+        if present is None:
+            return answer
+        return dataclass_replace(answer, result=present(answer.result))
+
     base_name = query.base_table_name()
     state = system._state(base_name)
     system._flush_pending(base_name)
@@ -457,10 +401,12 @@ def stream_answers(
         if cached is not None:
             # An exact final answer trivially meets any relative-error
             # target, so converged tracks the *caller's* request here.
-            yield dataclass_replace(
-                cached,
-                cache_hit=True,
-                converged=until_rel_error is not None,
+            yield shown(
+                dataclass_replace(
+                    cached,
+                    cache_hit=True,
+                    converged=until_rel_error is not None,
+                )
             )
             return
 
@@ -545,11 +491,13 @@ def stream_answers(
                 raise
             if metrics is not None:
                 metrics["deadline"].inc(table=base_name)
-            yield dataclass_replace(
-                last,
-                provenance=PROVENANCE_PARTIAL,
-                final=False,
-                elapsed_seconds=time.perf_counter() - started,
+            yield shown(
+                dataclass_replace(
+                    last,
+                    provenance=PROVENANCE_PARTIAL,
+                    final=False,
+                    elapsed_seconds=time.perf_counter() - started,
+                )
             )
             return
         if metrics is not None:
@@ -560,7 +508,7 @@ def stream_answers(
                 )
                 emitted_first = True
         last = answer
-        yield answer
+        yield shown(answer)
         if answer.final:
             if cache_key is not None:
                 system._store_if_current(
@@ -585,12 +533,21 @@ def _stream_emission(
     started: float,
 ) -> StreamingAnswer:
     estimates, halfwidths = _chunk_estimates(system, query, chunk, ranges)
-    result = _shape_emission(
-        query, base_schema, chunk.partial, estimates, halfwidths
+    keys = chunk.partial.group_keys
+    result, __ = lay_out(
+        query,
+        base_schema,
+        [[key[i] for key in keys] for i in range(len(query.group_by))],
+        estimates,
+        halfwidths,
     )
+    relative = _relative_halfwidths(estimates, halfwidths)
+    # An unknown bound (no variance estimate yet, a zero estimate with a
+    # nonzero bound) is not a tight one.
     converged = (
         until_rel_error is not None
-        and _converged(estimates, halfwidths, until_rel_error)
+        and bool(halfwidths)
+        and all(math.isfinite(r) and r <= until_rel_error for r in relative)
     )
     return StreamingAnswer(
         result=result,
@@ -602,7 +559,9 @@ def _stream_emission(
         provenance=PROVENANCE_STREAM,
         final=False,
         converged=converged,
-        max_rel_halfwidth=_max_rel_halfwidth(estimates, halfwidths),
+        max_rel_halfwidth=max(
+            (r for r in relative if math.isfinite(r)), default=float("nan")
+        ),
         confidence=system._confidence,
         bound_method=_stream_bound_method(system),
         elapsed_seconds=time.perf_counter() - started,
@@ -632,20 +591,14 @@ def _exact_landing(
         tracer=system.telemetry.tracer,
     )
     support: Dict[Tuple, int] = {}
-    for agg in query.aggregates():
-        if agg.func == "count":
-            keys = [
-                tuple(
-                    v.item() if hasattr(v, "item") else v
-                    for v in (result.column(k)[i] for k in query.group_by)
-                )
-                for i in range(result.num_rows)
-            ]
-            counts = result.column(agg.alias)
-            support = {
-                key: int(counts[i]) for i, key in enumerate(keys)
-            }
-            break
+    counts = [a.alias for a in query.aggregates() if a.func == "count"]
+    if counts:
+        keys = (
+            key_tuples([result.column(k) for k in query.group_by])
+            if query.group_by
+            else [()] * result.num_rows
+        )
+        support = dict(zip(keys, map(int, result.column(counts[0]))))
     for agg in query.aggregates():
         if agg.func in BOUNDED_AGGREGATES:
             result = result.with_column(
@@ -675,13 +628,12 @@ def _stream_cache_key(system, query: Query, base_name: str, version: int):
     ``"stream"`` marks the entry so batch answers and streams never alias;
     otherwise the key mirrors the batch one: the data ``version`` read when
     the stream started (its entry is stored only while that version is
-    still current), the query's
-    *structural* canonical fingerprint (alias-sensitive, group order
-    preserved -- a cached stream's result table bakes in the output
-    schema, so alias-insensitive matching would serve wrongly-named
-    columns), confidence, bound family.  Streaming answers never populate
-    the semantic reuse tiers: a stream's terminal emission is an *exact*
-    answer, not a synopsis scan, so there is no snapshot to roll up.
+    still current), the stage query's *structural* canonical fingerprint
+    (alias-sensitive, group order preserved -- the cached table is that
+    stage query's, presented per probe), confidence, bound family.
+    Streaming answers never populate the semantic reuse tiers: a stream's
+    terminal emission is an *exact* answer, not a synopsis scan, so there
+    is no snapshot to roll up.
     """
     if system._cache is None:
         return None

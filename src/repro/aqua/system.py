@@ -37,7 +37,7 @@ from ..engine.executor import ParallelConfig, ParallelExecutor
 from ..engine.expressions import Col, Lit
 from ..engine.groupby import key_tuples
 from ..engine.predicates import And, Comparison, InList, Or, Predicate
-from ..engine.query import Projection, Query
+from ..engine.query import Presentation, Projection, Query
 from ..engine.render import render_query
 from ..engine.schema import Column, ColumnType
 from ..engine.sql import parse_query
@@ -103,7 +103,7 @@ from .portfolio import (
     SynopsisSpec,
     default_portfolio_specs,
 )
-from .reuse import ReuseSnapshot, RollupAnswer, RollupIndex
+from .reuse import ReuseSnapshot, RollupIndex, lay_out
 from .synopsis import Synopsis
 from .workload_log import QueryLog
 
@@ -256,32 +256,6 @@ def _balanced(
     )
 
 
-def _group_key_projections(
-    query: Query, reserved: str = PROVENANCE_COLUMN
-) -> Tuple[Projection, ...]:
-    """Each GROUP BY column the select list leaves out, as a projection
-    named so that no output column, ``_error`` companion or ``reserved``
-    name clashes."""
-    selected = {
-        item.expr.name
-        for item in query.projections()
-        if isinstance(item.expr, Col)
-    }
-    unselected = [c for c in query.group_by if c not in selected]
-    if not unselected:
-        return ()
-    taken = {reserved, *query.output_aliases()}
-    taken.update(f"{aggregate.alias}_error" for aggregate in query.aggregates())
-    added = []
-    for column in unselected:
-        name = column
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        added.append(Projection(Col(column), name))
-    return tuple(added)
-
-
 def _fmt_pct(value: float) -> str:
     """Render a percentage, degrading NaN/inf to ``n/a``."""
     return f"{value:.2f}%" if math.isfinite(value) else "n/a"
@@ -289,19 +263,20 @@ def _fmt_pct(value: float) -> str:
 
 @dataclass(frozen=True)
 class _CacheEntry:
-    """An answer-cache value: the answer plus reconciliation metadata.
+    """An answer-cache value: a stage query's answer, in stage layout.
 
-    Entries are keyed by the alias-insensitive canonical fingerprint, so
-    a hit may come from a differently-spelled query.  ``sql`` (the rendered
-    text the entry was stored under) distinguishes *exact* hits from
-    *canonical* ones; ``aliases`` and ``group_by`` let a canonical hit be
-    reconciled -- result columns renamed to the probe's aliases, rows
-    re-sorted to the probe's GROUP BY order -- before serving.
+    Entries are keyed by the stage query's alias-insensitive canonical
+    fingerprint, so a hit may come from a differently-spelled query.
+    ``sql`` (the rendered stage query the entry was stored under)
+    distinguishes *exact* hits from *canonical* ones; ``group_by`` lets a
+    canonical hit re-sort rows to the probe's GROUP BY order.  A canonical
+    hit is renamed to the probe's stage columns
+    (:class:`~repro.engine.query.Presentation`) before anything else sees
+    it.
     """
 
     answer: ApproximateAnswer
     sql: str
-    aliases: Tuple[str, ...]
     group_by: Tuple[str, ...]
 
 
@@ -1261,7 +1236,7 @@ class AquaSystem:
             try:
                 with root:
                     try:
-                        answer = self._answer_pipeline(
+                        stage, staged, present = self._answer_pipeline(
                             sql,
                             guard,
                             tracer,
@@ -1287,13 +1262,20 @@ class AquaSystem:
                         root,
                     )
                 raise
+        answer = (
+            staged
+            if present is None
+            else dataclass_replace(staged, result=present(staged.result))
+        )
         if root.is_recording:
             answer.trace = QueryTrace(root)
         answer.trace_id = trace_id
         wall = time.perf_counter() - wall_start if measure else 0.0
         if telemetry.metrics.enabled:
             self._observe_answer(answer, wall)
-        self._finish_answer(sql, answer, trace_id, wall, had_deadline, audit)
+        self._finish_answer(
+            sql, answer, trace_id, wall, had_deadline, audit, stage, staged
+        )
         return answer
 
     def _finish_answer(
@@ -1304,8 +1286,13 @@ class AquaSystem:
         wall: float,
         had_deadline: bool,
         audit: bool,
+        stage: Query,
+        staged: ApproximateAnswer,
     ) -> None:
-        """Post-answer observability: SLOs, event log, trace store, audit."""
+        """Post-answer observability: SLOs, event log, trace store, audit.
+
+        The auditor is offered the stage query and its stage-layout
+        answer, so it finds every group key by its ``GROUP BY`` name."""
         telemetry = self.telemetry
         degraded = answer.guard is not None and answer.guard.degraded
         if self._slo is not None:
@@ -1345,8 +1332,7 @@ class AquaSystem:
         if answer.trace is not None and trace_id is not None:
             telemetry.traces.offer(trace_id, answer.trace, degraded=degraded)
         if audit and not degraded and self._auditor is not None:
-            query = parse_query(sql) if isinstance(sql, str) else sql
-            self._auditor.offer(query, answer, event)
+            self._auditor.offer(stage, staged, event)
 
     def _finish_failed(
         self,
@@ -1393,7 +1379,8 @@ class AquaSystem:
         budget: Tuple = (),
         canonical=None,
     ):
-        """The answer-cache key for this (query, serving configuration).
+        """The answer-cache key for this (stage query, serving
+        configuration).
 
         ``None`` when caching is disabled.  The key embeds the data
         ``version`` -- lookups pass the table's current one, stores the
@@ -1403,10 +1390,7 @@ class AquaSystem:
         fragment the cache), and every serve-time knob that changes the
         answer (guard policy -- hashable because it is frozen --
         confidence, bound method, and the budget tuple ``(max_rel_error,
-        max_ms, chosen member)`` for portfolio-resolved answers).  A query
-        leaving a GROUP BY column out of its select list keys on the
-        alias-sensitive, group-order-preserving fingerprint instead: its
-        rows could not be re-sorted to another spelling's group order.
+        max_ms, chosen member)`` for portfolio-resolved answers).
 
         Pass a precomputed ``canonical`` (:class:`~repro.plan.CanonicalQuery`)
         to avoid re-canonicalizing between the lookup and the store.
@@ -1418,9 +1402,7 @@ class AquaSystem:
         return (
             base_name,
             version,
-            canonical.structural
-            if _group_key_projections(query)
-            else canonical.fingerprint,
+            canonical.fingerprint,
             policy,
             self._confidence,
             self._bound_method,
@@ -1477,8 +1459,13 @@ class AquaSystem:
         max_rel_error: Optional[float] = None,
         max_ms: Optional[float] = None,
         use_synopsis: Optional[str] = None,
-    ) -> ApproximateAnswer:
+    ) -> Tuple[Query, ApproximateAnswer, Optional[Presentation]]:
         """Cache front-end around the staged pipeline.
+
+        Binds the query once (:meth:`~repro.engine.query.Query.bind`):
+        every tier and stage runs on the stage query, and the answer comes
+        back in stage layout with the presentation it still needs (``None``
+        when it is already in the user's columns).
 
         A hit must be indistinguishable from recomputation: the key carries
         the data version (so any insert/flush/refresh/re-register since the
@@ -1490,11 +1477,12 @@ class AquaSystem:
         """
         check_deadline("parse")
         with tracer.span("parse"):
-            query = parse_query(sql) if isinstance(sql, str) else sql
+            user = parse_query(sql) if isinstance(sql, str) else sql
+            query, present = user.bind()
             policy = self._resolve_guard(guard)
             base_name = query.base_table_name()
             state = self._state(base_name)
-            self.query_log(base_name).record(query)
+            self.query_log(base_name).record(user)
         root.set(table=base_name, guarded=policy is not None)
 
         choice: Optional[PortfolioChoice] = None
@@ -1553,13 +1541,12 @@ class AquaSystem:
             if entry is not None:
                 # Shallow copy: the caller attaches this call's trace and
                 # trace id to the returned object, which must not leak
-                # into the cache.  A canonical hit is additionally
-                # reconciled (aliases renamed, rows re-sorted) to the
-                # probe's spelling.
-                answer, tier = self._reconcile_cached(entry, query, canonical)
+                # into the cache.  A canonical hit comes back in the
+                # probe's stage columns whatever spelling stored it.
+                answer, tier = self._reconcile_cached(entry, query)
                 root.set(cache=tier)
                 self._cache.record_tier_hit(tier)
-                return answer
+                return query, answer, present
             root.set(cache="miss")
 
         answer = self._answer_stages(
@@ -1585,7 +1572,7 @@ class AquaSystem:
             self._store_answer(
                 answer, query, base_name, policy, budget, canonical
             )
-        return answer
+        return query, answer, present
 
     def _store_answer(
         self,
@@ -1604,69 +1591,44 @@ class AquaSystem:
             key = self._cache_key(
                 query, base_name, policy, answer.version, budget, canonical
             )
-            entry = self._cache_entry(answer, query, canonical)
+            entry = _CacheEntry(
+                answer=dataclass_replace(answer, trace=None),
+                sql=render_query(query),
+                group_by=query.group_by,
+            )
             self._store_if_current(
                 base_name, answer.version, lambda: self._cache.put(key, entry)
             )
 
-    def _cache_entry(
-        self, answer: ApproximateAnswer, query: Query, canonical
-    ) -> _CacheEntry:
-        return _CacheEntry(
-            answer=dataclass_replace(answer, trace=None),
-            sql=render_query(query),
-            aliases=tuple(canonical.aliases),
-            group_by=tuple(query.group_by),
-        )
-
     def _reconcile_cached(
-        self, entry: _CacheEntry, query: Query, canonical
+        self, entry: _CacheEntry, query: Query
     ) -> Tuple[ApproximateAnswer, str]:
-        """Serve a fingerprint hit, reconciling spelling differences.
+        """Serve a fingerprint hit on a stage query, still in stage layout.
 
-        An *exact* hit (same rendered text) is returned as-is.  A
+        An *exact* hit (same rendered stage query) is returned as-is.  A
         *canonical* hit -- same semantics, different aliases or GROUP BY
-        column order -- renames the result's aggregate/projection columns
-        (and their ``_error`` companions) to the probe's aliases and, for
-        probes without an ORDER BY, re-sorts rows into the probe's group
-        order, so the served table is indistinguishable from direct
+        column order -- is renamed to the probe's stage columns and has its
+        rows re-sorted into the probe's group order when that differs (the
+        fingerprint keeps the order whenever ORDER BY or LIMIT depends on
+        it), so the served table is indistinguishable from direct
         execution of the probe.
         """
         answer = entry.answer
-        if entry.sql == render_query(query):
-            return (
-                dataclass_replace(
-                    answer, trace=None, cache_hit=True, cache_tier="exact"
-                ),
-                "exact",
-            )
+        tier = "exact" if entry.sql == render_query(query) else "canonical"
         result = answer.result
-        mapping: Dict[str, str] = {}
-        for old, new in zip(entry.aliases, canonical.aliases):
-            if old == new:
-                continue
-            mapping[old] = new
-            if f"{old}_error" in result.schema:
-                mapping[f"{old}_error"] = f"{new}_error"
-        if mapping:
-            result = result.rename(mapping)
-        if tuple(entry.group_by) != tuple(query.group_by) and not query.order_by:
-            order = [
-                name
-                for name in query.group_by_aliases()
-                if name in result.schema
-            ]
-            if order:
-                result = result.sort_by(order)
+        if tier == "canonical":
+            result = Presentation(query, len(query.select))(result)
+            if entry.group_by != query.group_by:
+                result = result.sort_by(query.group_by)
         return (
             dataclass_replace(
                 answer,
                 result=result,
                 trace=None,
                 cache_hit=True,
-                cache_tier="canonical",
+                cache_tier=tier,
             ),
-            "canonical",
+            tier,
         )
 
     @staticmethod
@@ -1755,7 +1717,22 @@ class AquaSystem:
             rollup = snapshot.finalize(
                 query.group_by, query.aggregates(), extra_predicate
             )
-            result, support = self._rollup_result(query, state, rollup)
+            values, halfwidths = rollup.values, rollup.halfwidths
+            support = rollup.support
+            if not query.group_by and not len(support):
+                # One row even when no sample tuple qualifies, as the plan
+                # answers: SUM and COUNT 0, AVG and every half-width NaN.
+                values = {
+                    a.alias: np.array([np.nan if a.func == "avg" else 0.0])
+                    for a in query.aggregates()
+                }
+                halfwidths = {a: np.array([np.nan]) for a in values}
+                support = np.zeros(1, dtype=np.int64)
+            result, order = lay_out(
+                query, state.table.schema, rollup.key_arrays, values,
+                halfwidths,
+            )
+            support = support[order]
             self._observe_halfwidths(query, result)
         return self._bounded_answer(
             query,
@@ -1767,58 +1744,6 @@ class AquaSystem:
             version,
             support,
         )
-
-    def _rollup_result(
-        self, query: Query, state: _TableState, rollup: RollupAnswer
-    ) -> Tuple[Table, np.ndarray]:
-        """Lay a :class:`~repro.aqua.reuse.RollupAnswer` out as the
-        query's answer table, with each row's qualifying sample tuples.
-
-        Columns come in select order with base-schema key types, then the
-        ``<alias>_error`` columns in aggregate order; ORDER BY and LIMIT
-        apply exactly as the physical plan applies them.  A query without
-        GROUP BY answers one row even when no sample tuple qualifies, as
-        the plan does: SUM and COUNT 0, AVG and every half-width NaN.
-        """
-        from ..engine.schema import Schema
-
-        aggregates = query.aggregates()
-        values, halfwidths = rollup.values, rollup.halfwidths
-        support = rollup.support
-        if not query.group_by and not len(support):
-            values = {
-                a.alias: np.array([np.nan if a.func == "avg" else 0.0])
-                for a in aggregates
-            }
-            halfwidths = {a.alias: np.array([np.nan]) for a in aggregates}
-            support = np.zeros(1, dtype=np.int64)
-        base_schema = state.table.schema
-        position = {name: i for i, name in enumerate(rollup.group_by)}
-        schema_columns: List[Column] = []
-        columns: Dict[str, object] = {}
-        for item in query.select:
-            if isinstance(item, Aggregate):
-                schema_columns.append(Column(item.alias, ColumnType.FLOAT))
-                columns[item.alias] = values[item.alias]
-            else:
-                name = item.expr.name
-                schema_columns.append(
-                    Column(item.alias, base_schema.column(name).ctype)
-                )
-                columns[item.alias] = rollup.key_arrays[position[name]]
-        for aggregate in aggregates:
-            error_name = f"{aggregate.alias}_error"
-            schema_columns.append(Column(error_name, ColumnType.FLOAT))
-            columns[error_name] = halfwidths[aggregate.alias]
-        result = Table.from_columns(Schema(tuple(schema_columns)), **columns)
-        order = (
-            result.sort_order(query.order_by)
-            if query.order_by
-            else np.arange(result.num_rows)
-        )
-        if query.limit is not None:
-            order = order[: query.limit]
-        return result.take(order), support[order]
 
     def _tag_rollup(
         self, answer: ApproximateAnswer, policy: Optional[GuardPolicy], match
@@ -1895,11 +1820,7 @@ class AquaSystem:
         choice: Optional[PortfolioChoice] = None,
         budgets: Tuple[Optional[float], Optional[float]] = (None, None),
     ) -> ApproximateAnswer:
-        """The staged answer pipeline, one span per stage.
-
-        A GROUP BY column the select list leaves out is first appended to
-        it, under a name no output uses, so every stage keys rows on
-        selected columns; the last step projects it away again.
+        """The staged answer pipeline for a stage query, one span per stage.
 
         ``validate`` is the one gate every answer passes: auto-refresh,
         staleness and the sample's (remembered) structural verdict.  It
@@ -1920,19 +1841,6 @@ class AquaSystem:
         stale-triggered refresh rebuilds the *portfolio* (re-resolving the
         budgets against the fresh members) rather than the primary.
         """
-        added = _group_key_projections(
-            query, policy.provenance_column if policy else PROVENANCE_COLUMN
-        )
-        if added:
-            answer = self._answer_stages(
-                dataclass_replace(query, select=query.select + added),
-                policy, base_name, state, tracer, choice, budgets,
-            )
-            dropped = {projection.alias for projection in added}
-            answer.result = answer.result.project(
-                [n for n in answer.result.schema.names if n not in dropped]
-            )
-            return answer
         check_deadline("validate")
         with tracer.span("validate") as validate_span:
             self._maybe_auto_refresh(base_name)
@@ -2132,8 +2040,8 @@ class AquaSystem:
     def _result_keys(
         self, table: Table, key_columns: Sequence[str]
     ) -> List[GroupKey]:
-        """Each row's group key; ``key_columns`` are the *output* names of
-        the ``GROUP BY`` columns (:meth:`Query.group_by_aliases`)."""
+        """Each row's group key; ``key_columns`` are a stage query's
+        ``GROUP BY`` columns (:meth:`Query.bind`)."""
         if not key_columns:
             return [()] * table.num_rows
         return key_tuples([table.column(name) for name in key_columns])
@@ -2254,7 +2162,7 @@ class AquaSystem:
         metrics = self.telemetry.metrics
         result = answer.result
         group_by = list(query.group_by)
-        keys = self._result_keys(result, query.group_by_aliases())
+        keys = self._result_keys(result, query.group_by)
         if support is None:
             with tracer.span("support"):
                 by_key = group_support(
@@ -2350,7 +2258,7 @@ class AquaSystem:
 
         repair_rows: Dict[GroupKey, Dict[str, object]] = {}
         for i, key in enumerate(
-            self._result_keys(repair, query.group_by_aliases())
+            self._result_keys(repair, query.group_by)
         ):
             repair_rows[key] = {
                 name: repair.column(name)[i] for name in repair.schema.names
@@ -2485,7 +2393,7 @@ class AquaSystem:
                 Column(f"{aggregate.alias}_error", ColumnType.FLOAT),
                 np.zeros(result.num_rows),
             )
-        keys = self._result_keys(result, query.group_by_aliases())
+        keys = self._result_keys(result, query.group_by)
         result = self._attach_provenance(
             result, [PROVENANCE_EXACT] * len(keys), policy
         )
@@ -2521,9 +2429,12 @@ class AquaSystem:
         inserts are flushed first so the approximate and exact answers are
         scored against the same relation; any synopsis staleness at answer
         time is recorded honestly in the report instead of silently skewing
-        the error metrics.
+        the error metrics.  Both answers are scored in stage layout
+        (:meth:`~repro.engine.query.Query.bind`), keyed by ``GROUP BY``
+        name, and reported in the query's own columns.
         """
-        query = parse_query(sql) if isinstance(sql, str) else sql
+        user = parse_query(sql) if isinstance(sql, str) else sql
+        query, present = user.bind()
         base_name = query.base_table_name()
         state = self._state(base_name)
         self._flush_pending(base_name)
@@ -2537,11 +2448,13 @@ class AquaSystem:
         from ..metrics.groupby_error import GroupByError, groupby_error
 
         per_aggregate: Dict[str, GroupByError] = {}
-        key_columns = query.group_by_aliases()
-        for aggregate in query.aggregates():
-            per_aggregate[aggregate.alias] = groupby_error(
-                exact, answer.result, key_columns, aggregate.alias
+        for named, aggregate in zip(user.aggregates(), query.aggregates()):
+            per_aggregate[named.alias] = groupby_error(
+                exact, answer.result, query.group_by, aggregate.alias
             )
+        if present is not None:
+            answer = dataclass_replace(answer, result=present(answer.result))
+            exact = present(exact)
         return ComparisonReport(
             approximate=answer,
             exact=exact,
@@ -2575,8 +2488,10 @@ class AquaSystem:
         tree is re-rendered with actual rows and inclusive per-operator
         timings, and the per-stage span tree of a traced answer is
         appended -- the ``EXPLAIN ANALYZE`` of the approximate pipeline.
+        Everything is shown for the stage query (:meth:`Query.bind`), the
+        one :meth:`answer` runs.
         """
-        query = parse_query(sql) if isinstance(sql, str) else sql
+        query, __ = (parse_query(sql) if isinstance(sql, str) else sql).bind()
         base_name = query.base_table_name()
         version = self._state(base_name).version
         choice = None
@@ -2723,16 +2638,19 @@ class AquaSystem:
         has an executor and the relation is large enough.  This is the
         machinery the guard's exact fallback and per-group repairs use, so
         degraded service keeps up with base tables the synopsis was built
-        to avoid scanning.
+        to avoid scanning.  It runs the stage query (:meth:`Query.bind`)
+        and presents the result in the query's own columns, so it accepts
+        every query :meth:`answer` does.
         """
-        query = parse_query(sql) if isinstance(sql, str) else sql
+        user = parse_query(sql) if isinstance(sql, str) else sql
+        query, present = user.bind()
         self._flush_pending(query.base_table_name())
         try:
             logical = optimize_plan(
                 lower_query(query, self.catalog),
                 cost_model=self._cost_model(),
             )
-            return execute_plan(
+            result = execute_plan(
                 logical,
                 self.catalog,
                 parallel=self._executor,
@@ -2740,6 +2658,7 @@ class AquaSystem:
             )
         except CatalogError as exc:
             raise TableNotRegisteredError(str(exc)) from exc
+        return result if present is None else present(result)
 
     def sql_stream(
         self,
@@ -2800,7 +2719,7 @@ class AquaSystem:
         one from :func:`~repro.estimators.point.estimate`.
         """
         group_by = list(query.group_by)
-        keys = self._result_keys(result, query.group_by_aliases())
+        keys = self._result_keys(result, query.group_by)
         for aggregate in query.aggregates():
             if aggregate.func not in _SCALED_AGGREGATES:
                 continue

@@ -51,7 +51,6 @@ from .stream import (
     StreamChunk,
     chunk_bounds,
     expansion_estimate,
-    expansion_variance,
     stream_group_partials,
     stream_halfwidth,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "execute",
     "execute_on_table",
     "expansion_estimate",
-    "expansion_variance",
     "finalize_group_by",
     "finalize_state",
     "format_date",

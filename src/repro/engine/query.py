@@ -12,14 +12,16 @@ nested FROM subqueries, which is why ``from_item`` may itself be a query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, fields, replace
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .aggregates import Aggregate
 from .expressions import Col, Expression
 from .predicates import Predicate
+from .schema import Column, Schema
+from .table import Table
 
-__all__ = ["Projection", "Query", "QueryError"]
+__all__ = ["Presentation", "Projection", "Query", "QueryError"]
 
 
 class QueryError(ValueError):
@@ -126,11 +128,55 @@ class Query:
     def output_aliases(self) -> List[str]:
         return [item.alias for item in self.select]
 
-    def group_by_aliases(self) -> List[str]:
-        """The output column each ``GROUP BY`` column is selected under
-        (its own name when the select list leaves it out)."""
-        alias_of = self._alias_of()
-        return [alias_of.get(name, name) for name in self.group_by]
+    def bind(self) -> Tuple["Query", Optional["Presentation"]]:
+        """The stage query every stage runs, and how to present its result.
+
+        The stage query is this select list in this order, except that
+        each selected ``GROUP BY`` column is renamed to its base name, each
+        unselected one is appended under its base name, and an aggregate
+        alias equal to a ``GROUP BY`` column name gets a reserved name
+        (HAVING and ORDER BY follow the renames).  So every stage finds
+        a group key by its name in ``group_by``.  A query that needs
+        none of this is its own stage query, returned with no
+        presentation (``None``): its results are already in its columns.
+        """
+        group = set(self.group_by)
+        stage_name: Dict[str, str] = {}
+        select: List[Union[Projection, Aggregate]] = []
+        for item in self.select:
+            name = item.alias
+            if (
+                isinstance(item, Projection)
+                and isinstance(item.expr, Col)
+                and item.expr.name in group
+            ):
+                name = item.expr.name
+                group.discard(name)
+            elif name in self.group_by:
+                taken = {
+                    *self.group_by,
+                    *self.output_aliases(),
+                    *stage_name.values(),
+                }
+                while name in taken:
+                    name += "_"
+            if name != item.alias:
+                stage_name[item.alias] = name
+                item = replace(item, alias=name)
+            select.append(item)
+        added = tuple(
+            Projection(Col(name), name) for name in self.group_by
+            if name in group
+        )
+        if not stage_name and not added:
+            return self, None
+        stage = replace(
+            self,
+            select=tuple(select) + added,
+            having=_renamed(self.having, stage_name),
+            order_by=tuple(stage_name.get(n, n) for n in self.order_by),
+        )
+        return stage, Presentation(self, len(stage.select))
 
     def base_table_name(self) -> str:
         """The name of the innermost base table."""
@@ -151,3 +197,54 @@ class Query:
 
     def with_group_by(self, group_by: Tuple[str, ...]) -> "Query":
         return replace(self, group_by=group_by)
+
+
+class Presentation(NamedTuple):
+    """Lays a stage-layout result (:meth:`Query.bind`) out in ``query``'s
+    columns.
+
+    A stage-layout result holds the stage select list (``width`` items:
+    ``query``'s, then any appended group keys), each aggregate's
+    ``<alias>_error`` companion where it has one, then anything else (a
+    provenance column).  Matching is by position, so a result computed
+    for any spelling of the same select-list shape presents correctly; a
+    result whose names already match is returned as it is.
+    """
+
+    query: Query
+    width: int
+
+    def __call__(self, result: Table) -> Table:
+        names = result.schema.names
+        pairs = list(zip(names, self.query.output_aliases()))
+        pairs += [
+            (f"{name}_error", f"{item.alias}_error")
+            for name, item in zip(names, self.query.select)
+            if isinstance(item, Aggregate) and f"{name}_error" in result.schema
+        ]
+        paired = {source for source, __ in pairs}
+        pairs += [(n, n) for n in names[self.width :] if n not in paired]
+        if pairs == list(zip(names, names)):
+            return result
+        columns = {c.name: c for c in result.schema}
+        schema = Schema(
+            Column(target, columns[source].ctype, columns[source].role)
+            for source, target in pairs
+        )
+        return Table(schema, {t: result.column(s) for s, t in pairs})
+
+
+def _renamed(node, names: Dict[str, str]):
+    """``node`` (a predicate or expression) with each column reference
+    renamed per ``names``."""
+    if isinstance(node, Col):
+        return Col(names.get(node.name, node.name))
+    if not isinstance(node, (Expression, Predicate)):
+        return node
+    return replace(
+        node,
+        **{
+            f.name: _renamed(getattr(node, f.name), names)
+            for f in fields(node)
+        },
+    )

@@ -27,7 +27,10 @@ so with ``m`` of ``N`` rows seen and per-group moments ``s = sum(y')``,
     Var(SUM) = N^2 * (1 - m/N) * s'^2 / m        # with the FPC
 
 COUNT is SUM of the qualifying indicator; AVG is the ratio ``s / n`` with
-the same first-order delta-method variance the batch estimator uses.
+the same first-order delta-method variance the batch estimator uses.  The
+variance is the batch kernel's,
+:func:`repro.estimators.point.expansion_variance`, with the whole relation
+as one stratum (``N`` rows, ``m`` seen).
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "StreamChunk",
     "chunk_bounds",
     "expansion_estimate",
-    "expansion_variance",
     "stream_group_partials",
     "stream_halfwidth",
 ]
@@ -158,31 +160,6 @@ def expansion_estimate(
         return state.total * scale
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(counts > 0, state.total / counts, np.nan)
-
-
-def expansion_variance(
-    totals: np.ndarray,
-    totals_sq: np.ndarray,
-    rows_seen: int,
-    rows_total: int,
-) -> np.ndarray:
-    """Variance of the zero-extended expansion SUM estimate, per group.
-
-    ``totals`` / ``totals_sq`` are ``sum(y')`` / ``sum(y'^2)`` over the
-    qualifying rows of each group among ``rows_seen`` sampled rows of a
-    ``rows_total``-row population (non-qualifying rows contribute zero to
-    both, so the group arrays already ARE the zero-extended moments).
-    Returns NaN until two rows have been seen; zero once the sample is the
-    whole population (the FPC vanishes).
-    """
-    m, n = rows_seen, rows_total
-    totals = np.asarray(totals, dtype=np.float64)
-    totals_sq = np.asarray(totals_sq, dtype=np.float64)
-    if m < 2 or n <= 0:
-        return np.full(totals.shape, np.nan)
-    sample_var = np.maximum(totals_sq - totals * totals / m, 0.0) / (m - 1)
-    fpc = max(1.0 - m / n, 0.0)
-    return (n * n) * fpc * sample_var / m
 
 
 def stream_halfwidth(

@@ -227,6 +227,11 @@ class AccuracyAuditor:
     def offer(self, query: Any, answer: Any, event: Any = None) -> bool:
         """Maybe enqueue one served answer for audit; never blocks.
 
+        ``query`` is the stage query the system ran
+        (:meth:`~repro.engine.query.Query.bind`) and ``answer.result`` its
+        stage-layout table, so every group key is found by its ``GROUP
+        BY`` name in both the answer and the exact recomputation.
+
         Returns True when the answer was sampled and queued.  Degraded
         answers are never audited: their contract is "cheap and honest",
         not "within bounds", so auditing them would poison the

@@ -15,8 +15,9 @@ cached twice.  This module provides pure canonicalization:
   keys on ``(table, version, strategy, fingerprint)`` instead of text.
 * :func:`canonicalize_query` -- query-level canonical form with two
   fingerprints: a *semantic* one that is alias-insensitive and ignores
-  GROUP BY column order (the answer cache reconciles aliases and row
-  order on a hit), and a *structural* one that keeps aliases and group
+  GROUP BY column order where no ORDER BY or LIMIT depends on it (the
+  answer cache reconciles aliases and row order on a hit), and a
+  *structural* one that keeps aliases and group
   order (used where the cached value bakes in the output schema, e.g.
   streaming answers).
 
@@ -24,8 +25,8 @@ Deliberate asymmetry: plan fingerprints stay alias-*sensitive* because
 a compiled plan's Project/GroupBy nodes bake output column names into
 the physical schema; renaming columns inside a cached plan could
 collide with base-table names.  Alias insensitivity therefore lives
-only in the answer-cache fingerprint, where a hit is reconciled by
-renaming result columns (see :mod:`repro.aqua.system`).
+only in the answer-cache fingerprint, where a hit is presented in the
+probe's columns (see :class:`repro.engine.query.Presentation`).
 
 Everything here is deterministic and pure: same input object graph,
 same fingerprint, across processes and platforms.
@@ -207,20 +208,21 @@ class CanonicalQuery:
             expressions.  Select order, aliases, GROUP BY order, and
             ORDER BY are preserved -- they affect output shape.
         fingerprint: alias-insensitive semantic digest.  Two queries that
-            differ only in output aliases, predicate spelling, or GROUP BY
-            column order share it.  Used by the answer cache, which
-            reconciles aliases/row order on a hit.
-        structural: alias-sensitive digest preserving GROUP BY order.
-            Used where the cached value bakes in the output schema
-            (plan cache, streaming cache).
-        aliases: the query's output aliases in select order, recorded so
-            a semantic cache hit can rename result columns.
+            differ only in output aliases, predicate spelling, or -- with
+            neither ORDER BY nor LIMIT -- GROUP BY column order share it.
+            Used by the answer cache, which reconciles aliases/row order
+            on a hit.
     """
 
     query: Query
     fingerprint: str
-    structural: str
-    aliases: Tuple[str, ...]
+
+    @property
+    def structural(self) -> str:
+        """Alias-sensitive digest preserving GROUP BY order, worked out
+        on demand: only the streaming cache, whose cached table bakes in
+        the output schema, keys on it."""
+        return _digest(_fingerprint_text(self.query, True))
 
 
 def _canonical_select(
@@ -238,7 +240,7 @@ def _canonical_select(
 
 
 def canonicalize_query(query: Query) -> CanonicalQuery:
-    """Canonicalize a query and compute both fingerprints."""
+    """Canonicalize a query and compute its semantic fingerprint."""
     where = (
         canonicalize_predicate(query.where)
         if query.where is not None
@@ -264,8 +266,6 @@ def canonicalize_query(query: Query) -> CanonicalQuery:
     return CanonicalQuery(
         query=canonical,
         fingerprint=_digest(_fingerprint_text(canonical, False)),
-        structural=_digest(_fingerprint_text(canonical, True)),
-        aliases=tuple(query.output_aliases()),
     )
 
 
@@ -297,7 +297,15 @@ def _fingerprint_text(query: Query, alias_sensitive: bool) -> str:
         source = "(" + _fingerprint_text(query.from_item, True) + ")"
     else:
         source = query.from_item
-    group = sorted(query.group_by) if not alias_sensitive else query.group_by
+    # Rows are served in GROUP BY order, which a hit re-sorts to the
+    # probe's -- unless ORDER BY (its ties) or LIMIT (which rows) already
+    # depends on it.
+    reorderable = not query.order_by and query.limit is None
+    group = (
+        sorted(query.group_by)
+        if reorderable and not alias_sensitive
+        else query.group_by
+    )
     parts = [
         "from=" + source,
         "select=" + "; ".join(select_parts),

@@ -514,11 +514,7 @@ class CalibrationRunner:
                 executed = strategy.plan(query, synopsis).execute(
                     testbed.catalog
                 )
-                by_group = result_by_group(
-                    executed,
-                    list(query.group_by),
-                    [a.alias for a in query.aggregates()],
-                )
+                by_group = result_by_group(executed, query)
                 self._score_query(
                     testbed, truths, acc, alloc_name, rewrite_name, qc,
                     by_group, estimates, hoeffding,

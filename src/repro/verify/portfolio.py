@@ -237,11 +237,7 @@ def run_portfolio_calibration(
                     1.0 + _PROMISE_RTOL
                 ):
                     slot[2] += 1
-                by_group = result_by_group(
-                    answer.result,
-                    list(qc.query.group_by),
-                    [a.alias for a in qc.query.aggregates()],
-                )
+                by_group = result_by_group(answer.result, qc.query)
                 for alias, truth in truths[qc.name].items():
                     values = by_group.get(alias, {})
                     for key, true_value in truth.items():

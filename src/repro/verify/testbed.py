@@ -11,11 +11,12 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 
 from ..engine.catalog import Catalog
 from ..engine.executor import execute
+from ..engine.query import Query
 from ..engine.table import Table
 from ..sampling.groups import GroupKey, make_key
 from ..synthetic.queries import QueryClass, qg0, qg2, qg3
@@ -75,11 +76,16 @@ class TestbedConfig:
 
 
 def result_by_group(
-    table: Table, group_by: Sequence[str], aliases: Sequence[str]
+    table: Table, query: Query
 ) -> Dict[str, Dict[GroupKey, float]]:
-    """``alias -> group key -> value`` from an executed answer table."""
-    if group_by:
-        key_arrays = [table.column(name) for name in group_by]
+    """``alias -> group key -> value`` from an answer to ``query``.
+
+    Each group key is found under its ``GROUP BY`` name, so ``query``
+    must be a stage query (:meth:`~repro.engine.query.Query.bind`) --
+    the testbed's query classes are their own.
+    """
+    if query.group_by:
+        key_arrays = [table.column(name) for name in query.group_by]
         keys = [
             make_key(tuple(arr[i] for arr in key_arrays))
             for i in range(table.num_rows)
@@ -87,9 +93,9 @@ def result_by_group(
     else:
         keys = [() for __ in range(table.num_rows)]
     out: Dict[str, Dict[GroupKey, float]] = {}
-    for alias in aliases:
-        values = table.column(alias)
-        out[alias] = {
+    for aggregate in query.aggregates():
+        values = table.column(aggregate.alias)
+        out[aggregate.alias] = {
             key: float(values[i]) for i, key in enumerate(keys)
         }
     return out
@@ -141,11 +147,6 @@ class Testbed:
         if cached is not None:
             return cached
         query = query_class.query
-        exact = execute(query, self.catalog)
-        truth = result_by_group(
-            exact,
-            list(query.group_by),
-            [a.alias for a in query.aggregates()],
-        )
+        truth = result_by_group(execute(query, self.catalog), query)
         self._truth[query_class.name] = truth
         return truth

@@ -106,7 +106,8 @@ def _plan_route(system, query):
     result = execute_plan(
         optimize(lower_rewritten(plan, system.catalog)), system.catalog
     )
-    key_columns = query.group_by_aliases()
+    alias_of = {item.expr.name: item.alias for item in query.projections()}
+    key_columns = [alias_of[column] for column in query.group_by]
     keys = (
         key_tuples([result.column(name) for name in key_columns])
         if key_columns

@@ -1,11 +1,12 @@
 """A GROUP BY column left out of the select list is answered, not refused.
 
-``answer()`` appends each unselected GROUP BY column to the select list
-for its stages -- moments or plan, guard, repair, exact fallback, roll-up
-registration -- and projects it away last.  So the answer must be the
-widened query's answer (the same SQL with those columns selected) with the
-added columns dropped, and have ``exact()``'s row count.  The reference is
-a same-seed system answering the widened SQL.
+``Query.bind`` appends each unselected GROUP BY column to the stage query
+every stage runs -- moments or plan, guard, repair, exact fallback,
+roll-up registration -- and the presentation drops it last.  So the
+answer must be the widened query's answer (the same SQL with those
+columns selected) with the added columns dropped, and have ``exact()``'s
+row count.  The reference is a same-seed system answering the widened
+SQL.
 """
 
 import numpy as np
@@ -142,9 +143,9 @@ def test_a_coarser_unselected_query_rolls_up_from_a_finer_one():
 
 
 def test_group_order_is_part_of_the_cache_key():
-    # Without the group columns in the result, rows of GROUP BY g, h
-    # cannot be re-sorted into GROUP BY h, g order: no answer-cache entry
-    # is shared, and the roll-up tier finalizes in the probe's own order.
+    # The appended key columns follow GROUP BY order, so the two stage
+    # queries' select lists differ: no answer-cache entry is shared, and
+    # the roll-up tier finalizes in the probe's own order.
     system = _system()
     system.answer("SELECT SUM(v) AS a FROM t GROUP BY g, h")
     swapped = "SELECT SUM(v) AS a FROM t GROUP BY h, g"

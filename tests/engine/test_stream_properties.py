@@ -33,7 +33,7 @@ from repro.engine import (
     stream_group_partials,
     stream_halfwidth,
 )
-from repro.engine.stream import expansion_variance
+from repro.estimators.point import expansion_variance
 
 # -- strategies ---------------------------------------------------------------
 
@@ -157,8 +157,10 @@ class TestHalfwidthMonotonicity:
         widths = {"normal": [], "chebyshev": []}
         for m in range(2, n + 1, max(1, n // 23)):
             variance = n * n * (1.0 - m / n) * spread / (m - 1)
+            # The stream's use of the kernel: one stratum of N = n rows,
+            # m of them seen.
             computed = expansion_variance(
-                np.array([m * mean]), np.array([m * q]), m, n
+                n, m, np.array([m * mean]), np.array([m * q])
             )[0]
             # ss - s^2/m cancels to ~spread*m out of terms of size
             # ~m*mean^2; the surviving rounding noise scales with the

@@ -235,6 +235,48 @@ class TestVerdicts:
         assert auditor.stats.audited == 1
 
 
+class TestGroupKeySpellings:
+    """The auditor judges the stage query's answer, so a group key is found
+    by its GROUP BY name however the select list spells it."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            SQL,
+            "SELECT g AS gg, SUM(v) AS s FROM t GROUP BY g",
+            "SELECT SUM(v) AS s FROM t GROUP BY g",
+            "SELECT SUM(v) AS g FROM t GROUP BY g",
+        ],
+        ids=["selected", "aliased", "unselected", "alias-is-key"],
+    )
+    def test_every_group_is_audited(self, sql):
+        system = _system()
+        auditor = _auditor(system, fraction=1.0)
+        system.answer(sql)
+        (finding,) = auditor.drain()
+        assert finding.groups_checked == 4  # g takes four values
+        assert finding.violations == 0
+        assert auditor.stats.skipped == {}
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT g, SUM(v) AS total FROM t GROUP BY g",
+            "SELECT g AS gg, SUM(v) AS total FROM t GROUP BY g",
+        ],
+        ids=["renamed-aggregate", "aliased-key"],
+    )
+    def test_canonical_hits_are_audited(self, sql):
+        system = _system()
+        auditor = _auditor(system, fraction=1.0)
+        system.answer(SQL)
+        assert system.answer(sql).cache_tier == "canonical"
+        findings = auditor.drain()
+        assert [f.groups_checked for f in findings] == [4, 4]
+        assert all(f.violations == 0 for f in findings)
+        assert auditor.stats.skipped == {}
+
+
 class TestBackgroundWorker:
     def test_background_worker_drains_the_queue(self):
         system = _system()
