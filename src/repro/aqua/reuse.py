@@ -3,9 +3,12 @@
 A SUM/COUNT/AVG query whose GROUP BY lies within the stratification
 columns (``AquaSystem._servable``) is answered from a
 :class:`ReuseSnapshot` -- the sample's per-stratum expansion moments,
-masked by the query's WHERE -- and :meth:`ReuseSnapshot.finalize` is the
-only arithmetic that turns them into estimates and Chebyshev half-widths.
-A direct answer is that finalization at the query's own grouping.
+masked by the query's WHERE -- and :meth:`ReuseSnapshot.finalize` rolls
+them up to the query's grouping.  :func:`finalize_moments` is the only
+arithmetic that turns expansion moments into estimates and Chebyshev
+half-widths; ``sql_stream`` calls it too, with the relation as one
+stratum.  A direct answer is that finalization at the query's own
+grouping.
 
 The paper's Section 6 builds the congressional datacube by *merging* the
 strata of a fine grouping into every coarser roll-up.  The roll-up tier
@@ -70,14 +73,20 @@ from ..sampling.stratified import SampleFrame, StratifiedSample
 from .cache import LRUCache
 
 __all__ = [
+    "ESTIMABLE_AGGREGATES",
     "ONES_KEY",
     "ReuseSnapshot",
     "RollupAnswer",
     "RollupIndex",
     "RollupIndexStats",
+    "finalize_moments",
     "lay_out",
     "moment_keys",
 ]
+
+#: Aggregates the expansion moments estimate; each answer carries an
+#: ``<alias>_error`` half-width for them.
+ESTIMABLE_AGGREGATES = ("sum", "count", "avg")
 
 # Moment-table key for the implicit all-ones column: COUNT is the scaled
 # sum of ones, and AVG's denominator is the same state.  ``Lit(1)``
@@ -93,6 +102,45 @@ def moment_keys(aggregate: Aggregate) -> Tuple[str, ...]:
     if aggregate.func == "avg":
         return (key, ONES_KEY)
     return (key,)
+
+
+def finalize_moments(
+    aggregates: Sequence[Aggregate],
+    totals: Dict[str, np.ndarray],
+    variances: Dict[str, np.ndarray],
+    confidence: float,
+) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """Estimates and Chebyshev half-widths from per-group expansion moments.
+
+    ``totals`` and ``variances`` map each :func:`moment_keys` key to the
+    per-group expansion estimate of that input's sum and its variance.
+    SUM and COUNT are their key's total; AVG is the ratio of its input's
+    total to the ``ONES_KEY`` total, with the first-order delta-method
+    variance.  A half-width is ``sqrt(variance) / sqrt(1 - confidence)``,
+    NaN where the variance is NaN or negative.  Returns ``(values,
+    halfwidths)`` keyed by aggregate alias.
+    """
+    values: Dict[str, np.ndarray] = {}
+    halfwidths: Dict[str, np.ndarray] = {}
+    scale = float(np.sqrt(1.0 - confidence))
+    for aggregate in aggregates:
+        key = moment_keys(aggregate)[0]
+        value, variance = totals[key], variances[key]
+        if aggregate.func == "avg":  # ratio estimator
+            den, den_var = totals[ONES_KEY], variances[ONES_KEY]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                value = np.where(den != 0, value / den, np.nan)
+                variance = np.where(
+                    den != 0,
+                    (variance + value * value * den_var) / (den * den),
+                    np.nan,
+                )
+        with np.errstate(invalid="ignore"):
+            halfwidths[aggregate.alias] = np.where(
+                variance >= 0, np.sqrt(variance) / scale, np.nan
+            )
+        values[aggregate.alias] = value
+    return values, halfwidths
 
 
 @dataclass(frozen=True)
@@ -283,7 +331,7 @@ class ReuseSnapshot:
         if not set(group_by) <= set(self.grouping_columns):
             return False
         for aggregate in aggregates:
-            if aggregate.func not in ("sum", "count", "avg"):
+            if aggregate.func not in ESTIMABLE_AGGREGATES:
                 return False
             if any(k not in self.moments for k in moment_keys(aggregate)):
                 return False
@@ -324,7 +372,8 @@ class ReuseSnapshot:
         support = np.zeros(num_groups, dtype=np.int64)
         np.add.at(support, targets, self.support[idx])
 
-        finalized: Dict[str, np.ndarray] = {}
+        keep = support > 0
+        totals: Dict[str, np.ndarray] = {}
         variances: Dict[str, np.ndarray] = {}
         for key in set(
             k for aggregate in aggregates for k in moment_keys(aggregate)
@@ -334,42 +383,15 @@ class ReuseSnapshot:
                 "sum", entry.state.count[idx], entry.state.total[idx]
             )
             coarse = rollup_state(sliced, targets, num_groups)
-            finalized[key] = finalize_state(coarse)
+            totals[key] = finalize_state(coarse)[keep]
             variances[key] = np.bincount(
                 targets,
                 weights=entry.var_contrib[idx],
                 minlength=num_groups,
-            )
-
-        keep = support > 0
-        values: Dict[str, np.ndarray] = {}
-        halfwidths: Dict[str, np.ndarray] = {}
-        scale = float(np.sqrt(1.0 - self.confidence))
-        for aggregate in aggregates:
-            if aggregate.func == "count":
-                value = finalized[ONES_KEY]
-                variance = variances[ONES_KEY]
-            elif aggregate.func == "sum":
-                key = moment_keys(aggregate)[0]
-                value = finalized[key]
-                variance = variances[key]
-            else:  # avg: ratio estimator with delta-method variance
-                key = moment_keys(aggregate)[0]
-                num, num_var = finalized[key], variances[key]
-                den, den_var = finalized[ONES_KEY], variances[ONES_KEY]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    value = np.where(den != 0, num / den, np.nan)
-                    variance = np.where(
-                        den != 0,
-                        (num_var + value * value * den_var) / (den * den),
-                        np.nan,
-                    )
-            with np.errstate(invalid="ignore"):
-                half = np.where(
-                    variance >= 0, np.sqrt(variance) / scale, np.nan
-                )
-            values[aggregate.alias] = value[keep]
-            halfwidths[aggregate.alias] = half[keep]
+            )[keep]
+        values, halfwidths = finalize_moments(
+            aggregates, totals, variances, self.confidence
+        )
 
         kept = present[keep]
         return RollupAnswer(

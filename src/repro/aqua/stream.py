@@ -1,24 +1,38 @@
 """Progressive streaming answers: online aggregation over chunked scans.
 
 :func:`stream_answers` is the driver behind
-:meth:`~repro.aqua.system.AquaSystem.sql_stream`.  It lowers the query
-through the same plan IR as the batch paths (so predicate pushdown and
-projection pruning apply to streamed scans too), permutes the base
-relation once, and folds fixed-size chunks of the permutation through
-:func:`~repro.engine.stream.stream_group_partials`, yielding one
-:class:`StreamingAnswer` per chunk with per-group estimates and shrinking
-confidence-interval half-widths.
+:meth:`~repro.aqua.system.AquaSystem.sql_stream`.  It permutes the base
+relation once, cuts the permutation into fixed-size chunks, restricts
+each chunk to the columns the query reads and filters it by the WHERE
+predicate, and folds its :func:`~repro.engine.groupby.partial_group_by`
+into a running :class:`~repro.engine.groupby.GroupByPartial` with
+:func:`~repro.engine.groupby.merge_group_partials`.  Because the row
+order is a uniform random permutation, the first ``m`` rows are a simple
+random sample without replacement: the batch expansion estimator applies
+with the whole relation as one stratum (``N`` rows, ``m`` seen).
+
+Every SUM/COUNT/AVG input is folded once per moment key
+(:func:`~repro.aqua.reuse.moment_keys`) as a ``var`` state, so each
+group carries ``(n, sum(y'), sum(y'^2))`` of the zero-extended values.
+An emission scales the sums by ``N / m``, takes each key's variance from
+:func:`~repro.estimators.point.expansion_variance`, and finalizes through
+:func:`~repro.aqua.reuse.finalize_moments` -- the arithmetic the moments
+route and the roll-up tier use.  Under the Hoeffding family, SUM and
+COUNT half-widths come from the groups' zero-extended value ranges
+instead.  MIN/MAX/VAR fold as themselves and carry no error column.
 
 The emission contract (see ``docs/STREAMING.md``):
 
 * every intermediate answer has ``provenance="stream"`` and half-widths
   from the system's bound family at its confidence level;
-* the terminal answer of a run-to-completion stream is computed through
-  the *batch* plan executor over the full relation -- the "exact landing"
-  -- so it is bit-identical to :meth:`AquaSystem.exact` (chunk-merged
-  float sums differ from whole-table sums in ULPs; re-running the batch
-  plan once the prefix is the whole table removes that gap honestly) and
-  carries ``provenance="exact"``, ``final=True``, zero half-widths;
+* the terminal answer of a run-to-completion stream is
+  :meth:`AquaSystem.exact`'s answer -- the "exact landing" -- with
+  ``provenance="exact"``, ``final=True`` and zero half-widths (chunk-
+  merged float sums differ from whole-table sums in ULPs; running
+  ``exact()`` once the prefix is the whole table removes that gap);
+* ``support`` counts the qualifying rows seen per group, so it is non-
+  decreasing across emissions and, on the landing, counts the whole
+  relation;
 * a deadline expiring mid-stream re-emits the last complete answer with
   ``provenance="partial"`` instead of raising mid-merge;
 * when ``until_rel_error`` is met the stream stops early with
@@ -38,28 +52,34 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..engine.aggregates import Aggregate, finalize_state, grouped_reduce
+from ..engine.aggregates import Aggregate, finalize_state
 from ..engine.expressions import Lit
-from ..engine.groupby import GroupByPartial, group_ids_for, key_tuples
-from ..engine.query import Query
-from ..engine.schema import Column, ColumnType, Schema
-from ..engine.sql import parse_query
-from ..engine.stream import (
-    BOUNDED_AGGREGATES,
-    StreamChunk,
-    chunk_bounds,
-    expansion_estimate,
-    stream_group_partials,
-    stream_halfwidth,
+from ..engine.groupby import (
+    GroupByPartial,
+    group_ids_for,
+    merge_group_partials,
+    partial_group_by,
 )
+from ..engine.query import Query
+from ..engine.schema import Schema
+from ..engine.sql import parse_query
 from ..engine.table import Table
 from ..errors import DeadlineExceeded, StreamError
-from ..estimators.errors import relative_halfwidth
+from ..estimators.errors import (
+    hoeffding_halfwidth_sum,
+    relative_halfwidth,
+    zero_extended_ranges,
+)
 from ..estimators.point import expansion_variance
-from ..plan import canonicalize_query, execute_plan, lower_query
-from ..plan.logical import Filter, GroupBy, Scan, walk
+from ..plan import canonicalize_query
 from ..serve.deadline import Deadline, current_deadline, deadline_scope
-from .reuse import lay_out
+from .reuse import (
+    ESTIMABLE_AGGREGATES,
+    ONES_KEY,
+    finalize_moments,
+    lay_out,
+    moment_keys,
+)
 
 __all__ = [
     "PROVENANCE_STREAM",
@@ -124,25 +144,6 @@ class StreamingAnswer:
         return self.rows_seen / self.rows_total if self.rows_total else 1.0
 
 
-@dataclass
-class _StreamPlan:
-    """The streamable skeleton extracted from an optimized logical plan."""
-
-    scan: Scan
-    filters: Tuple[Filter, ...]  # residual filters between scan and group-by
-    group_by: GroupBy
-
-    def apply_scan(self, chunk: Table) -> Table:
-        """Run the optimized scan stage (pruning + pushdown) on one chunk."""
-        if self.scan.columns is not None:
-            chunk = chunk.project(list(self.scan.columns))
-        if self.scan.predicate is not None:
-            chunk = chunk.filter(self.scan.predicate.evaluate(chunk))
-        for node in self.filters:
-            chunk = chunk.filter(node.predicate.evaluate(chunk))
-        return chunk
-
-
 def _validate_query(query: Query) -> None:
     if isinstance(query.from_item, Query):
         raise StreamError(
@@ -155,67 +156,126 @@ def _validate_query(query: Query) -> None:
         )
 
 
-def _extract_stream_plan(plan, base_name: str) -> _StreamPlan:
-    """Find the Scan -> [Filter...] -> GroupBy spine of the optimized plan.
+def chunk_bounds(num_rows: int, chunk_rows: int) -> List[Tuple[int, int]]:
+    """Half-open ``[start, stop)`` offsets cutting ``num_rows`` into chunks.
 
-    Everything above the GroupBy (select shaping, HAVING, ORDER BY, LIMIT)
-    is re-applied per emission from the query itself, because the streamed
-    estimates table carries error columns the plan does not know about.
+    The last chunk absorbs the remainder, so every row lands in exactly one
+    chunk and no chunk is empty (except for an empty table, which yields a
+    single empty chunk so the stream still emits a final answer).
     """
-    group_nodes = [n for __, n in walk(plan) if isinstance(n, GroupBy)]
-    if len(group_nodes) != 1:
-        raise StreamError(
-            f"query lowers to {len(group_nodes)} GroupBy operators; "
-            "sql_stream streams exactly one"
-        )
-    group = group_nodes[0]
-    filters: List[Filter] = []
-    node = group.child
-    while isinstance(node, Filter):
-        filters.append(node)
-        node = node.child
-    if not isinstance(node, Scan) or node.table != base_name:
-        raise StreamError(
-            "sql_stream requires the aggregation input to be a plain scan "
-            f"of {base_name!r}; got a {type(node).__name__} node"
-        )
-    # Residual filters apply bottom-up (closest to the scan first).
-    return _StreamPlan(node, tuple(reversed(filters)), group)
+    if num_rows <= 0:
+        return [(0, 0)]
+    return [
+        (start, min(start + chunk_rows, num_rows))
+        for start in range(0, num_rows, chunk_rows)
+    ]
 
 
-def _moment_aggregates(query: Query) -> List[Aggregate]:
-    """The internal aggregates streamed per chunk.
+def _read_columns(query: Query, schema: Schema) -> List[str]:
+    """The base columns the query reads, in table order (at least one, so
+    a chunk keeps its row count)."""
+    needed = set(query.group_by)
+    for aggregate in query.aggregates():
+        needed.update(aggregate.expr.referenced_columns())
+    if query.where is not None:
+        needed.update(query.where.referenced_columns())
+    return [name for name in schema.names if name in needed] or list(
+        schema.names[:1]
+    )
 
-    Bounded aggregates become ``var`` states over the same input so every
-    group carries the (n, sum, sum_sq) moment triple; MIN/MAX/VAR stream
-    as themselves.  COUNT streams the qualifying-row indicator.
+
+def _folded_aggregates(query: Query) -> Tuple[List[Aggregate], Dict[str, str]]:
+    """The aggregates each chunk folds, and each moment key's state alias.
+
+    A SUM/COUNT/AVG input is folded once per moment key as a ``var``
+    state (SUM(v) and AVG(v) share ``v``; COUNT and AVG share the ones
+    column), so every group carries its ``(n, sum, sum_sq)`` triple.  The
+    ones column is always folded: its count is the group's support.
+    MIN/MAX/VAR fold as themselves under their own aliases.
     """
-    internal = []
-    for agg in query.aggregates():
-        if agg.func in BOUNDED_AGGREGATES:
-            expr = Lit(1) if agg.func == "count" else agg.expr
-            internal.append(Aggregate("var", expr, agg.alias))
+    inputs = {ONES_KEY: Lit(1)}
+    folded: List[Aggregate] = []
+    for aggregate in query.aggregates():
+        if aggregate.func in ESTIMABLE_AGGREGATES:
+            inputs.setdefault(moment_keys(aggregate)[0], aggregate.expr)
         else:
-            internal.append(Aggregate(agg.func, agg.expr, agg.alias))
-    return internal
+            folded.append(aggregate)
+    # No SQL identifier starts with "#", so a moment state never shadows
+    # a MIN/MAX/VAR alias.
+    aliases = {key: f"#{key}" for key in inputs}
+    folded += [
+        Aggregate("var", expr, aliases[key]) for key, expr in inputs.items()
+    ]
+    return folded, aliases
+
+
+def _chunk_estimates(
+    system,
+    query: Query,
+    partial: GroupByPartial,
+    aliases: Dict[str, str],
+    ranges: Dict[str, Dict[Tuple, float]],
+    rows_seen: int,
+    rows_total: int,
+) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """Per-group estimates and half-widths for one cumulative prefix.
+
+    The relation is one stratum: all ``rows_total`` rows its population,
+    the ``rows_seen`` its sample; there is no variance estimate until two
+    rows are seen.
+    """
+    m, n = rows_seen, rows_total
+    totals: Dict[str, np.ndarray] = {}
+    variances: Dict[str, np.ndarray] = {}
+    for key, alias in aliases.items():
+        state = partial.states[alias]
+        totals[key] = (n / m) * state.total
+        variances[key] = (
+            expansion_variance(n, m, state.total, state.total_sq)
+            if m >= 2
+            else np.full(len(state.total), np.nan)
+        )
+    aggregates = query.aggregates()
+    estimates, halfwidths = finalize_moments(
+        [a for a in aggregates if a.func in ESTIMABLE_AGGREGATES],
+        totals,
+        variances,
+        system._confidence,
+    )
+    for aggregate in aggregates:
+        if aggregate.func not in ESTIMABLE_AGGREGATES:
+            estimates[aggregate.alias] = finalize_state(
+                partial.states[aggregate.alias]
+            )
+        elif aggregate.alias in ranges:  # Hoeffding: SUM and COUNT
+            group_ranges = ranges[aggregate.alias]
+            halfwidths[aggregate.alias] = np.array(
+                [
+                    hoeffding_halfwidth_sum(
+                        group_ranges[key], m, n, system._confidence
+                    )
+                    for key in partial.group_keys
+                ]
+            )
+    return estimates, halfwidths
 
 
 def _hoeffding_ranges(
-    base: Table, query: Query, aggregate: Aggregate
-) -> Dict[Tuple, float]:
-    """Zero-extended per-answer-group value ranges from the base relation.
-
-    Mirrors the batch path's precomputed range hints: the WHERE predicate
-    zero-extends non-qualifying rows, so ranges include zero.
-    """
-    if aggregate.func == "count":
-        values = np.ones(base.num_rows)
-    else:
-        values = np.asarray(aggregate.expr.evaluate(base), dtype=np.float64)
+    system, base, query: Query
+) -> Dict[str, Dict[Tuple, float]]:
+    """Zero-extended per-answer-group value ranges of each SUM/COUNT
+    input over the base relation (empty unless the system bounds with
+    Hoeffding; AVG always takes the Chebyshev bound)."""
+    if system._bound_method != "hoeffding":
+        return {}
     ids, keys, num = group_ids_for(base, list(query.group_by))
-    lows = np.minimum(grouped_reduce("min", values, ids, num), 0.0)
-    highs = np.maximum(grouped_reduce("max", values, ids, num), 0.0)
-    return {key: float(highs[i] - lows[i]) for i, key in enumerate(keys)}
+    return {
+        aggregate.alias: dict(
+            zip(keys, zero_extended_ranges(base, aggregate, ids, num))
+        )
+        for aggregate in query.aggregates()
+        if aggregate.func in ("sum", "count")
+    }
 
 
 def _relative_halfwidths(
@@ -227,95 +287,6 @@ def _relative_halfwidths(
         for alias, widths in halfwidths.items()
         for halfwidth, value in zip(widths, estimates[alias])
     ]
-
-
-def _stream_bound_method(system) -> str:
-    """Map the system's bound family onto the streaming estimator's."""
-    return "hoeffding" if system._bound_method == "hoeffding" else "chebyshev"
-
-
-def _chunk_estimates(
-    system,
-    query: Query,
-    chunk: StreamChunk,
-    ranges: Dict[str, Dict[Tuple, float]],
-) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    """Per-group estimates and half-widths for one cumulative chunk."""
-    method = _stream_bound_method(system)
-    confidence = system._confidence
-    m, n = chunk.rows_seen, chunk.rows_total
-    partial = chunk.partial
-
-    def variance_of(totals: np.ndarray, totals_sq: np.ndarray) -> np.ndarray:
-        # The relation as one stratum: all n rows its population, the m
-        # seen its sample; no variance estimate until two rows are seen.
-        if m < 2:
-            return np.full(len(totals), np.nan)
-        return expansion_variance(n, m, totals, totals_sq)
-
-    estimates: Dict[str, np.ndarray] = {}
-    halfwidths: Dict[str, np.ndarray] = {}
-    for agg in query.aggregates():
-        state = partial.states[agg.alias]
-        if agg.func not in BOUNDED_AGGREGATES:
-            estimates[agg.alias] = finalize_state(state)
-            continue
-        estimates[agg.alias] = expansion_estimate(agg.func, state, m, n)
-        if method == "hoeffding" and agg.func != "avg":
-            group_ranges = ranges[agg.alias]
-            halfwidths[agg.alias] = np.array(
-                [
-                    stream_halfwidth(
-                        "hoeffding",
-                        0.0,
-                        confidence=confidence,
-                        value_range=group_ranges.get(key, 0.0),
-                        rows_seen=m,
-                        rows_total=n,
-                    )
-                    for key in partial.group_keys
-                ]
-            )
-            continue
-        if agg.func == "avg":
-            # Ratio estimator: delta-method variance from the scaled
-            # numerator (sum) and denominator (count) expansions, matching
-            # the batch estimator's conservative simplification.
-            num_var = variance_of(state.total, state.total_sq)
-            den_var = variance_of(state.count, state.count)
-            den = state.count * (n / m) if m else np.zeros_like(state.count)
-            value = estimates[agg.alias]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                variance = np.where(
-                    den > 0,
-                    (num_var + value * value * den_var) / (den * den),
-                    np.nan,
-                )
-        elif agg.func == "count":
-            variance = variance_of(state.count, state.count)
-        else:
-            variance = variance_of(state.total, state.total_sq)
-        halfwidths[agg.alias] = np.array(
-            [
-                stream_halfwidth(
-                    "chebyshev", math.sqrt(v), confidence=confidence
-                )
-                if v >= 0
-                else float("nan")
-                for v in variance
-            ]
-        )
-    return estimates, halfwidths
-
-
-def _support(partial: GroupByPartial) -> Dict[Tuple, int]:
-    """Qualifying rows seen per group key (any state's count array)."""
-    if not partial.states:
-        return {}
-    counts = next(iter(partial.states.values())).count
-    return {
-        key: int(counts[i]) for i, key in enumerate(partial.group_keys)
-    }
 
 
 def _stream_metrics(system, table: str):
@@ -410,48 +381,21 @@ def stream_answers(
             )
             return
 
-    # The same plan exact() builds, cached under a stream-specific
-    # strategy tag so rewritten synopsis plans never collide with it.
-    logical, __ = system._optimized_plan(
-        lower_query(query, system.catalog), base_name, version, "stream"
-    )
-    stream_plan = _extract_stream_plan(logical, base_name)
     tracer = system.telemetry.tracer
     metrics = _stream_metrics(system, base_name)
     if metrics is not None:
         metrics["queries"].inc(table=base_name)
 
-    ranges: Dict[str, Dict[Tuple, float]] = {}
-    if _stream_bound_method(system) == "hoeffding":
-        ranges = {
-            agg.alias: _hoeffding_ranges(base, query, agg)
-            for agg in query.aggregates()
-            if agg.func in ("sum", "count")
-        }
-
-    internal = _moment_aggregates(query)
+    ranges = _hoeffding_ranges(system, base, query)
+    columns = _read_columns(query, base.schema)
+    folded, aliases = _folded_aggregates(query)
     rng = rng if rng is not None else system._rng
-    chunks_total = len(chunk_bounds(base.num_rows, chunk_rows))
-    last: Optional[StreamingAnswer] = None
-    emitted_first = False
-
-    def _scan_and_partial(chunk_table: Table):
-        scanned = stream_plan.apply_scan(chunk_table)
-        from ..engine.groupby import partial_group_by
-
-        return partial_group_by(scanned, list(query.group_by), internal)
-
-    # Reimplement the chunk loop here (rather than reusing
-    # stream_group_partials verbatim) so the optimized scan stage runs on
-    # the raw chunk before grouping, while rows_seen stays the pre-filter
-    # prefix length the expansion estimator needs.
     perm = rng.permutation(base.num_rows)
     bounds = chunk_bounds(base.num_rows, chunk_rows)
-    from ..engine.groupby import merge_group_partials
-
-    cumulative = None
+    cumulative: Optional[GroupByPartial] = None
+    last: Optional[StreamingAnswer] = None
+    emitted_first = False
     for index, (start, stop) in enumerate(bounds):
-        is_last = index == len(bounds) - 1
         try:
             if resolved is not None:
                 resolved.check("stream_chunk")
@@ -462,29 +406,38 @@ def stream_answers(
                     chunk=index,
                     rows=stop - start,
                 ):
-                    if is_last:
+                    chunk = base.take(perm[start:stop]).project(columns)
+                    if query.where is not None:
+                        chunk = chunk.filter(query.where.evaluate(chunk))
+                    partial = partial_group_by(
+                        chunk, list(query.group_by), folded
+                    )
+                    cumulative = (
+                        partial
+                        if cumulative is None
+                        else merge_group_partials([cumulative, partial])
+                    )
+                    support = cumulative.states[aliases[ONES_KEY]].count
+                    common = dict(
+                        chunk_index=index,
+                        chunks_total=len(bounds),
+                        rows_seen=stop,
+                        rows_total=base.num_rows,
+                        support={
+                            key: int(n)
+                            for key, n in zip(cumulative.group_keys, support)
+                        },
+                        confidence=system._confidence,
+                        bound_method=system._bound_method,
+                    )
+                    if index == len(bounds) - 1:
                         answer = _exact_landing(
-                            system, query, logical, base_name,
-                            chunks_total, base.num_rows, started,
-                            until_rel_error,
+                            system, query, until_rel_error, started, common
                         )
                     else:
-                        partial = _scan_and_partial(base.take(perm[start:stop]))
-                        cumulative = (
-                            partial
-                            if cumulative is None
-                            else merge_group_partials([cumulative, partial])
-                        )
-                        chunk = StreamChunk(
-                            index=index,
-                            chunks_total=chunks_total,
-                            rows_seen=stop,
-                            rows_total=base.num_rows,
-                            partial=cumulative,
-                        )
                         answer = _stream_emission(
-                            system, query, base.schema, chunk, ranges,
-                            until_rel_error, started,
+                            system, query, base.schema, cumulative, aliases,
+                            ranges, until_rel_error, started, common,
                         )
         except DeadlineExceeded:
             if last is None:
@@ -527,13 +480,18 @@ def _stream_emission(
     system,
     query: Query,
     base_schema: Schema,
-    chunk: StreamChunk,
+    partial: GroupByPartial,
+    aliases: Dict[str, str],
     ranges: Dict[str, Dict[Tuple, float]],
     until_rel_error: Optional[float],
     started: float,
+    common: Dict,
 ) -> StreamingAnswer:
-    estimates, halfwidths = _chunk_estimates(system, query, chunk, ranges)
-    keys = chunk.partial.group_keys
+    estimates, halfwidths = _chunk_estimates(
+        system, query, partial, aliases, ranges,
+        common["rows_seen"], common["rows_total"],
+    )
+    keys = partial.group_keys
     result, __ = lay_out(
         query,
         base_schema,
@@ -543,82 +501,43 @@ def _stream_emission(
     )
     relative = _relative_halfwidths(estimates, halfwidths)
     # An unknown bound (no variance estimate yet, a zero estimate with a
-    # nonzero bound) is not a tight one.
+    # nonzero bound, no group seen yet) is not a tight one.
     converged = (
         until_rel_error is not None
-        and bool(halfwidths)
+        and bool(relative)
         and all(math.isfinite(r) and r <= until_rel_error for r in relative)
     )
     return StreamingAnswer(
         result=result,
-        chunk_index=chunk.index,
-        chunks_total=chunk.chunks_total,
-        rows_seen=chunk.rows_seen,
-        rows_total=chunk.rows_total,
-        support=_support(chunk.partial),
         provenance=PROVENANCE_STREAM,
         final=False,
         converged=converged,
         max_rel_halfwidth=max(
             (r for r in relative if math.isfinite(r)), default=float("nan")
         ),
-        confidence=system._confidence,
-        bound_method=_stream_bound_method(system),
         elapsed_seconds=time.perf_counter() - started,
+        **common,
     )
 
 
 def _exact_landing(
     system,
     query: Query,
-    logical,
-    base_name: str,
-    chunks_total: int,
-    rows_total: int,
-    started: float,
     until_rel_error: Optional[float],
+    started: float,
+    common: Dict,
 ) -> StreamingAnswer:
-    """The terminal emission: run the batch plan over the full relation.
-
-    Bit-identical to :meth:`AquaSystem.exact` by construction -- same
-    optimized logical plan, same executor -- with zero half-widths
-    appended per bounded aggregate.
-    """
-    result = execute_plan(
-        logical,
-        system.catalog,
-        parallel=system._executor,
-        tracer=system.telemetry.tracer,
-    )
-    support: Dict[Tuple, int] = {}
-    counts = [a.alias for a in query.aggregates() if a.func == "count"]
-    if counts:
-        keys = (
-            key_tuples([result.column(k) for k in query.group_by])
-            if query.group_by
-            else [()] * result.num_rows
-        )
-        support = dict(zip(keys, map(int, result.column(counts[0]))))
-    for agg in query.aggregates():
-        if agg.func in BOUNDED_AGGREGATES:
-            result = result.with_column(
-                Column(f"{agg.alias}_error", ColumnType.FLOAT),
-                np.zeros(result.num_rows),
-            )
+    """The terminal emission: :meth:`AquaSystem.exact` over the relation,
+    as the guard's exact fallback runs it (zero half-widths), so it is
+    bit-identical to ``exact()``."""
     return StreamingAnswer(
-        result=result,
-        chunk_index=chunks_total - 1,
-        chunks_total=chunks_total,
-        rows_seen=rows_total,
-        rows_total=rows_total,
-        support=support,
+        result=system._exact_with_zero_errors(query),
         provenance=PROVENANCE_FINAL,
         final=True,
         converged=until_rel_error is not None,
         max_rel_halfwidth=0.0,
-        confidence=system._confidence,
-        bound_method=_stream_bound_method(system),
         elapsed_seconds=time.perf_counter() - started,
+        **common,
     )
 
 

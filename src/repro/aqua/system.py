@@ -103,7 +103,12 @@ from .portfolio import (
     SynopsisSpec,
     default_portfolio_specs,
 )
-from .reuse import ReuseSnapshot, RollupIndex, lay_out
+from .reuse import (
+    ESTIMABLE_AGGREGATES,
+    ReuseSnapshot,
+    RollupIndex,
+    lay_out,
+)
 from .synopsis import Synopsis
 from .workload_log import QueryLog
 
@@ -126,8 +131,6 @@ __all__ = [
     "SynopsisSpec",
     "Telemetry",
 ]
-
-_SCALED_AGGREGATES = ("sum", "count", "avg")
 
 
 def promised_rel_error_by_alias(result: Table) -> Dict[str, float]:
@@ -1434,10 +1437,9 @@ class AquaSystem:
         never replayed against rebuilt samples; a plan is kept only while
         its version is current.  ``relation`` is the sample relation the rewrite
         reads (portfolio members of one table plan the same query
-        differently); ``strategy`` is the rewrite strategy's name, or
-        ``"stream"`` for base-table scans.  Optimization is cost-gated
-        against catalog cardinalities (see :meth:`_cost_model`).  Returns
-        ``(logical_plan, was_cached)``.
+        differently); ``strategy`` is the rewrite strategy's name.
+        Optimization is cost-gated against catalog cardinalities (see
+        :meth:`_cost_model`).  Returns ``(logical_plan, was_cached)``.
         """
         lowered, fingerprint = canonicalize(lowered)
         key = (base_name, version, strategy, relation, fingerprint)
@@ -1681,7 +1683,7 @@ class AquaSystem:
             return False
         aggregates = query.aggregates()
         if not aggregates or any(
-            aggregate.func not in _SCALED_AGGREGATES
+            aggregate.func not in ESTIMABLE_AGGREGATES
             for aggregate in aggregates
         ):
             return False
@@ -2084,7 +2086,7 @@ class AquaSystem:
         error_columns = {
             a.alias: f"{a.alias}_error"
             for a in query.aggregates()
-            if a.func in _SCALED_AGGREGATES
+            if a.func in ESTIMABLE_AGGREGATES
         }
         checked: List[Tuple[str, np.ndarray, Optional[np.ndarray]]] = []
         failing = support < policy.min_group_support
@@ -2267,7 +2269,7 @@ class AquaSystem:
         error_names = {
             f"{a.alias}_error"
             for a in query.aggregates()
-            if a.func in _SCALED_AGGREGATES
+            if a.func in ESTIMABLE_AGGREGATES
         }
         names = result.schema.names
         rows: List[Tuple] = []
@@ -2384,15 +2386,8 @@ class AquaSystem:
         """
         start = time.perf_counter()
         with self.telemetry.tracer.span("exact_fallback", reason=reason):
-            result = self.exact(query)
+            result = self._exact_with_zero_errors(query)
         elapsed = time.perf_counter() - start
-        for aggregate in query.aggregates():
-            if aggregate.func not in _SCALED_AGGREGATES:
-                continue
-            result = result.with_column(
-                Column(f"{aggregate.alias}_error", ColumnType.FLOAT),
-                np.zeros(result.num_rows),
-            )
         keys = self._result_keys(result, query.group_by)
         result = self._attach_provenance(
             result, [PROVENANCE_EXACT] * len(keys), policy
@@ -2660,6 +2655,18 @@ class AquaSystem:
             raise TableNotRegisteredError(str(exc)) from exc
         return result if present is None else present(result)
 
+    def _exact_with_zero_errors(self, query: Query) -> Table:
+        """:meth:`exact` on a stage query, with a zero ``<alias>_error``
+        column per SUM/COUNT/AVG: an exact answer has no sampling error."""
+        result = self.exact(query)
+        for aggregate in query.aggregates():
+            if aggregate.func in ESTIMABLE_AGGREGATES:
+                result = result.with_column(
+                    Column(f"{aggregate.alias}_error", ColumnType.FLOAT),
+                    np.zeros(result.num_rows),
+                )
+        return result
+
     def sql_stream(
         self,
         sql: Union[str, Query],
@@ -2678,12 +2685,12 @@ class AquaSystem:
         simple random sample and every emitted
         :class:`~repro.aqua.stream.StreamingAnswer` carries unbiased
         estimates with shrinking CI half-widths (``<alias>_error`` columns,
-        same shape as :meth:`answer` results).
+        same shape as :meth:`answer` results), finalized by the moments
+        route's estimator with the relation as one stratum.
 
-        The terminal emission of a run-to-completion stream is computed by
-        the batch plan executor over the whole relation, making it
-        bit-identical to :meth:`exact` (``final=True``, zero half-widths);
-        it is then stored in the answer cache.  ``until_rel_error`` stops
+        The terminal emission of a run-to-completion stream is
+        :meth:`exact`'s answer (``final=True``, zero half-widths), so it is
+        bit-identical to it; it is then stored in the answer cache.  ``until_rel_error`` stops
         the stream early once every group's relative half-width is at or
         below the target (``converged=True``, not cached).  A ``deadline``
         (explicit, or ambient via
@@ -2721,7 +2728,7 @@ class AquaSystem:
         group_by = list(query.group_by)
         keys = self._result_keys(result, query.group_by)
         for aggregate in query.aggregates():
-            if aggregate.func not in _SCALED_AGGREGATES:
+            if aggregate.func not in ESTIMABLE_AGGREGATES:
                 continue
             use_hoeffding = (
                 self._bound_method == "hoeffding"

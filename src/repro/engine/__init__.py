@@ -45,15 +45,6 @@ from .query import Projection, Query, QueryError
 from .render import render_expression, render_predicate, render_query
 from .schema import Column, ColumnType, Schema, SchemaError
 from .sql import SqlError, parse_query
-from .stream import (
-    BOUNDED_AGGREGATES,
-    STREAM_BOUND_METHODS,
-    StreamChunk,
-    chunk_bounds,
-    expansion_estimate,
-    stream_group_partials,
-    stream_halfwidth,
-)
 from .table import Table, TableBuilder
 
 __all__ = [
@@ -61,7 +52,6 @@ __all__ = [
     "AggregateFunction",
     "AggregateState",
     "And",
-    "BOUNDED_AGGREGATES",
     "Between",
     "BinaryOp",
     "Catalog",
@@ -86,21 +76,17 @@ __all__ = [
     "Query",
     "QueryError",
     "Schema",
-    "STREAM_BOUND_METHODS",
     "SchemaError",
     "SqlError",
-    "StreamChunk",
     "Table",
     "TableBuilder",
     "TruePredicate",
     "UnaryOp",
-    "chunk_bounds",
     "col",
     "date_to_ordinal",
     "distinct",
     "execute",
     "execute_on_table",
-    "expansion_estimate",
     "finalize_group_by",
     "finalize_state",
     "format_date",
@@ -121,7 +107,5 @@ __all__ = [
     "render_expression",
     "render_predicate",
     "render_query",
-    "stream_group_partials",
-    "stream_halfwidth",
     "write_csv",
 ]

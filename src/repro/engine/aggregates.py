@@ -177,9 +177,6 @@ def partial_reduce(
     with states from other partitions before finalizing.
     """
     func = AggregateFunction(func).name
-    if num_groups == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return AggregateState(func, empty)
     counts = np.bincount(group_ids, minlength=num_groups).astype(np.float64)
     state = AggregateState(func, counts)
     if func == "count":

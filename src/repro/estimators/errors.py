@@ -37,6 +37,7 @@ __all__ = [
     "hoeffding_halfwidth_sum",
     "hoeffding_halfwidth_stratified_sum",
     "hoeffding_halfwidths",
+    "zero_extended_ranges",
     "chebyshev_halfwidth",
     "chebyshev_from_variance",
     "relative_halfwidth",
@@ -219,6 +220,28 @@ def hoeffding_halfwidth_stratified_sum(
     return math.sqrt(math.log(2.0 / delta) / 2.0 * total)
 
 
+def zero_extended_ranges(
+    table: Table,
+    aggregate: Aggregate,
+    group_ids: np.ndarray,
+    num_groups: int,
+) -> np.ndarray:
+    """Per-group value range of a SUM/COUNT input, zero included.
+
+    COUNT's input is the all-ones column.  The WHERE predicate zeroes out
+    non-qualifying tuples, so every range is widened to contain zero.
+    ``group_ids`` assigns each row of ``table`` to one of ``num_groups``
+    groups.
+    """
+    if aggregate.func == "count":
+        values = np.ones(table.num_rows)
+    else:
+        values = np.asarray(aggregate.expr.evaluate(table), dtype=np.float64)
+    lows = grouped_reduce("min", values, group_ids, num_groups)
+    highs = grouped_reduce("max", values, group_ids, num_groups)
+    return np.maximum(highs, 0.0) - np.minimum(lows, 0.0)
+
+
 def hoeffding_halfwidths(
     base: Table,
     sample: StratifiedSample,
@@ -228,20 +251,14 @@ def hoeffding_halfwidths(
 ) -> Dict[GroupKey, float]:
     """Per-answer-group Hoeffding half-widths of a SUM/COUNT estimate.
 
-    Per-stratum value ranges come from the base relation, zero-extended
-    because the WHERE predicate zeroes out non-qualifying tuples; the
-    sampled strata of each ``group_by`` group feed
+    Per-stratum value ranges come from the base relation
+    (:func:`zero_extended_ranges`); the sampled strata of each
+    ``group_by`` group feed
     :func:`hoeffding_halfwidth_stratified_sum`.
     """
     grouping = sample.grouping_columns
-    if aggregate.func == "count":
-        values = np.ones(base.num_rows)
-    else:
-        values = np.asarray(aggregate.expr.evaluate(base), dtype=np.float64)
     ids, keys = finest_group_ids(base, grouping)
-    lows = np.minimum(grouped_reduce("min", values, ids, len(keys)), 0.0)
-    highs = np.maximum(grouped_reduce("max", values, ids, len(keys)), 0.0)
-    ranges = (highs - lows).tolist()
+    ranges = zero_extended_ranges(base, aggregate, ids, len(keys)).tolist()
     strata = sample.strata  # one copy of the stratum map, not one per key
     per_answer: Dict[GroupKey, Tuple[List[float], List[float], List[int]]] = {}
     for index, key in enumerate(keys):

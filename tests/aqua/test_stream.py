@@ -13,6 +13,7 @@ from repro.aqua import AquaSystem, StreamingAnswer
 from repro.errors import StreamError
 
 from repro.engine import Column, ColumnType, Schema, Table
+from repro.estimators.errors import hoeffding_halfwidth_sum
 
 SQL = "SELECT g, SUM(v) AS s, AVG(v) AS a FROM t GROUP BY g ORDER BY g"
 
@@ -118,6 +119,22 @@ class TestEmissionContract:
         assert sum(first.support.values()) <= first.rows_seen
         assert all(n >= 0 for n in first.support.values())
 
+    def test_prefix_without_qualifying_rows(self):
+        """A prefix no row of which passes WHERE has no groups yet: an
+        empty estimate that is not converged, not a crash."""
+        system = _system()
+        sql = (
+            "SELECT g, SUM(v) AS s, AVG(v) AS a FROM t "
+            "WHERE v > 1000 GROUP BY g"
+        )
+        answers = list(
+            system.sql_stream(sql, chunk_rows=500, until_rel_error=0.5)
+        )
+        assert len(answers) == 4
+        assert all(answer.result.num_rows == 0 for answer in answers)
+        assert not any(answer.converged for answer in answers[:-1])
+        assert answers[-1].final and answers[-1].support == {}
+
     def test_global_aggregate_streams(self):
         system = _system()
         answers = list(
@@ -125,6 +142,89 @@ class TestEmissionContract:
         )
         assert answers[-1].final
         assert answers[-1].result.num_rows == 1
+
+
+class TestSupport:
+    """Support is the qualifying rows seen per group, final emission too."""
+
+    @pytest.mark.parametrize(
+        "aggregate", ["SUM(v) AS s", "AVG(v) AS a", "COUNT(*) AS c"]
+    )
+    def test_final_support_is_whole_relation(self, aggregate):
+        system = _system()
+        sql = f"SELECT g, {aggregate} FROM t WHERE v > 100 GROUP BY g"
+        answers = list(
+            system.sql_stream(
+                sql, chunk_rows=500, rng=np.random.default_rng(3)
+            )
+        )
+        table = _table()
+        keys, counts = np.unique(
+            table.column("g")[table.column("v") > 100], return_counts=True
+        )
+        expected = {(key,): int(n) for key, n in zip(keys, counts)}
+        assert answers[-1].final
+        assert answers[-1].support == expected
+        seen = {}
+        for answer in answers:
+            assert set(seen) <= set(answer.support)
+            for key, n in answer.support.items():
+                assert n >= seen.get(key, 0)
+                seen[key] = n
+        replay = list(system.sql_stream(sql, chunk_rows=500))
+        assert len(replay) == 1 and replay[0].cache_hit
+        assert replay[0].support == expected
+
+
+class TestHoeffdingStream:
+    """SUM/COUNT half-widths are Hoeffding's; AVG falls back to Chebyshev."""
+
+    SQL = (
+        "SELECT g, SUM(v) AS s, COUNT(*) AS c, AVG(v) AS a FROM t "
+        "WHERE v > 90 GROUP BY g ORDER BY g"
+    )
+
+    def test_halfwidths_per_family(self):
+        system = _system(bound_method="hoeffding")
+        answers = list(
+            system.sql_stream(
+                self.SQL, chunk_rows=500, rng=np.random.default_rng(4)
+            )
+        )
+        assert len(answers) == 4 and answers[-1].final
+        table = _table()
+        n = table.num_rows
+        perm = np.random.default_rng(4).permutation(n)
+        groups, values = table.column("g"), table.column("v")
+        for answer in answers[:-1]:
+            assert answer.bound_method == "hoeffding"
+            m, confidence = answer.rows_seen, answer.confidence
+            seen = perm[:m]
+            result = answer.result
+            for i, key in enumerate(result.column("g")):
+                mine = values[groups == key]
+                value_range = max(mine.max(), 0.0) - min(mine.min(), 0.0)
+                assert result.column("s_error")[i] == hoeffding_halfwidth_sum(
+                    value_range, m, n, confidence
+                )
+                assert result.column("c_error")[i] == hoeffding_halfwidth_sum(
+                    1.0, m, n, confidence
+                )
+                # AVG: the delta-method Chebyshev bound on the prefix,
+                # the relation as one stratum of n rows with m seen.
+                hit = (groups[seen] == key) & (values[seen] > 90)
+                y = np.where(hit, values[seen], 0.0)
+                x = hit.astype(float)
+                fpc = n * n * (1.0 - m / n) / m
+                num, den = y.sum() * n / m, x.sum() * n / m
+                ratio = num / den
+                variance = (
+                    fpc * np.var(y, ddof=1)
+                    + ratio * ratio * fpc * np.var(x, ddof=1)
+                ) / (den * den)
+                assert result.column("a_error")[i] == pytest.approx(
+                    np.sqrt(variance) / np.sqrt(1.0 - confidence), rel=1e-9
+                )
 
 
 class TestEarlyStop:

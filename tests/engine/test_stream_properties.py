@@ -1,14 +1,16 @@
-"""Hypothesis property suite for the streaming layer (ISSUE 8 satellite).
+"""Hypothesis property suite for the streaming layer.
 
 Four invariants, over random tables / chunkings / seeds:
 
 (a) the final streamed answer is **bit-identical** to the batch
-    ``answer()``/``exact()`` result (the exact-landing contract);
-(b) per-group support ``n`` is non-decreasing across chunks;
+    ``exact()`` result (the exact-landing contract);
+(b) per-group support ``n`` is non-decreasing across ``sql_stream``
+    emissions, through the final one;
 (c) normal / chebyshev / hoeffding half-widths are non-increasing in the
     rows seen for fixed per-row moments;
-(d) any prefix of chunks merged equals ``partial_group_by`` over the
-    concatenated prefix.
+(d) folding a random partition's chunk partials with
+    ``merge_group_partials`` equals ``partial_group_by`` over the
+    concatenated prefix, at every prefix.
 
 Bit-equality properties use small-integer values so every intermediate
 float is exactly representable and merge order cannot introduce ULPs.
@@ -22,16 +24,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aqua import AquaSystem
+from repro.aqua.stream import chunk_bounds
 from repro.engine import (
     Aggregate,
     ColumnType,
     Schema,
     Table,
-    chunk_bounds,
     col,
+    merge_group_partials,
     partial_group_by,
-    stream_group_partials,
-    stream_halfwidth,
+)
+from repro.errors import AquaError
+from repro.estimators.errors import (
+    chebyshev_halfwidth,
+    hoeffding_halfwidth_sum,
+    normal_halfwidth,
 )
 from repro.estimators.point import expansion_variance
 
@@ -92,41 +99,57 @@ class TestChunkBounds:
 
 
 class TestPrefixMergeEqualsBatch:
-    """(d): merged prefix partial == partial_group_by over the prefix."""
+    """(d) and (b): merged prefixes are exact; support never shrinks."""
 
     @given(table=tables, size=chunk_sizes, seed=seeds)
     @settings(max_examples=60, deadline=None)
     def test_every_prefix_is_exact(self, table, size, seed):
-        rng = np.random.default_rng(seed)
         perm = np.random.default_rng(seed).permutation(table.num_rows)
-        for chunk in stream_group_partials(
-            table, ["g"], AGGREGATES, size, rng=rng
-        ):
-            prefix = table.take(perm[: chunk.rows_seen])
+        cumulative = None
+        for start, stop in chunk_bounds(table.num_rows, size):
+            partial = partial_group_by(
+                table.take(perm[start:stop]), ["g"], AGGREGATES
+            )
+            cumulative = (
+                partial
+                if cumulative is None
+                else merge_group_partials([cumulative, partial])
+            )
+            prefix = table.take(perm[:stop])
             expected = partial_group_by(prefix, ["g"], AGGREGATES)
-            assert chunk.partial.group_keys == expected.group_keys
+            assert cumulative.group_keys == expected.group_keys
             for alias in expected.states:
                 assert _states_equal(
-                    chunk.partial.states[alias], expected.states[alias]
+                    cumulative.states[alias], expected.states[alias]
                 )
 
     @given(table=tables, size=chunk_sizes, seed=seeds)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_support_non_decreasing(self, table, size, seed):
-        """(b): per-group n never shrinks as chunks accumulate."""
+        """(b): per-group n never shrinks across sql_stream emissions,
+        and the final emission counts every qualifying row."""
+        system = AquaSystem(
+            space_budget=30, rng=np.random.default_rng(0), telemetry=False
+        )
+        system.register_table("t", table, grouping_columns=("g",))
         seen = {}
-        rng = np.random.default_rng(seed)
         last_rows = 0
-        for chunk in stream_group_partials(
-            table, ["g"], AGGREGATES, size, rng=rng
+        for answer in system.sql_stream(
+            "SELECT g, SUM(v) AS s FROM t WHERE v > 0 GROUP BY g",
+            chunk_rows=size,
+            rng=np.random.default_rng(seed),
         ):
-            assert chunk.rows_seen >= last_rows
-            last_rows = chunk.rows_seen
-            counts = chunk.partial.states["c"].count
-            for i, key in enumerate(chunk.partial.group_keys):
-                n = int(counts[i])
+            assert answer.rows_seen >= last_rows
+            last_rows = answer.rows_seen
+            assert set(seen) <= set(answer.support)
+            for key, n in answer.support.items():
                 assert n >= seen.get(key, 0)
                 seen[key] = n
+        assert answer.final
+        keys, counts = np.unique(
+            table.column("g")[table.column("v") > 0], return_counts=True
+        )
+        assert seen == {(key,): int(n) for key, n in zip(keys, counts)}
 
 
 class TestHalfwidthMonotonicity:
@@ -176,12 +199,12 @@ class TestHalfwidthMonotonicity:
                 rel_tol=1e-9,
                 abs_tol=cancellation * scale + 1e-300,
             )
-            for method in widths:
-                widths[method].append(
-                    stream_halfwidth(
-                        method, math.sqrt(variance), confidence=confidence
-                    )
-                )
+            widths["normal"].append(
+                normal_halfwidth(math.sqrt(variance), confidence)
+            )
+            widths["chebyshev"].append(
+                chebyshev_halfwidth(math.sqrt(variance), confidence)
+            )
         for method, series in widths.items():
             for earlier, later in zip(series, series[1:]):
                 assert later <= earlier * (1 + 1e-12), method
@@ -197,20 +220,16 @@ class TestHalfwidthMonotonicity:
     ):
         previous = math.inf
         for m in range(1, rows_total + 1, max(1, rows_total // 23)):
-            width = stream_halfwidth(
-                "hoeffding",
-                0.0,
-                confidence=confidence,
-                value_range=value_range,
-                rows_seen=m,
-                rows_total=rows_total,
+            width = hoeffding_halfwidth_sum(
+                value_range, m, rows_total, confidence
             )
             assert width <= previous * (1 + 1e-12)
             previous = width
 
     def test_unknown_method_raises(self):
-        with pytest.raises(ValueError, match="unknown stream bound method"):
-            stream_halfwidth("bayesian", 1.0)
+        """A stream bounds with its system's family, which must be known."""
+        with pytest.raises(AquaError, match="chebyshev or hoeffding"):
+            AquaSystem(space_budget=30, bound_method="bayesian")
 
 
 class TestFinalAnswerBitIdentical:
