@@ -25,12 +25,8 @@ from repro.synthetic.tpcd import GROUPING_COLUMNS
 SAMPLE_FRACTION = 0.05
 REPEATS = 5
 
-# moments/finalize for servable queries, rewrite/execute/error_bounds for
-# the plan route
-STAGES = (
-    "parse", "validate", "moments", "finalize", "rewrite", "execute",
-    "error_bounds", "guard",
-)
+# the one answer route's stages
+STAGES = ("parse", "validate", "moments", "finalize", "guard")
 
 
 @pytest.fixture(scope="module")

@@ -57,7 +57,7 @@ from ..core.house import House
 from ..engine.query import Query
 from ..engine.render import render_query
 from ..errors import AquaError
-from ..estimators.point import group_support
+from ..estimators.moments import SampleMoments
 from .cache import LRUCache
 from .synopsis import Synopsis
 from .workload_log import QueryLog
@@ -169,8 +169,9 @@ class CostErrorModel:
     the answer pipeline actually attaches) and ``cv`` the within-group
     coefficient of variation, defaulting to 1 and re-estimated by EWMA
     from audited answers.  Qualifying tuples come from the sample itself:
-    :func:`~repro.estimators.point.group_support` evaluates the query's
-    WHERE over the (budget-bounded) sample, so the prediction is seeded
+    the moments kernel (:class:`~repro.estimators.moments.SampleMoments`)
+    evaluates the query's WHERE over the (budget-bounded) sample, so the
+    prediction is seeded
     from the synopsis' own stratum cardinalities, not from base-table
     scans.  The closed form used by the property tests,
     :meth:`predicted_rel_error`, makes the two monotonicities explicit:
@@ -265,14 +266,14 @@ class CostErrorModel:
         group; the thinnest group dominates the prediction, mirroring the
         worst-group promise the answer pipeline reports.
         """
-        support = group_support(
-            synopsis.sample,
-            predicate=query.where,
-            group_by=list(query.group_by),
+        support = (
+            SampleMoments.build(synopsis.sample, query.where, (), query.group_by)
+            .finalize(query.group_by, (), self.confidence)
+            .support
         )
-        if not support:
+        if not support.any():
             return float("inf")
-        thinnest = min(support.values())
+        thinnest = int(support[support > 0].min())
         return self.predicted_rel_error(
             thinnest, 0.0, cv=self.cv, confidence=self.confidence
         )

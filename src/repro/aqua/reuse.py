@@ -1,14 +1,10 @@
-"""Per-stratum moments: the one way a servable answer is computed.
+"""The roll-up tier: per-stratum moments reused across queries.
 
-A SUM/COUNT/AVG query whose GROUP BY lies within the stratification
-columns (``AquaSystem._servable``) is answered from a
-:class:`ReuseSnapshot` -- the sample's per-stratum expansion moments,
-masked by the query's WHERE -- and :meth:`ReuseSnapshot.finalize` rolls
-them up to the query's grouping.  :func:`finalize_moments` is the only
-arithmetic that turns expansion moments into estimates and Chebyshev
-half-widths; ``sql_stream`` calls it too, with the relation as one
-stratum.  A direct answer is that finalization at the query's own
-grouping.
+Every approximate answer is finalized from the sample's per-cell
+expansion moments (:class:`~repro.estimators.moments.SampleMoments`,
+masked by the query's WHERE); :func:`lay_out` turns the finalized arrays
+into the answer table.  A :class:`ReuseSnapshot` is those moments with
+the data version and synopsis they were computed from.
 
 The paper's Section 6 builds the congressional datacube by *merging* the
 strata of a fine grouping into every coarser roll-up.  The roll-up tier
@@ -22,22 +18,19 @@ Subsumption rules (all must hold, checked by :class:`RollupIndex`):
 
 * same base table, same table **version**, same synopsis (allocation /
   rewrite strategy / budget / stratification), same confidence;
-* the probe's ``GROUP BY`` is a subset of the stratification columns
-  (each stratum then lies wholly inside one answer group);
+* the snapshot's cells are strata and the probe's ``GROUP BY`` is a
+  subset of the stratification columns (each stratum then lies wholly
+  inside one answer group);
 * the probe's canonical WHERE conjuncts are a superset of the entry's:
   the entry predicate covers at least the probe's rows, and every
   *extra* probe conjunct references only stratification columns, so it
   is constant per stratum and selects whole strata (datacube slicing);
-* every probe aggregate is an expansion-estimable SUM/COUNT/AVG whose
-  input expression has moments in the snapshot.
+* every probe aggregate's input has moments in the snapshot.
 
-Bit-identity: the snapshot's per-stratum moments are ``np.bincount``
-reductions over the sample's :class:`~repro.sampling.stratified.SampleFrame`
-(variance terms from :func:`repro.estimators.point.expansion_variance`, the
-kernel ``estimate`` uses), and the miss path and the roll-up tier share
-one finalize step (``AquaSystem._serve_moments``).  Two routes to the
-same coarse answer therefore agree bit-for-bit, which the Hypothesis
-suite in ``tests/aqua/test_reuse_properties.py`` asserts.
+Bit-identity: the miss path and the roll-up tier share one finalize step
+(``AquaSystem._serve_moments``), so two routes to the same coarse answer
+agree bit-for-bit, which the Hypothesis suite in
+``tests/aqua/test_reuse_properties.py`` asserts.
 
 Degraded and streaming answers never register snapshots (they do not
 represent a completed synopsis scan at a single version).
@@ -51,126 +44,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.aggregates import (
-    Aggregate,
-    AggregateState,
-    finalize_state,
-    rollup_state,
-)
+from ..engine.aggregates import Aggregate
 from ..engine.predicates import Predicate
 from ..engine.query import Query
 from ..engine.schema import Column, ColumnType, Schema
 from ..engine.table import Table
-from ..estimators.point import expansion_variance
-from ..engine.render import render_expression, render_predicate
-from ..plan.canonical import (
-    canonicalize_expression,
-    canonicalize_predicate,
-    predicate_conjuncts,
-)
+from ..engine.render import render_predicate
+from ..estimators.moments import SampleMoments
+from ..plan.canonical import canonicalize_predicate
 from ..plan.optimizer import _conjoin, _split_and
-from ..sampling.stratified import SampleFrame, StratifiedSample
 from .cache import LRUCache
 
 __all__ = [
-    "ESTIMABLE_AGGREGATES",
-    "ONES_KEY",
     "ReuseSnapshot",
-    "RollupAnswer",
     "RollupIndex",
     "RollupIndexStats",
-    "finalize_moments",
     "lay_out",
-    "moment_keys",
 ]
-
-#: Aggregates the expansion moments estimate; each answer carries an
-#: ``<alias>_error`` half-width for them.
-ESTIMABLE_AGGREGATES = ("sum", "count", "avg")
-
-# Moment-table key for the implicit all-ones column: COUNT is the scaled
-# sum of ones, and AVG's denominator is the same state.  ``Lit(1)``
-# renders to "1", so an explicit SUM(1) shares it, correctly.
-ONES_KEY = "1"
-
-
-def moment_keys(aggregate: Aggregate) -> Tuple[str, ...]:
-    """Canonical moment-table keys ``aggregate`` needs to finalize."""
-    if aggregate.func == "count":
-        return (ONES_KEY,)
-    key = render_expression(canonicalize_expression(aggregate.expr))
-    if aggregate.func == "avg":
-        return (key, ONES_KEY)
-    return (key,)
-
-
-def finalize_moments(
-    aggregates: Sequence[Aggregate],
-    totals: Dict[str, np.ndarray],
-    variances: Dict[str, np.ndarray],
-    confidence: float,
-) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    """Estimates and Chebyshev half-widths from per-group expansion moments.
-
-    ``totals`` and ``variances`` map each :func:`moment_keys` key to the
-    per-group expansion estimate of that input's sum and its variance.
-    SUM and COUNT are their key's total; AVG is the ratio of its input's
-    total to the ``ONES_KEY`` total, with the first-order delta-method
-    variance.  A half-width is ``sqrt(variance) / sqrt(1 - confidence)``,
-    NaN where the variance is NaN or negative.  Returns ``(values,
-    halfwidths)`` keyed by aggregate alias.
-    """
-    values: Dict[str, np.ndarray] = {}
-    halfwidths: Dict[str, np.ndarray] = {}
-    scale = float(np.sqrt(1.0 - confidence))
-    for aggregate in aggregates:
-        key = moment_keys(aggregate)[0]
-        value, variance = totals[key], variances[key]
-        if aggregate.func == "avg":  # ratio estimator
-            den, den_var = totals[ONES_KEY], variances[ONES_KEY]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                value = np.where(den != 0, value / den, np.nan)
-                variance = np.where(
-                    den != 0,
-                    (variance + value * value * den_var) / (den * den),
-                    np.nan,
-                )
-        with np.errstate(invalid="ignore"):
-            halfwidths[aggregate.alias] = np.where(
-                variance >= 0, np.sqrt(variance) / scale, np.nan
-            )
-        values[aggregate.alias] = value
-    return values, halfwidths
-
-
-@dataclass(frozen=True)
-class _ExprMoments:
-    """Per-stratum moments for one aggregate input expression.
-
-    ``state`` is a mergeable SUM :class:`AggregateState` over the scaled,
-    predicate-masked values (the expansion estimator's numerator), one
-    entry per stratum; ``var_contrib`` is each stratum's contribution
-    ``N_h^2 (1 - n_h/N_h) s_h^2 / n_h`` to the estimator's variance.
-    Both roll up to any coarser grouping by pure summation.
-    """
-
-    state: AggregateState
-    var_contrib: np.ndarray
-
-
-@dataclass(frozen=True)
-class RollupAnswer:
-    """A finalized roll-up: sorted group keys with estimates and bounds.
-
-    ``key_arrays`` holds the keys one array per ``group_by`` column; every
-    other array lines up with them, one entry per group.
-    """
-
-    group_by: Tuple[str, ...]
-    key_arrays: Tuple[np.ndarray, ...]
-    support: np.ndarray
-    values: Dict[str, np.ndarray]
-    halfwidths: Dict[str, np.ndarray]
 
 
 def lay_out(
@@ -220,187 +110,21 @@ def lay_out(
 
 @dataclass(frozen=True)
 class ReuseSnapshot:
-    """Per-stratum expansion moments from one answered synopsis query.
+    """One answered query's sample moments, with what they were read from.
 
-    Everything here is finer-grained than any servable probe: strata are
-    the synopsis' stratification groups, and the moments are masked by
-    the entry query's WHERE predicate only (not by its GROUP BY), so one
+    When the cells are strata (:attr:`SampleMoments.strata_cells`) the
+    moments are finer-grained than any probe the index matches: they are
+    masked by the entry query's WHERE only (not by its GROUP BY), so one
     snapshot serves every coarser grouping and every whole-strata slice.
     """
 
     base_name: str
     version: int
     synopsis_signature: Tuple
-    grouping_columns: Tuple[str, ...]
-    entry_group_by: Tuple[str, ...]
     conjuncts: Tuple[str, ...]
     confidence: float
     describe_source: str
-    frame: SampleFrame
-    support: np.ndarray
-    moments: Dict[str, _ExprMoments]
-
-    @classmethod
-    def build(
-        cls,
-        sample: StratifiedSample,
-        predicate: Optional[Predicate],
-        aggregates: Sequence[Aggregate],
-        *,
-        base_name: str,
-        version: int,
-        synopsis_signature: Tuple,
-        confidence: float,
-        entry_group_by: Tuple[str, ...] = (),
-        describe_source: str = "",
-    ) -> Optional["ReuseSnapshot"]:
-        """Scan the sample once and record per-stratum moments.
-
-        Returns ``None`` for empty samples.  Reads the sample's
-        :class:`~repro.sampling.stratified.SampleFrame` (the same rows, in
-        the same order, :func:`repro.estimators.point.estimate` reads), so
-        the only per-query work is the predicate, the aggregate inputs and
-        the per-stratum bincounts.
-        """
-        frame = sample.frame
-        num_strata = frame.num_strata
-        if not num_strata:
-            return None
-        rows = frame.rows
-        stratum_ids, sf = frame.stratum_ids, frame.sf
-        qualifies = frame.qualifies(predicate)
-        support = np.bincount(
-            stratum_ids[qualifies], minlength=num_strata
-        ).astype(np.int64)
-
-        needed: Dict[str, Optional[object]] = {ONES_KEY: None}
-        for aggregate in aggregates:
-            if aggregate.func == "count":
-                continue
-            expr = canonicalize_expression(aggregate.expr)
-            needed.setdefault(render_expression(expr), expr)
-
-        moments: Dict[str, _ExprMoments] = {}
-        for key, expr in needed.items():
-            if expr is None:
-                values = np.ones(rows.num_rows)
-            else:
-                values = np.asarray(expr.evaluate(rows), dtype=np.float64)
-            masked = np.where(qualifies, values, 0.0)
-            scaled = np.bincount(
-                stratum_ids, weights=masked * sf, minlength=num_strata
-            )
-            moments[key] = _ExprMoments(
-                state=AggregateState(
-                    "sum", support.astype(np.float64), scaled
-                ),
-                var_contrib=expansion_variance(
-                    frame.populations,
-                    frame.sizes,
-                    np.bincount(
-                        stratum_ids, weights=masked, minlength=num_strata
-                    ),
-                    np.bincount(
-                        stratum_ids,
-                        weights=masked * masked,
-                        minlength=num_strata,
-                    ),
-                ),
-            )
-
-        return cls(
-            base_name=base_name,
-            version=version,
-            synopsis_signature=synopsis_signature,
-            grouping_columns=tuple(sample.grouping_columns),
-            entry_group_by=tuple(entry_group_by),
-            conjuncts=predicate_conjuncts(predicate),
-            confidence=confidence,
-            describe_source=describe_source,
-            frame=frame,
-            support=support,
-            moments=moments,
-        )
-
-    def can_finalize(
-        self,
-        group_by: Sequence[str],
-        aggregates: Sequence[Aggregate],
-    ) -> bool:
-        """Whether this snapshot has the grouping and moments to serve."""
-        if not set(group_by) <= set(self.grouping_columns):
-            return False
-        for aggregate in aggregates:
-            if aggregate.func not in ESTIMABLE_AGGREGATES:
-                return False
-            if any(k not in self.moments for k in moment_keys(aggregate)):
-                return False
-        return True
-
-    def finalize(
-        self,
-        group_by: Sequence[str],
-        aggregates: Sequence[Aggregate],
-        extra_predicate: Optional[Predicate] = None,
-    ) -> RollupAnswer:
-        """Roll the per-stratum states up to ``group_by`` and finalize.
-
-        ``extra_predicate`` (conjuncts over stratification columns only)
-        selects whole strata before the roll-up -- datacube slicing.
-        Groups with zero qualifying sample tuples are absent, mirroring
-        :func:`repro.estimators.point.estimate`.
-        """
-        if not self.can_finalize(group_by, aggregates):
-            raise ValueError(
-                f"snapshot over {self.grouping_columns} cannot finalize "
-                f"GROUP BY {tuple(group_by)}"
-            )
-        frame = self.frame
-        included = np.ones(frame.num_strata, dtype=bool)
-        if extra_predicate is not None:
-            included = np.asarray(
-                extra_predicate.evaluate(frame.key_table), dtype=bool
-            )
-        idx = np.flatnonzero(included)
-
-        # The answer groups of the included strata, renumbered densely (a
-        # slice may leave some of the projection's groups without strata).
-        all_targets, __, all_key_arrays = frame.projection(group_by)
-        present, targets = np.unique(all_targets[idx], return_inverse=True)
-        num_groups = len(present)
-
-        support = np.zeros(num_groups, dtype=np.int64)
-        np.add.at(support, targets, self.support[idx])
-
-        keep = support > 0
-        totals: Dict[str, np.ndarray] = {}
-        variances: Dict[str, np.ndarray] = {}
-        for key in set(
-            k for aggregate in aggregates for k in moment_keys(aggregate)
-        ):
-            entry = self.moments[key]
-            sliced = AggregateState(
-                "sum", entry.state.count[idx], entry.state.total[idx]
-            )
-            coarse = rollup_state(sliced, targets, num_groups)
-            totals[key] = finalize_state(coarse)[keep]
-            variances[key] = np.bincount(
-                targets,
-                weights=entry.var_contrib[idx],
-                minlength=num_groups,
-            )[keep]
-        values, halfwidths = finalize_moments(
-            aggregates, totals, variances, self.confidence
-        )
-
-        kept = present[keep]
-        return RollupAnswer(
-            group_by=tuple(group_by),
-            key_arrays=tuple(column[kept] for column in all_key_arrays),
-            support=support[keep],
-            values=values,
-            halfwidths=halfwidths,
-        )
+    moments: SampleMoments
 
 
 @dataclass
@@ -508,13 +232,13 @@ class RollupIndex:
                 for part, text in zip(parts, texts)
                 if text not in entry_set
             ]
+            grouping = set(snapshot.moments.frame.grouping_columns)
             if any(
-                not set(part.referenced_columns())
-                <= set(snapshot.grouping_columns)
+                not set(part.referenced_columns()) <= grouping
                 for part, _ in extra
             ):
                 continue
-            if not snapshot.can_finalize(group_by, aggregates):
+            if not snapshot.moments.can_finalize(group_by, aggregates):
                 continue
             if best is not None and len(best.extra_conjuncts) <= len(extra):
                 continue

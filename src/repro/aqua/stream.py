@@ -12,12 +12,12 @@ random sample without replacement: the batch expansion estimator applies
 with the whole relation as one stratum (``N`` rows, ``m`` seen).
 
 Every SUM/COUNT/AVG input is folded once per moment key
-(:func:`~repro.aqua.reuse.moment_keys`) as a ``var`` state, so each
+(:func:`~repro.estimators.moments.moment_keys`) as a ``var`` state, so each
 group carries ``(n, sum(y'), sum(y'^2))`` of the zero-extended values.
 An emission scales the sums by ``N / m``, takes each key's variance from
-:func:`~repro.estimators.point.expansion_variance`, and finalizes through
-:func:`~repro.aqua.reuse.finalize_moments` -- the arithmetic the moments
-route and the roll-up tier use.  Under the Hoeffding family, SUM and
+:func:`~repro.estimators.moments.expansion_variance`, and finalizes
+through :func:`~repro.estimators.moments.finalize_moments` -- the
+arithmetic every batch answer uses.  Under the Hoeffding family, SUM and
 COUNT half-widths come from the groups' zero-extended value ranges
 instead.  MIN/MAX/VAR fold as themselves and carry no error column.
 
@@ -70,16 +70,16 @@ from ..estimators.errors import (
     relative_halfwidth,
     zero_extended_ranges,
 )
-from ..estimators.point import expansion_variance
-from ..plan import canonicalize_query
-from ..serve.deadline import Deadline, current_deadline, deadline_scope
-from .reuse import (
+from ..estimators.moments import (
     ESTIMABLE_AGGREGATES,
     ONES_KEY,
+    expansion_variance,
     finalize_moments,
-    lay_out,
     moment_keys,
 )
+from ..plan import canonicalize_query
+from ..serve.deadline import Deadline, current_deadline, deadline_scope
+from .reuse import lay_out
 
 __all__ = [
     "PROVENANCE_STREAM",

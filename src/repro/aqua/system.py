@@ -52,13 +52,8 @@ from ..errors import (
     SynopsisMissingError,
     TableNotRegisteredError,
 )
-from ..estimators.errors import (
-    DEFAULT_CONFIDENCE,
-    chebyshev_halfwidth,
-    hoeffding_halfwidths,
-    relative_halfwidth,
-)
-from ..estimators.point import estimate, group_support
+from ..estimators.errors import DEFAULT_CONFIDENCE, relative_halfwidth
+from ..estimators.moments import ESTIMABLE_AGGREGATES, SampleMoments
 from ..obs import MetricsRegistry, QueryTrace, Telemetry, Tracer
 from ..plan import (
     CostModel,
@@ -70,10 +65,11 @@ from ..plan import (
     optimize as optimize_plan,
     render_plan,
 )
+from ..plan.canonical import predicate_conjuncts
 from ..sampling.groups import GroupKey, make_key
 from ..maintenance.base import SampleMaintainer
 from ..maintenance.onepass import maintainer_for, subsample_to_budget
-from ..rewrite.base import RewriteStrategy
+from ..rewrite.base import RewriteStrategy, check_rewritable
 from ..rewrite.nested_integrated import NestedIntegrated
 from ..serve.deadline import (
     Deadline,
@@ -103,12 +99,7 @@ from .portfolio import (
     SynopsisSpec,
     default_portfolio_specs,
 )
-from .reuse import (
-    ESTIMABLE_AGGREGATES,
-    ReuseSnapshot,
-    RollupIndex,
-    lay_out,
-)
+from .reuse import ReuseSnapshot, RollupIndex, lay_out
 from .synopsis import Synopsis
 from .workload_log import QueryLog
 
@@ -388,13 +379,16 @@ class AquaSystem:
         """Args:
         space_budget: sample tuples per synopsis (the paper's ``X``).
         allocation_strategy: defaults to :class:`Congress`.
-        rewrite_strategy: plans the queries the sample's moments cannot
-            serve (:meth:`_servable`); defaults to :class:`NestedIntegrated`.
+        rewrite_strategy: lays out the installed synopsis relations and
+            plans :meth:`explain` and the paper's Experiments 3-4; every
+            answer's values come from the sample's moments whatever the
+            strategy.  Defaults to :class:`NestedIntegrated`.
         confidence: confidence level for error bounds (Aqua default 90%).
         bound_method: ``"chebyshev"`` (default; uses the stratified
             variance estimate) or ``"hoeffding"`` (distribution-free, uses
-            per-stratum value ranges precomputed from the base table --
-            applies to SUM/COUNT; AVG always falls back to Chebyshev).
+            per-stratum value ranges from the base table -- applies to
+            SUM/COUNT grouped within the stratification columns; AVG and
+            other groupings fall back to Chebyshev).
         rng: numpy generator for sampling.
         guard_policy: default serve-time guard for :meth:`answer`.
             ``None``/``True`` installs the default :class:`GuardPolicy`;
@@ -422,7 +416,7 @@ class AquaSystem:
             degraded answers are never cached.  The roll-up subsumption
             index (:class:`~repro.aqua.reuse.RollupIndex`) is on exactly
             when the answer cache is.  The 256-entry optimized-plan cache
-            (:attr:`plan_cache`) is always on.
+            (:attr:`plan_cache`, filled by :meth:`explain`) is always on.
         """
         if space_budget < 1:
             raise AquaError(f"space budget must be >= 1, got {space_budget}")
@@ -551,7 +545,8 @@ class AquaSystem:
 
     @property
     def plan_cache(self) -> LRUCache:
-        """The optimized-plan cache."""
+        """The optimized-plan cache :meth:`explain` fills (``answer()``
+        runs no plan)."""
         return self._plan_cache
 
     @property
@@ -1177,19 +1172,18 @@ class AquaSystem:
         When the system's tracer is enabled, the returned answer carries a
         :class:`~repro.obs.QueryTrace` whose top-level stages (``parse``,
         ``cache_probe``, ``validate``, ``rollup_probe``, ``moments``,
-        ``finalize`` -- or, for a query :meth:`_servable` rejects,
-        ``rewrite``, ``plan_optimize``, ``execute``, ``error_bounds`` --
-        ``guard``, ``cache_store``) account for the pipeline's wall time;
-        when the metrics registry is enabled, query counters, per-stage
-        latency histograms, and guard provenance counters are updated.  The
-        query is always recorded in the table's :meth:`query_log`.
+        ``finalize``, ``guard``, ``cache_store``) account for the
+        pipeline's wall time; when the metrics registry is enabled, query
+        counters, per-stage latency histograms, and guard provenance
+        counters are updated.  The query is always recorded in the table's
+        :meth:`query_log`.
 
         The pipeline honours an optional per-query *deadline*: a typed
         :class:`~repro.errors.DeadlineExceeded` (tagged with the stage or
         plan operator it died in) aborts the answer cooperatively -- stage
-        boundaries here, per-operator in the plan executor, per-partition
-        in the parallel scanner.  With ``deadline=None``, any deadline
-        installed by an enclosing
+        boundaries here, per-operator in the plan executor of the guard's
+        base-table scans, per-partition in the parallel scanner.  With
+        ``deadline=None``, any deadline installed by an enclosing
         :func:`~repro.serve.deadline.deadline_scope` (e.g. the serving
         layer's) still applies.
 
@@ -1424,33 +1418,33 @@ class AquaSystem:
         return CostModel.from_catalog(self.catalog)
 
     def _optimized_plan(
-        self, lowered, base_name: str, version: int, strategy: str, relation=""
+        self, lowered, base_name: str, version: int, strategy: str, relation
     ):
-        """Optimize a lowered plan, memoized in the plan cache.
+        """Optimize :meth:`explain`'s lowered plan, memoized in the plan
+        cache.
 
         The plan is canonicalized first and keyed by ``(table, version,
         strategy, relation, fingerprint)``: the canonical-plan digest
         (:func:`repro.plan.canonicalize`) lets trivially-equivalent
         spellings (predicate order, folded constants) share one optimized
-        plan, and the data ``version`` (the answer's own) covers every
-        mutation that can change synopsis relations, so a stale plan is
-        never replayed against rebuilt samples; a plan is kept only while
-        its version is current.  ``relation`` is the sample relation the rewrite
-        reads (portfolio members of one table plan the same query
-        differently); ``strategy`` is the rewrite strategy's name.
-        Optimization is cost-gated against catalog cardinalities (see
-        :meth:`_cost_model`).  Returns ``(logical_plan, was_cached)``.
+        plan, and the data ``version`` covers every mutation that can
+        change synopsis relations, so a stale plan is never replayed
+        against rebuilt samples; a plan is kept only while its version is
+        current.  ``relation`` is the sample relation the rewrite reads
+        (portfolio members of one table plan the same query differently);
+        ``strategy`` is the rewrite strategy's name.  Optimization is
+        cost-gated against catalog cardinalities (see :meth:`_cost_model`).
         """
         lowered, fingerprint = canonicalize(lowered)
         key = (base_name, version, strategy, relation, fingerprint)
         cached = self._plan_cache.get(key)
         if cached is not None:
-            return cached, True
+            return cached
         logical = optimize_plan(lowered, cost_model=self._cost_model())
         self._store_if_current(
             base_name, version, lambda: self._plan_cache.put(key, logical)
         )
-        return logical, False
+        return logical
 
     def _answer_pipeline(
         self,
@@ -1668,30 +1662,6 @@ class AquaSystem:
             count=count,
         )
 
-    def _servable(self, query: Query, synopsis: Synopsis) -> bool:
-        """Whether the sample's per-stratum moments alone answer ``query``.
-
-        True for a Chebyshev-bounded query over a base table that
-        aggregates only with SUM/COUNT/AVG, has no HAVING, and groups only
-        by stratification columns -- asked of a sample holding at least
-        one sampled stratum.  Servable queries are answered by
-        :meth:`_serve_moments`; the rest run the plan.
-        """
-        if self._bound_method != "chebyshev":
-            return False
-        if query.having is not None or not isinstance(query.from_item, str):
-            return False
-        aggregates = query.aggregates()
-        if not aggregates or any(
-            aggregate.func not in ESTIMABLE_AGGREGATES
-            for aggregate in aggregates
-        ):
-            return False
-        return (
-            set(query.group_by) <= set(synopsis.grouping_columns)
-            and synopsis.sample.frame.num_strata > 0
-        )
-
     def _serve_moments(
         self,
         query: Query,
@@ -1704,7 +1674,7 @@ class AquaSystem:
         extra_predicate: Optional[Predicate] = None,
         started: Optional[float] = None,
     ) -> ApproximateAnswer:
-        """Answer a servable query from per-stratum moments.
+        """Answer a query from the sample's moments.
 
         The one serving step of the miss path and the roll-up tier:
         ``snapshot`` is finalized to the query's GROUP BY (on a roll-up
@@ -1716,25 +1686,17 @@ class AquaSystem:
             started = time.perf_counter()
         check_deadline("finalize")
         with self.telemetry.tracer.span("finalize"):
-            rollup = snapshot.finalize(
-                query.group_by, query.aggregates(), extra_predicate
+            rollup = snapshot.moments.finalize(
+                query.group_by,
+                query.aggregates(),
+                self._confidence,
+                extra_predicate,
             )
-            values, halfwidths = rollup.values, rollup.halfwidths
-            support = rollup.support
-            if not query.group_by and not len(support):
-                # One row even when no sample tuple qualifies, as the plan
-                # answers: SUM and COUNT 0, AVG and every half-width NaN.
-                values = {
-                    a.alias: np.array([np.nan if a.func == "avg" else 0.0])
-                    for a in query.aggregates()
-                }
-                halfwidths = {a: np.array([np.nan]) for a in values}
-                support = np.zeros(1, dtype=np.int64)
             result, order = lay_out(
-                query, state.table.schema, rollup.key_arrays, values,
-                halfwidths,
+                query, state.table.schema, rollup.key_arrays, rollup.values,
+                rollup.halfwidths,
             )
-            support = support[order]
+            support = rollup.support[order]
             self._observe_halfwidths(query, result)
         return self._bounded_answer(
             query,
@@ -1755,7 +1717,7 @@ class AquaSystem:
         A hit merges a finer cached entry's per-stratum aggregate states
         down to the probe's GROUP BY (the paper's Section 6 datacube
         construction run in reverse) through :meth:`_serve_moments`, the
-        step every direct servable answer takes -- so the two agree bit
+        step every direct answer takes -- so the two agree bit
         for bit.  Clean synopsis provenance is re-tagged ``rollup`` and
         the source entry recorded in ``reused_from``.  Repaired/exact
         groups keep their tags (the guard really did that work), and
@@ -1827,15 +1789,16 @@ class AquaSystem:
         ``validate`` is the one gate every answer passes: auto-refresh,
         staleness and the sample's (remembered) structural verdict.  It
         ends holding the answer's one :meth:`_serving_view`, whose version
-        feeds the roll-up lookup, the moments, the plan-cache key and the
-        answer itself.  After it, a :meth:`_servable` query is answered
-        from per-stratum moments (:meth:`_serve_moments`): a roll-up hit's
-        when the index holds a subsuming snapshot (``rollup_probe``), else
-        its own (``moments``); any other query runs the plan.  Each stage
-        starts with an ambient-deadline check, so an expired query dies at
-        the next stage boundary with the stage name on the typed error;
-        the plan/parallel executors check at finer grain (per operator,
-        per partition) inside the execute stage.
+        feeds the roll-up lookup, the moments and the answer itself.
+        After it, a query the rewrites accept
+        (:func:`~repro.rewrite.base.check_rewritable`) is answered from the
+        sample's moments (:meth:`_serve_moments`): a roll-up hit's when the
+        index holds a subsuming snapshot (``rollup_probe``), else its own
+        (``moments``).  Each stage starts with an ambient-deadline check,
+        so an expired query dies at the next stage boundary with the stage
+        name on the typed error; the plan/parallel executors check at
+        finer grain (per operator, per partition) inside the guard's base
+        scans.
 
         With a portfolio ``choice`` the chosen member replaces the primary
         synopsis throughout: its sample answers the query, its build-time
@@ -1927,80 +1890,39 @@ class AquaSystem:
                         issues=tuple(issues),
                     )
 
-        if self._servable(query, synopsis):
-            if choice is None and self._reuse is not None:
-                with tracer.span("rollup_probe"):
-                    match = self._rollup_match(
-                        query, base_name, synopsis, version
-                    )
-                if match is not None:
-                    answer = self._serve_moments(
-                        query,
-                        state,
-                        synopsis,
-                        match.snapshot,
-                        policy,
-                        stale,
-                        version,
-                        extra_predicate=match.extra_predicate,
-                    )
-                    return self._tag_rollup(answer, policy, match)
-            check_deadline("moments")
-            started = time.perf_counter()
-            with tracer.span("moments"):
-                snapshot = self._moments(query, synopsis, version)
-            answer = self._serve_moments(
-                query, state, synopsis, snapshot, policy, stale, version,
-                started=started,
-            )
-            if self._reuse is not None and (
-                answer.guard is None or not answer.guard.degraded
-            ):
-                self._store_if_current(
-                    base_name, version, lambda: self._reuse.register(snapshot)
+        check_rewritable(query, base_name)
+        if choice is None and self._reuse is not None:
+            with tracer.span("rollup_probe"):
+                match = self._rollup_match(query, base_name, synopsis, version)
+            if match is not None:
+                answer = self._serve_moments(
+                    query,
+                    state,
+                    synopsis,
+                    match.snapshot,
+                    policy,
+                    stale,
+                    version,
+                    extra_predicate=match.extra_predicate,
                 )
-            return answer
-
-        check_deadline("rewrite")
-        with tracer.span("rewrite", strategy=self._rewrite.name):
-            plan = self._rewrite.plan(query, synopsis.installed)
-
-        check_deadline("plan_optimize")
-        with tracer.span("plan_optimize") as plan_span:
-            logical, cached_plan = self._optimized_plan(
-                lower_rewritten(plan, self.catalog),
-                base_name,
-                version,
-                plan.strategy,
-                synopsis.installed.sample_name,
-            )
-            plan_span.set(cache="hit" if cached_plan else "miss")
-
-        check_deadline("execute")
-        start = time.perf_counter()
-        with tracer.span("execute") as execute_span:
-            try:
-                # Synopsis scans stay serial regardless of the executor:
-                # samples are budget-bounded (small), and serial execution
-                # keeps answers bit-identical across parallel configs.
-                # Base-table scans (exact, guard repair, synopsis builds)
-                # are where the partitioned GroupBy pays off.
-                result = execute_plan(logical, self.catalog, tracer=tracer)
-            except CatalogError as exc:
-                raise SynopsisCorruptError(
-                    f"synopsis relations for {base_name!r} are missing from "
-                    f"the catalog: {exc}"
-                ) from exc
-            execute_span.set(rows=result.num_rows)
-        elapsed = time.perf_counter() - start
-
-        check_deadline("error_bounds")
-        with tracer.span("error_bounds"):
-            result = self._attach_error_bounds(query, synopsis, result)
-            self._observe_halfwidths(query, result)
-        return self._bounded_answer(
-            query, synopsis, result, elapsed, policy, stale, version
+                return self._tag_rollup(answer, policy, match)
+        check_deadline("moments")
+        started = time.perf_counter()
+        with tracer.span("moments"):
+            snapshot = self._moments(query, state, synopsis, version)
+        answer = self._serve_moments(
+            query, state, synopsis, snapshot, policy, stale, version,
+            started=started,
         )
+        if (
+            self._reuse is not None
+            and snapshot.moments.strata_cells
+            and (answer.guard is None or not answer.guard.degraded)
+        ):
+            self._store_if_current(
+                base_name, version, lambda: self._reuse.register(snapshot)
+            )
+        return answer
 
     def _bounded_answer(
         self,
@@ -2011,13 +1933,12 @@ class AquaSystem:
         policy: Optional[GuardPolicy],
         stale: int,
         version: int,
-        support: Optional[np.ndarray] = None,
+        support: np.ndarray,
     ) -> ApproximateAnswer:
         """A freshly computed result with its ``_error`` columns, guarded.
 
-        The one point both routes -- moments and plan -- pass through:
-        with a policy the guard judges every group (``support``, each
-        row's qualifying sample tuples, when the route already knows it).
+        With a policy the guard judges every group by its ``support``, the
+        row's qualifying sample tuples.
         """
         answer = ApproximateAnswer(
             result=result,
@@ -2152,27 +2073,16 @@ class AquaSystem:
         answer: ApproximateAnswer,
         policy: GuardPolicy,
         stale: int,
-        support: Optional[np.ndarray] = None,
+        support: np.ndarray,
     ) -> ApproximateAnswer:
         """Check every answer group and escalate the ones that fail.
 
-        ``support`` is the qualifying sample tuples behind each result row
-        when the moments already gave it; without it (the plan route) the
-        sample is scanned for it here.
+        ``support`` is the qualifying sample tuples behind each result row.
         """
-        tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         result = answer.result
         group_by = list(query.group_by)
         keys = self._result_keys(result, query.group_by)
-        if support is None:
-            with tracer.span("support"):
-                by_key = group_support(
-                    synopsis.sample, predicate=query.where, group_by=group_by
-                )
-            support = np.array(
-                [by_key.get(key, 0) for key in keys], dtype=np.int64
-            )
         if metrics.enabled:
             support_histogram = metrics.histogram(
                 "aqua_group_support_tuples",
@@ -2469,8 +2379,7 @@ class AquaSystem:
 
         Always includes -- telemetry on or off -- the rewrite strategy,
         the synopsis relations the rewrite reads (sample-table
-        provenance), the cache tier and route (``moments`` or ``plan``,
-        see :meth:`_servable`) :meth:`answer` would take, and the
+        provenance), the cache tier :meth:`answer` would take, and the
         *optimized* operator tree with estimated per-operator
         cardinalities.
 
@@ -2502,7 +2411,7 @@ class AquaSystem:
         else:
             synopsis = self.synopsis(base_name)
         plan = self._rewrite.plan(query, synopsis.installed)
-        logical, __ = self._optimized_plan(
+        logical = self._optimized_plan(
             lower_rewritten(plan, self.catalog),
             base_name,
             version,
@@ -2540,8 +2449,6 @@ class AquaSystem:
             f"(budget {synopsis.budget}, "
             f"allocation {synopsis.allocation_strategy})",
             f"-- cache: {self._probe_cache_tier(query, base_name, budget)}",
-            "-- route: "
-            + ("moments" if self._servable(query, synopsis) else "plan"),
             "-- plan:",
             render_plan(logical, catalog=self.catalog),
         ]
@@ -2586,7 +2493,6 @@ class AquaSystem:
             self._reuse is None
             or budget
             or synopsis is None
-            or not self._servable(query, synopsis)
             or self._refresh_due(base_name)
         ):
             return "miss"
@@ -2686,7 +2592,7 @@ class AquaSystem:
         :class:`~repro.aqua.stream.StreamingAnswer` carries unbiased
         estimates with shrinking CI half-widths (``<alias>_error`` columns,
         same shape as :meth:`answer` results), finalized by the moments
-        route's estimator with the relation as one stratum.
+        kernel's estimator with the relation as one stratum.
 
         The terminal emission of a run-to-completion stream is
         :meth:`exact`'s answer (``final=True``, zero half-widths), so it is
@@ -2714,59 +2620,6 @@ class AquaSystem:
             deadline=deadline,
             rng=rng,
         )
-
-    def _attach_error_bounds(
-        self, query: Query, synopsis: Synopsis, result: Table
-    ) -> Table:
-        """Attach ``<alias>_error`` half-width columns to a plan result.
-
-        The plan route's bounds, for queries that are not servable from
-        the moments (:meth:`_servable`): per SUM/COUNT/AVG aggregate, a
-        Hoeffding half-width from per-stratum value ranges, or a Chebyshev
-        one from :func:`~repro.estimators.point.estimate`.
-        """
-        group_by = list(query.group_by)
-        keys = self._result_keys(result, query.group_by)
-        for aggregate in query.aggregates():
-            if aggregate.func not in ESTIMABLE_AGGREGATES:
-                continue
-            use_hoeffding = (
-                self._bound_method == "hoeffding"
-                and aggregate.func in ("sum", "count")
-                and set(group_by) <= set(synopsis.grouping_columns)
-            )
-            halfwidths = np.full(result.num_rows, np.nan)
-            if use_hoeffding:
-                hoeffding = hoeffding_halfwidths(
-                    self._state(synopsis.base_name).table,
-                    synopsis.sample,
-                    aggregate,
-                    group_by,
-                    self._confidence,
-                )
-                for i, key in enumerate(keys):
-                    halfwidths[i] = hoeffding.get(key, np.nan)
-            else:
-                estimates = estimate(
-                    synopsis.sample,
-                    aggregate.func,
-                    None if aggregate.func == "count" else aggregate.expr,
-                    predicate=query.where,
-                    group_by=group_by,
-                )
-                for i, key in enumerate(keys):
-                    group_estimate = estimates.get(key)
-                    if (
-                        group_estimate is not None
-                        and group_estimate.variance >= 0
-                    ):
-                        halfwidths[i] = chebyshev_halfwidth(
-                            group_estimate.std_error, self._confidence
-                        )
-            result = result.with_column(
-                Column(f"{aggregate.alias}_error", ColumnType.FLOAT), halfwidths
-            )
-        return result
 
     def _observe_halfwidths(self, query: Query, result: Table) -> None:
         """Record each group's relative half-width, per bounded aggregate
@@ -2798,27 +2651,35 @@ class AquaSystem:
                     halfwidth_histogram.observe(relative)
 
     def _moments(
-        self, query: Query, synopsis: Synopsis, version: int
+        self,
+        query: Query,
+        state: _TableState,
+        synopsis: Synopsis,
+        version: int,
     ) -> ReuseSnapshot:
-        """One pass over the sample: the servable query's per-stratum
-        moments at data ``version``, masked by its WHERE (see
-        :meth:`_serve_moments`)."""
+        """One pass over the sample: the query's per-cell moments at data
+        ``version``, masked by its WHERE (see :meth:`_serve_moments`).
+        Hoeffding bounds read their value ranges from the base table."""
         group_text = ", ".join(query.group_by) if query.group_by else "()"
         source = (
             f"{synopsis.base_name}@v{version} "
             f"{synopsis.allocation_strategy}/{synopsis.rewrite_strategy} "
             f"GROUP BY ({group_text})"
         )
-        return ReuseSnapshot.build(
-            synopsis.sample,
-            query.where,
-            query.aggregates(),
+        return ReuseSnapshot(
             base_name=synopsis.base_name,
             version=version,
             synopsis_signature=self._synopsis_signature(synopsis),
+            conjuncts=predicate_conjuncts(query.where),
             confidence=self._confidence,
-            entry_group_by=tuple(query.group_by),
             describe_source=source,
+            moments=SampleMoments.build(
+                synopsis.sample,
+                query.where,
+                query.aggregates(),
+                query.group_by,
+                state.table if self._bound_method == "hoeffding" else None,
+            ),
         )
 
     # -- incremental maintenance -------------------------------------------

@@ -12,7 +12,8 @@ from .errors import (
     normal_quantile,
     standard_error,
 )
-from .point import GroupEstimate, estimate, estimate_single, group_support
+from .moments import SampleMoments
+from .point import GroupEstimate, estimate, estimate_single
 
 __all__ = [
     "DEFAULT_CONFIDENCE",
@@ -23,10 +24,10 @@ __all__ = [
     "estimate",
     "estimate_single",
     "hoeffding_halfwidth_mean",
-    "group_support",
     "hoeffding_halfwidth_stratified_sum",
     "hoeffding_halfwidth_sum",
     "normal_halfwidth",
     "normal_quantile",
+    "SampleMoments",
     "standard_error",
 ]

@@ -19,14 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..engine.aggregates import Aggregate, grouped_reduce
 from ..engine.table import Table
-from ..sampling.groups import GroupKey, finest_group_ids, project_key
-from ..sampling.stratified import StratifiedSample
 
 __all__ = [
     "ErrorBound",
@@ -36,7 +33,6 @@ __all__ = [
     "hoeffding_halfwidth_mean",
     "hoeffding_halfwidth_sum",
     "hoeffding_halfwidth_stratified_sum",
-    "hoeffding_halfwidths",
     "zero_extended_ranges",
     "chebyshev_halfwidth",
     "chebyshev_from_variance",
@@ -240,41 +236,6 @@ def zero_extended_ranges(
     lows = grouped_reduce("min", values, group_ids, num_groups)
     highs = grouped_reduce("max", values, group_ids, num_groups)
     return np.maximum(highs, 0.0) - np.minimum(lows, 0.0)
-
-
-def hoeffding_halfwidths(
-    base: Table,
-    sample: StratifiedSample,
-    aggregate: Aggregate,
-    group_by: Sequence[str],
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> Dict[GroupKey, float]:
-    """Per-answer-group Hoeffding half-widths of a SUM/COUNT estimate.
-
-    Per-stratum value ranges come from the base relation
-    (:func:`zero_extended_ranges`); the sampled strata of each
-    ``group_by`` group feed
-    :func:`hoeffding_halfwidth_stratified_sum`.
-    """
-    grouping = sample.grouping_columns
-    ids, keys = finest_group_ids(base, grouping)
-    ranges = zero_extended_ranges(base, aggregate, ids, len(keys)).tolist()
-    strata = sample.strata  # one copy of the stratum map, not one per key
-    per_answer: Dict[GroupKey, Tuple[List[float], List[float], List[int]]] = {}
-    for index, key in enumerate(keys):
-        stratum = strata.get(key)
-        if stratum is None or stratum.sample_size == 0:
-            continue
-        r, n, m = per_answer.setdefault(
-            project_key(key, grouping, group_by), ([], [], [])
-        )
-        r.append(ranges[index])
-        n.append(float(stratum.population))
-        m.append(int(stratum.sample_size))
-    return {
-        answer: hoeffding_halfwidth_stratified_sum(r, n, m, confidence)
-        for answer, (r, n, m) in per_answer.items()
-    }
 
 
 def chebyshev_halfwidth(

@@ -11,9 +11,11 @@ uniform samples with different rates, so each sampled tuple carries a
 These are the classic stratified expansion estimators [Coc77]; SUM and COUNT
 are exactly unbiased, AVG is asymptotically unbiased.
 
-This module computes the estimates directly from a
-:class:`~repro.sampling.stratified.StratifiedSample` (no SQL round trip) and
-also returns per-answer-group *variance estimates*, from which
+This module's functions are one-aggregate views of the moments kernel
+(:class:`~repro.estimators.moments.SampleMoments`) that finalizes every
+approximate answer: estimates straight from a
+:class:`~repro.sampling.stratified.StratifiedSample` (no SQL round trip)
+with per-answer-group *variance estimates*, from which
 :mod:`repro.estimators.errors` derives confidence bounds.  The SQL rewriting
 strategies (:mod:`repro.rewrite`) must agree with these numbers -- that
 equivalence is asserted in the integration tests.
@@ -22,22 +24,26 @@ equivalence is asserted in the integration tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from ..engine.expressions import Expression
-from ..engine.groupby import group_ids_for
+from ..engine.aggregates import Aggregate
+from ..engine.expressions import Col, Expression, Lit
+from ..engine.groupby import key_tuples
 from ..engine.predicates import Predicate
+from ..engine.table import Table
 from ..sampling.groups import GroupKey
 from ..sampling.stratified import StratifiedSample
+from .errors import DEFAULT_CONFIDENCE, _check_confidence
+from .moments import GroupedEstimates, SampleMoments, expansion_variance
 
 __all__ = [
     "GroupEstimate",
     "estimate",
     "estimate_single",
     "expansion_variance",
-    "group_support",
+    "hoeffding_halfwidths",
 ]
 
 
@@ -63,6 +69,18 @@ class GroupEstimate:
         return float(np.sqrt(self.variance)) if self.variance >= 0 else float("nan")
 
 
+def _by_key(estimates: GroupedEstimates) -> Dict[GroupKey, int]:
+    """Row index of each answered group (zero support: absent)."""
+    keys = (
+        key_tuples(estimates.key_arrays)
+        if estimates.group_by
+        else [()] * len(estimates.support)
+    )
+    return {
+        keys[i]: i for i in np.flatnonzero(estimates.support > 0).tolist()
+    }
+
+
 def estimate(
     sample: StratifiedSample,
     func: str,
@@ -71,6 +89,10 @@ def estimate(
     group_by: Sequence[str] = (),
 ) -> Dict[GroupKey, GroupEstimate]:
     """Estimate ``func(column)`` per answer group.
+
+    One aggregate through the moments kernel
+    (:class:`~repro.estimators.moments.SampleMoments`), the one every
+    approximate answer is finalized by.
 
     Args:
         sample: the stratified sample.
@@ -94,66 +116,24 @@ def estimate(
         raise ValueError(f"unsupported estimator {func!r}")
     if func != "count" and column is None:
         raise ValueError(f"{func} requires an aggregate column")
-
-    frame = sample.frame
-    if not frame.num_strata:
-        return {}
-    rows = frame.rows
-    keep = np.flatnonzero(frame.qualifies(predicate))
-    if column is None or func == "count":
-        values = np.ones(len(keep))
-    elif isinstance(column, Expression):
-        values = np.asarray(column.evaluate(rows), dtype=np.float64)[keep]
+    if func == "count":
+        expr: Expression = Lit(1)
     else:
-        values = np.asarray(rows.column(column), dtype=np.float64)[keep]
-
-    answer_ids, answer_keys, num_answers = group_ids_for(rows, list(group_by))
-    answer_ids = answer_ids[keep]
-    stratum_ids = frame.stratum_ids[keep]
-    tuples = np.bincount(answer_ids, minlength=num_answers)
-
-    # One (answer group, stratum) cell per pair that holds a qualifying
-    # tuple; every other pair contributes nothing to value or variance.
-    cells, cell_of = np.unique(
-        answer_ids * frame.num_strata + stratum_ids, return_inverse=True
-    )
-    cell_answer, cell_stratum = np.divmod(cells, frame.num_strata)
-    cell_populations = frame.populations[cell_stratum]
-    cell_sizes = frame.sizes[cell_stratum]
-    sf = frame.sf[keep]
-
-    def expansion(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        total = np.bincount(answer_ids, weights=y * sf, minlength=num_answers)
-        terms = expansion_variance(
-            cell_populations,
-            cell_sizes,
-            np.bincount(cell_of, weights=y, minlength=len(cells)),
-            np.bincount(cell_of, weights=y * y, minlength=len(cells)),
-        )
-        return total, np.bincount(
-            cell_answer, weights=terms, minlength=num_answers
-        )
-
-    if func == "avg":
-        num, num_var = expansion(values)
-        den, den_var = expansion(np.ones(len(keep)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = num / den
-            # First-order (delta-method) variance for the ratio estimator,
-            # ignoring the covariance term (conservative simplification).
-            variance = (num_var + value * value * den_var) / (den * den)
-        answered = (tuples > 0) & (den != 0)
-    else:
-        value, variance = expansion(values)
-        answered = tuples > 0
+        expr = column if isinstance(column, Expression) else Col(column)
+    aggregate = Aggregate(func, expr, "estimate")
+    estimates = SampleMoments.build(
+        sample, predicate, [aggregate], group_by
+    ).finalize(group_by, [aggregate], DEFAULT_CONFIDENCE)
+    value = estimates.values["estimate"]
+    variance = estimates.variances["estimate"]
     return {
-        answer_keys[aid]: GroupEstimate(
-            key=answer_keys[aid],
-            value=float(value[aid]),
-            variance=float(variance[aid]),
-            sample_tuples=int(tuples[aid]),
+        key: GroupEstimate(
+            key=key,
+            value=float(value[i]),
+            variance=float(variance[i]),
+            sample_tuples=int(estimates.support[i]),
         )
-        for aid in np.flatnonzero(answered)
+        for key, i in _by_key(estimates).items()
     }
 
 
@@ -168,59 +148,26 @@ def estimate_single(
     return result.get(())
 
 
-def group_support(
+def hoeffding_halfwidths(
+    base: Table,
     sample: StratifiedSample,
-    predicate: Optional[Predicate] = None,
-    group_by: Sequence[str] = (),
-) -> Dict[GroupKey, int]:
-    """Qualifying sample tuples per answer group.
+    aggregate: Aggregate,
+    group_by: Sequence[str],
+    confidence: float = DEFAULT_CONFIDENCE,
+) -> Dict[GroupKey, float]:
+    """Per-answer-group Hoeffding half-widths of a SUM/COUNT estimate.
 
-    The serve-time guard uses this to decide whether an answer group has
-    enough sample support for its estimate to be trusted (the paper's
-    small-group problem, observed at answer time).  Groups with zero
-    qualifying tuples are absent, mirroring :func:`estimate`.
+    ``group_by`` lies within the stratification columns.  Per-stratum
+    value ranges come from the base relation
+    (:func:`~repro.estimators.errors.zero_extended_ranges`); the terms of
+    a group's sampled strata sum as in
+    :func:`~repro.estimators.errors.hoeffding_halfwidth_stratified_sum`.
     """
-    frame = sample.frame
-    if not frame.num_strata:
-        return {}
-    answer_ids, answer_keys, num_answers = group_ids_for(
-        frame.rows, list(group_by)
-    )
-    counts = np.bincount(
-        answer_ids[frame.qualifies(predicate)], minlength=num_answers
-    )
+    _check_confidence(confidence)
+    estimates = SampleMoments.build(
+        sample, None, [aggregate], group_by, base=base
+    ).finalize(group_by, [aggregate], confidence)
+    halfwidths = estimates.halfwidths[aggregate.alias]
     return {
-        answer_keys[aid]: int(counts[aid]) for aid in np.flatnonzero(counts)
+        key: float(halfwidths[i]) for key, i in _by_key(estimates).items()
     }
-
-
-def expansion_variance(
-    populations: np.ndarray,
-    sizes: np.ndarray,
-    sums: np.ndarray,
-    sumsq: np.ndarray,
-) -> np.ndarray:
-    """Per-stratum contributions to the expansion estimator's variance.
-
-    The estimator works on the *zero-extended* values ``y' = y * mask`` so
-    that the predicate/answer-group restriction is handled inside each
-    stratum: the estimate is ``sum_g (N_g/n_g) * sum_{i in sample_g} y'_i``
-    and its estimated variance is ``sum_g N_g^2 (1 - n_g/N_g) s'^2_g / n_g``
-    with ``s'^2_g`` the within-stratum sample variance of ``y'`` [Coc77,
-    ch. 5].  ``sums`` and ``sumsq`` are each stratum's sums of ``y'`` and
-    ``y'^2`` (the zeros add nothing), ``populations`` and ``sizes`` its
-    ``N_g`` and ``n_g``; entry ``g`` of the result is stratum ``g``'s term.
-    Singleton strata contribute zero estimated variance (their variance is
-    not estimable from one observation; with full enumeration the true
-    variance is 0 anyway because the FPC vanishes).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        means = sums / sizes
-        sample_var = np.where(
-            sizes > 1,
-            np.maximum(sumsq - sizes * means * means, 0.0)
-            / np.maximum(sizes - 1.0, 1.0),
-            0.0,
-        )
-        fpc = 1.0 - sizes / populations
-        return populations * populations * fpc * sample_var / sizes

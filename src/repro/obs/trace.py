@@ -293,9 +293,10 @@ class QueryTrace:
     """The completed trace of one answered query.
 
     Wraps the root span with stage-level accessors: the root's direct
-    children are the pipeline stages (``parse``, ``validate``,
-    ``moments``, ``finalize``, ``guard``, ... -- or ``rewrite``,
-    ``execute``, ``error_bounds`` where the plan runs).
+    children are the pipeline stages (``parse``, ``cache_probe``,
+    ``validate``, ``rollup_probe``, ``moments``, ``finalize``, ``guard``,
+    ``cache_store``); a guard's base-table scans nest their ``op_*`` plan
+    spans under ``guard``.
     """
 
     def __init__(self, root: Span):

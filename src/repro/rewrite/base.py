@@ -22,11 +22,17 @@ from ..errors import AquaError
 from ..sampling.stratified import SF_COLUMN, StratifiedSample
 
 __all__ = [
+    "REWRITABLE_AGGREGATES",
     "RewriteError",
+    "check_rewritable",
     "InstalledSynopsis",
     "RewriteStrategy",
     "scale_select_list",
 ]
+
+
+#: The aggregates every strategy has a rewrite rule for.
+REWRITABLE_AGGREGATES = ("sum", "count", "avg", "min", "max")
 
 
 class RewriteError(AquaError, ValueError):
@@ -69,20 +75,32 @@ class RewriteStrategy(ABC):
         """Rewrite a user ``query`` into an executable plan."""
 
     def _check_query(self, query: Query, synopsis: InstalledSynopsis) -> None:
-        if query.from_item != synopsis.base_name:
+        check_rewritable(query, synopsis.base_name)
+
+
+def check_rewritable(query: Query, base_name: str) -> None:
+    """Raise :class:`RewriteError` unless every strategy can rewrite
+    ``query``: an aggregate query over ``base_name`` itself, using only
+    SUM/COUNT/AVG/MIN/MAX, with no ``__``-prefixed output alias."""
+    if query.from_item != base_name:
+        raise RewriteError(
+            f"query is over {query.from_item!r}, synopsis covers "
+            f"{base_name!r}"
+        )
+    if not query.has_aggregates():
+        raise RewriteError(
+            "only aggregate queries can be answered approximately"
+        )
+    for alias in query.output_aliases():
+        if alias.startswith("__"):
             raise RewriteError(
-                f"query is over {query.from_item!r}, synopsis covers "
-                f"{synopsis.base_name!r}"
+                f"output alias {alias!r} collides with internal names"
             )
-        if not query.has_aggregates():
+    for aggregate in query.aggregates():
+        if aggregate.func not in REWRITABLE_AGGREGATES:
             raise RewriteError(
-                "only aggregate queries can be answered approximately"
+                f"aggregate {aggregate.func!r} has no rewrite rule"
             )
-        for alias in query.output_aliases():
-            if alias.startswith("__"):
-                raise RewriteError(
-                    f"output alias {alias!r} collides with internal names"
-                )
 
 
 def scale_select_list(

@@ -39,17 +39,18 @@ deterministic by construction -- no wall-clock sleeps, no randomness:
   :class:`~repro.errors.TransientError` (or a caller-supplied exception),
   exercising the retry policy and circuit breaker with an exact failure
   count.
-* **slow_scan** -- the synopsis sample relation is replaced with a
-  :class:`SlowScanTable` that charges a :class:`ManualClock` per column
-  read and honors the active deadline, so "this scan takes 50 ms" is a
-  statement about the manual clock, not the machine.
+* **slow_scan** -- the synopsis sample rows every answer's moments scan
+  reads are replaced with a :class:`SlowScanTable` that charges a
+  :class:`ManualClock` per column read and honors the active deadline,
+  so "this scan takes 50 ms" is a statement about the manual clock, not
+  the machine.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from ..aqua.system import AquaSystem
 from ..engine.table import Table
 from ..errors import AquaError, TransientError
 from ..sampling.groups import GroupKey
-from ..sampling.stratified import StratifiedSample, Stratum
+from ..sampling.stratified import SampleFrame, StratifiedSample, Stratum
 from ..serve.deadline import ManualClock, check_deadline
 
 __all__ = [
@@ -325,7 +326,7 @@ class ServiceFaultInjector:
         self._burst_factory: Callable[[], Exception] = lambda: TransientError(
             "injected transient fault"
         )
-        self._slow_tables: Dict[str, Table] = {}
+        self._slow_frames: List[Tuple[SampleFrame, Table]] = []
         self._slow_bases: Dict[str, Table] = {}
 
     # -- fault constructors --------------------------------------------------
@@ -370,18 +371,19 @@ class ServiceFaultInjector:
         clock: ManualClock,
         stage: str = "scan",
     ) -> SlowScanTable:
-        """Replace ``name``'s sample relation with a :class:`SlowScanTable`.
+        """Replace the rows of ``name``'s synopsis sample with a
+        :class:`SlowScanTable`.
 
-        Every column read during a synopsis scan then advances ``clock`` by
-        ``cost_seconds`` and checks the active deadline.  Returns the
-        instrumented table (its ``reads`` counter is useful in assertions).
+        Every column the moments kernel reads from the sample then advances
+        ``clock`` by ``cost_seconds`` and checks the active deadline.
+        Returns the instrumented table (its ``reads`` counter is useful in
+        assertions).  A rebuilt sample is a fresh, unslowed one.
         """
-        synopsis = self.system.synopsis(name)
-        sample_name = synopsis.installed.sample_name
-        original = self.system.catalog.get(sample_name)
+        frame = self.system.synopsis(name).sample.frame
+        original = frame.rows
         slow = SlowScanTable(original, clock, cost_seconds, stage)
-        self.system.catalog.register(sample_name, slow, replace=True)
-        self._slow_tables.setdefault(sample_name, original)
+        frame.__dict__["rows"] = slow  # the frame's cached_property slot
+        self._slow_frames.append((frame, original))
         return slow
 
     def slow_base_scan(
@@ -418,9 +420,9 @@ class ServiceFaultInjector:
             self._gate = None
         with self._lock:
             self._burst_remaining = 0
-        for sample_name, original in self._slow_tables.items():
-            self.system.catalog.register(sample_name, original, replace=True)
-        self._slow_tables.clear()
+        for frame, original in reversed(self._slow_frames):
+            frame.__dict__["rows"] = original
+        self._slow_frames.clear()
         for name, original in self._slow_bases.items():
             self.system._state(name).table = original
             self.system.catalog.register(name, original, replace=True)
@@ -486,8 +488,8 @@ class AnswerTamper:
         original = self.system._bounded_answer
         tamper = self
 
-        # Both answer routes (moments and plan) hand their bounded result
-        # to the guard through ``_bounded_answer``; tamper it on the way.
+        # Every freshly computed answer reaches the guard through
+        # ``_bounded_answer``; tamper it on the way.
         def _bounded_answer(query, synopsis, result, *args, **kwargs):
             columns = dict(result.columns())
             touched = False

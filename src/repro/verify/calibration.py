@@ -33,12 +33,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core import BasicCongress, Congress, House, Senate, build_sample
-from ..estimators.errors import (
-    chebyshev_halfwidth,
-    hoeffding_halfwidths,
-    normal_halfwidth,
-)
-from ..estimators.point import GroupEstimate, estimate
+from ..estimators.errors import chebyshev_halfwidth, normal_halfwidth
+from ..estimators.point import GroupEstimate, estimate, hoeffding_halfwidths
 from ..obs import Telemetry
 from ..rewrite import strategy_by_name
 from ..sampling.groups import GroupKey

@@ -104,7 +104,7 @@ def bound_queries(draw):
         sql += f" GROUP BY {', '.join(group_by)}"
     if draw(st.booleans()):
         # Always true, so the approximate and exact answers keep the same
-        # groups; it moves the query to the plan route.
+        # groups.
         sql += f" HAVING {draw(st.sampled_from(aggregates))} > -1000000"
     order = []
     if draw(st.booleans()):

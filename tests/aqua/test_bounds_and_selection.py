@@ -90,7 +90,7 @@ class TestBoundMethods:
 
 
 class TestOneBoundsPath:
-    """An expansion-servable query is bounded from the per-stratum moments
+    """A SUM/COUNT/AVG query is bounded from the per-stratum moments
     whether or not the caches are on; the knobs only decide what is kept."""
 
     QUERIES = (

@@ -176,13 +176,12 @@ class TestObservabilityCommands:
 
     def test_trace_prints_result_and_span_tree(self, telemetry_shell):
         sh, out = telemetry_shell
-        # HAVING runs the plan route, whose operator spans are traced
         sh.execute_line(
             ".trace select a, sum(q) s from rel group by a having s >= 0"
         )
         text = out.getvalue()
         assert "s_error" in text  # the answer table itself
-        for stage in ("answer", "parse", "execute", "scan"):
+        for stage in ("answer", "parse", "moments", "finalize"):
             assert stage in text
         assert "ms" in text
 

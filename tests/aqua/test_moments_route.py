@@ -1,16 +1,24 @@
-"""The moments route: servable answers never run the plan, and match it.
+"""One route: every answer finalizes from the sample's moments, and
+matches the plan the rewrites would run.
 
-A SUM/COUNT/AVG query the sample's per-stratum moments answer on their
-own is served from those moments alone.  Two checks hold it there:
+Whatever the query's shape -- SUM/COUNT/AVG, MIN/MAX, HAVING, a GROUP BY
+outside the stratification columns, Chebyshev or Hoeffding bounds -- it
+is answered from the sample's per-cell moments alone.  Three checks hold
+it there:
 
 * a tripwire: the catalog's sample relation -- what the rewritten plan
-  scans -- is read zero times by every servable answer, guarded or not,
-  cached or not, while a HAVING query (plan route) still reads it;
+  scans -- is read zero times by every answer, guarded or not, cached or
+  not;
 * an oracle: the retained plan route -- ``execute_plan`` of the rewrite,
-  with ``estimate()`` and ``chebyshev_halfwidth`` for the bounds --
-  computes the same table: schema, keys and row order exactly, values and
-  half-widths to summation order (``rtol=1e-9``).
+  with ``estimate()`` and ``chebyshev_halfwidth`` for the bounds, and
+  ``hoeffding_halfwidth_stratified_sum`` over base-table ranges for
+  Hoeffding ones -- computes the same table: schema, keys and row order
+  exactly, values and half-widths to summation order (``rtol=1e-9``);
+* a typed-error lock: the queries the rewrites refuse raise the same
+  :class:`~repro.rewrite.base.RewriteError` from ``answer()``.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,15 +27,20 @@ from repro.aqua import AquaSystem
 from repro.engine import Column, ColumnType, Schema, Table
 from repro.engine.groupby import key_tuples
 from repro.engine.sql import parse_query
-from repro.estimators.errors import chebyshev_halfwidth
+from repro.errors import AquaError
+from repro.estimators.errors import (
+    chebyshev_halfwidth,
+    hoeffding_halfwidth_stratified_sum,
+)
 from repro.estimators.point import estimate
 from repro.plan import execute_plan, lower_rewritten, optimize
+from repro.rewrite.base import RewriteError
 from repro.rewrite.nested_integrated import NestedIntegrated
 from repro.serve.deadline import ManualClock
-from repro.testing.faults import ServiceFaultInjector
+from repro.testing.faults import SlowScanTable
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 GROUPING = ["g", "h", "k"]
@@ -42,6 +55,7 @@ def _table(n=3000, seed=5):
             Column("k", ColumnType.INT, "grouping"),
             Column("v", ColumnType.FLOAT, "aggregate"),
             Column("w", ColumnType.FLOAT, "aggregate"),
+            Column("z", ColumnType.STR, "aggregate"),  # not stratified on
             Column("id", ColumnType.INT, "key"),
         ]
     )
@@ -52,6 +66,7 @@ def _table(n=3000, seed=5):
         k=rng.choice([1, 2, 3], size=n),
         v=rng.gamma(2.0, 40.0, size=n),
         w=rng.normal(50.0, 12.0, size=n),
+        z=rng.choice(["p", "q", "r", "s"], size=n),
         id=np.arange(n),
     )
 
@@ -72,16 +87,50 @@ QG2 = (
 QG3 = "SELECT g, h, k, SUM(v) AS a FROM t WHERE id >= 100 GROUP BY g, h, k"
 
 
+# Every shape answer() serves: (SQL, system knobs).
+SHAPES = {
+    "qg0": (QG0, {}),
+    "qg2": (QG2, {}),
+    "qg3": (QG3, {}),
+    "having": ("SELECT g, SUM(v) AS s FROM t GROUP BY g HAVING s > 0", {}),
+    "minmax": (
+        "SELECT g, MIN(v) AS lo, MAX(w) AS hi, AVG(v) AS m FROM t "
+        "WHERE id >= 100 GROUP BY g",
+        {},
+    ),
+    "unstratified": (
+        "SELECT z, g, SUM(v) AS s, COUNT(*) AS c FROM t GROUP BY z, g", {}
+    ),
+    "empty_minmax": (
+        "SELECT MIN(v) AS lo, MAX(v) AS hi FROM t WHERE g = 'zzz'", {}
+    ),
+    "hoeffding": (QG2, {"bound_method": "hoeffding"}),
+}
+
+
+@contextmanager
+def _sample_relation_reads(system):
+    """Count the column reads of the catalog's sample relation."""
+    name = system.synopsis("t").installed.sample_name
+    original = system.catalog.get(name)
+    counted = SlowScanTable(original, ManualClock())
+    system.catalog.register(name, counted, replace=True)
+    try:
+        yield counted
+    finally:
+        system.catalog.register(name, original, replace=True)
+
+
 class TestSampleRelationTripwire:
-    @pytest.mark.parametrize("sql", [QG0, QG2, QG3], ids=["qg0", "qg2", "qg3"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("guard", [True, False])
     @pytest.mark.parametrize("cache", [True, False])
     def test_servable_answers_never_read_the_sample_relation(
-        self, sql, guard, cache
+        self, shape, guard, cache
     ):
-        system = _system(cache=cache)
-        with ServiceFaultInjector(system) as faults:
-            slow = faults.slow_scan("t", 0.0, ManualClock())
+        sql, knobs = SHAPES[shape]
+        system = _system(cache=cache, **knobs)
+        with _sample_relation_reads(system) as relation:
             system.answer(sql, guard=guard)
             system.answer(sql, guard=guard)  # a cache hit when cache is on
             # a coarser probe: the roll-up tier when cache is on
@@ -89,18 +138,75 @@ class TestSampleRelationTripwire:
                 "SELECT g, SUM(v) AS a FROM t WHERE id >= 100 GROUP BY g",
                 guard=guard,
             )
-            assert slow.reads == 0
+            assert relation.reads == 0
 
-    def test_a_having_query_still_scans_the_sample_relation(self):
+
+# Queries the rewrites refuse: each raises the rewrites' typed error from
+# answer(), guarded or not.
+REFUSED = {
+    "nested_from": (
+        "SELECT SUM(v) AS s FROM (SELECT v FROM t) x",
+        "query is over Query(select=(Projection(expr=Col(v), alias='v'),), "
+        "from_item='t', where=None, group_by=(), having=None, order_by=(), "
+        "limit=None), synopsis covers 't'",
+    ),
+    "no_aggregate": (
+        "SELECT g FROM t GROUP BY g",
+        "only aggregate queries can be answered approximately",
+    ),
+    "var": (
+        "SELECT g, VAR(v) AS s FROM t GROUP BY g",
+        "aggregate 'var' has no rewrite rule",
+    ),
+    "internal_alias": (
+        "SELECT g, MIN(v) AS __lo FROM t GROUP BY g",
+        "output alias '__lo' collides with internal names",
+    ),
+}
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("shape", sorted(REFUSED))
+    @pytest.mark.parametrize("guard", [True, False])
+    def test_refused_queries_raise_one_typed_error(self, shape, guard):
+        sql, message = REFUSED[shape]
         system = _system()
-        with ServiceFaultInjector(system) as faults:
-            slow = faults.slow_scan("t", 0.0, ManualClock())
-            system.answer("SELECT g, SUM(v) AS s FROM t GROUP BY g HAVING s > 0")
-            assert slow.reads > 0
+        with pytest.raises(AquaError) as excinfo:
+            system.answer(sql, guard=guard)
+        assert type(excinfo.value) is RewriteError
+        assert str(excinfo.value) == message
 
 
-def _plan_route(system, query):
-    """The reference: the rewritten plan's table with estimate() bounds."""
+def _hoeffding_reference(system, aggregate, group_by, keys):
+    """Per-key Hoeffding half-widths: every sampled stratum of the group,
+    its value range over the base table widened to contain zero."""
+    base = system._state("t").table
+    if aggregate.func == "count":
+        values = np.ones(base.num_rows)
+    else:
+        values = np.asarray(aggregate.expr.evaluate(base), dtype=np.float64)
+    per_group = {}
+    for key, stratum in system.synopsis("t").sample.strata.items():
+        if stratum.sample_size == 0:
+            continue
+        rows = np.ones(base.num_rows, dtype=bool)
+        for column, value in zip(GROUPING, key):
+            rows &= base.column(column) == value
+        low, high = values[rows].min(), values[rows].max()
+        answer = tuple(key[GROUPING.index(column)] for column in group_by)
+        ranges, populations, sizes = per_group.setdefault(answer, ([], [], []))
+        ranges.append(float(max(high, 0.0) - min(low, 0.0)))
+        populations.append(float(stratum.population))
+        sizes.append(int(stratum.sample_size))
+    return [
+        hoeffding_halfwidth_stratified_sum(*per_group[key], 0.9)
+        for key in keys
+    ]
+
+
+def _plan_route(system, query, hoeffding=False):
+    """The reference: the rewritten plan's table with estimate() bounds,
+    or Hoeffding ones where the system's bound family gives them."""
     synopsis = system.synopsis("t")
     plan = NestedIntegrated().plan(query, synopsis.installed)
     result = execute_plan(
@@ -113,19 +219,27 @@ def _plan_route(system, query):
         if key_columns
         else [()] * result.num_rows
     )
+    stratified = set(query.group_by) <= set(GROUPING)
     for aggregate in query.aggregates():
-        estimates = estimate(
-            synopsis.sample,
-            aggregate.func,
-            None if aggregate.func == "count" else aggregate.expr,
-            predicate=query.where,
-            group_by=list(query.group_by),
-        )
-        halfwidths = np.full(result.num_rows, np.nan)
-        for i, key in enumerate(keys):
-            found = estimates.get(key)
-            if found is not None and found.variance >= 0:
-                halfwidths[i] = chebyshev_halfwidth(found.std_error, 0.9)
+        if aggregate.func not in ("sum", "count", "avg"):
+            continue
+        if hoeffding and stratified and aggregate.func != "avg":
+            halfwidths = _hoeffding_reference(
+                system, aggregate, query.group_by, keys
+            )
+        else:
+            estimates = estimate(
+                synopsis.sample,
+                aggregate.func,
+                None if aggregate.func == "count" else aggregate.expr,
+                predicate=query.where,
+                group_by=list(query.group_by),
+            )
+            halfwidths = np.full(result.num_rows, np.nan)
+            for i, key in enumerate(keys):
+                found = estimates.get(key)
+                if found is not None and found.variance >= 0:
+                    halfwidths[i] = chebyshev_halfwidth(found.std_error, 0.9)
         result = result.with_column(
             Column(f"{aggregate.alias}_error", ColumnType.FLOAT), halfwidths
         )
@@ -138,6 +252,8 @@ _AGGREGATES = [
     ("COUNT(*) AS n", "n", False),  # equal counts tie; routes may break differently
     ("AVG(v) AS m", "m", True),
     ("SUM(w) AS sw", "sw", True),
+    ("MIN(v) AS lo", "lo", True),
+    ("MAX(w) AS hi", "hi", True),
 ]
 _WHERES = [
     None,
@@ -147,12 +263,14 @@ _WHERES = [
     "v > 30 AND g != 'a'",
     "g = 'zzz'",
 ]
+# HAVING thresholds far from every estimate's rounding
+_THRESHOLDS = ["-1e9", "0", "75", "2500"]
 
 
 @st.composite
-def servable_queries(draw):
+def answerable_queries(draw):
     group_by = draw(
-        st.lists(st.sampled_from(GROUPING), max_size=3, unique=True)
+        st.lists(st.sampled_from(GROUPING + ["z"]), max_size=3, unique=True)
     )
     aliased = {
         column: draw(st.sampled_from([column, f"{column}_key"]))
@@ -173,6 +291,9 @@ def servable_queries(draw):
         sql += f" WHERE {where}"
     if group_by:
         sql += f" GROUP BY {', '.join(group_by)}"
+    if draw(st.booleans()):
+        alias = draw(st.sampled_from([alias for __, alias, __ in aggregates]))
+        sql += f" HAVING {alias} > {draw(st.sampled_from(_THRESHOLDS))}"
     orderable = list(aliased.values()) + [
         alias for __, alias, tie_free in aggregates if tie_free
     ]
@@ -187,14 +308,32 @@ def servable_queries(draw):
     return sql
 
 
-@settings(deadline=None, max_examples=120)
-@given(sql=servable_queries(), budget=st.sampled_from([300, 900]))
-def test_moments_route_matches_the_plan_route(sql, budget):
-    system = _system(budget=budget, guard_policy=False)
+@settings(deadline=None, max_examples=150)
+@given(
+    sql=answerable_queries(),
+    budget=st.sampled_from([300, 900]),
+    hoeffding=st.booleans(),
+)
+@example(
+    sql="SELECT MIN(v) AS lo, MAX(w) AS hi, SUM(v) AS s FROM t "
+    "WHERE g = 'zzz'",
+    budget=300,
+    hoeffding=False,
+)
+@example(
+    sql="SELECT MIN(v) AS lo, COUNT(*) AS n FROM t WHERE g = 'zzz'",
+    budget=900,
+    hoeffding=True,
+)
+def test_moments_route_matches_the_plan_route(sql, budget, hoeffding):
+    system = _system(
+        budget=budget,
+        guard_policy=False,
+        bound_method="hoeffding" if hoeffding else "chebyshev",
+    )
     query = parse_query(sql)
-    assert system._servable(query, system.synopsis("t")), sql
     served = system.answer(sql).result
-    reference = _plan_route(system, query)
+    reference = _plan_route(system, query, hoeffding)
 
     assert served.schema == reference.schema, sql
     assert served.num_rows == reference.num_rows, sql

@@ -15,9 +15,11 @@ from repro.obs import MetricsRegistry
 from repro.testing import FaultInjector
 
 SQL = "select a, b, sum(q) s from rel group by a, b order by a, b"
-# HAVING keeps a query off the moments route: it runs the rewritten plan.
-PLAN_SQL = (
-    "select a, b, sum(q) s from rel group by a, b having s >= 0 order by a, b"
+# HAVING finalizes from the sample's moments like any other query; its
+# WHERE keeps it from being a roll-up hit after SQL.
+HAVING_SQL = (
+    "select a, b, sum(q) s from rel where q >= 0 group by a, b "
+    "having s >= 0 order by a, b"
 )
 
 
@@ -40,29 +42,29 @@ def _counter_values(snapshot, name):
 
 class TestTracedAnswer:
     def test_trace_has_named_stages_summing_to_total(self, system):
-        answer = system.answer(PLAN_SQL)
+        answer = system.answer(HAVING_SQL)
         trace = answer.trace
         assert trace is not None
         stage_seconds = trace.stage_seconds()
         # The acceptance bar: at least five named pipeline stages whose
         # durations account for the reported total within 10%.
         assert len(stage_seconds) >= 5
-        for stage in ("parse", "validate", "rewrite", "execute",
-                      "error_bounds", "guard"):
+        for stage in ("parse", "validate", "moments", "finalize", "guard"):
             assert stage in stage_seconds, stage
         assert sum(stage_seconds.values()) >= 0.9 * trace.total_seconds
         assert sum(stage_seconds.values()) <= trace.total_seconds * 1.001
 
     def test_servable_answer_runs_the_moments_stages(self, system):
-        trace = system.answer(SQL).trace
-        # validate first: the roll-up tier passes the same gate as a miss
-        assert [span.name for span in trace.stages] == [
-            "parse", "cache_probe", "validate", "rollup_probe", "moments",
-            "finalize", "guard", "cache_store",
-        ]
-        stage_seconds = trace.stage_seconds()
-        assert sum(stage_seconds.values()) >= 0.9 * trace.total_seconds
-        assert sum(stage_seconds.values()) <= trace.total_seconds * 1.001
+        for sql in (SQL, HAVING_SQL):
+            trace = system.answer(sql).trace
+            # validate first: the roll-up tier passes the same gate as a miss
+            assert [span.name for span in trace.stages] == [
+                "parse", "cache_probe", "validate", "rollup_probe", "moments",
+                "finalize", "guard", "cache_store",
+            ], sql
+            stage_seconds = trace.stage_seconds()
+            assert sum(stage_seconds.values()) >= 0.9 * trace.total_seconds
+            assert sum(stage_seconds.values()) <= trace.total_seconds * 1.001
 
     def test_rollup_hit_is_validated_before_it_is_served(self, system):
         system.answer(SQL)
@@ -87,22 +89,25 @@ class TestTracedAnswer:
         assert third.attributes["structural"] == "walked"
 
     def test_stages_are_ordered_and_execute_has_children(self, system):
-        trace = system.answer(PLAN_SQL).trace
+        # A bound no answer meets: the guard falls back to an exact answer,
+        # the one place an answer executes a physical plan.
+        policy = GuardPolicy(max_relative_halfwidth=1e-12)
+        trace = system.answer(HAVING_SQL, guard=policy).trace
         names = [span.name for span in trace.stages]
-        assert names.index("parse") < names.index("rewrite")
-        assert names.index("rewrite") < names.index("plan_optimize")
-        assert names.index("plan_optimize") < names.index("execute")
-        execute = trace.stage("execute")
+        assert names.index("parse") < names.index("validate")
+        assert names.index("validate") < names.index("moments")
+        assert names.index("moments") < names.index("finalize")
+        assert names.index("finalize") < names.index("guard")
         descendants = []
-        stack = list(execute.children)
+        stack = list(trace.stage("guard").children)
         while stack:
             span = stack.pop()
             descendants.append(span.name)
             stack.extend(span.children)
-        # The execute stage runs the physical operator tree: one op_* span
-        # per plan node, nested to match the tree shape.
+        # The base-table plan runs the physical operator tree: one op_*
+        # span per plan node, nested to match the tree shape.
+        assert "exact_fallback" in descendants
         assert "op_scan" in descendants
-        assert "op_scale_up" in descendants
         assert "op_group_by" in descendants
 
     def test_root_records_table_and_guard_attributes(self, system):
@@ -132,9 +137,9 @@ class TestTracedAnswer:
         assert not aqua.tracer.enabled  # restored
 
     def test_explain_analyze_appends_span_tree(self, system):
-        text = system.explain(PLAN_SQL, analyze=True)
+        text = system.explain(HAVING_SQL, analyze=True)
         assert "-- analyze:" in text
-        for stage in ("answer", "parse", "execute"):
+        for stage in ("answer", "parse", "moments"):
             assert stage in text
 
 
@@ -151,9 +156,9 @@ class TestAnswerMetrics:
         assert latency.sum(table="rel") > 0.0
 
     def test_stage_latency_histogram_covers_stages(self, system):
-        system.answer(PLAN_SQL)
+        system.answer(HAVING_SQL)
         stage_latency = system.metrics.get("aqua_stage_seconds")
-        for stage in ("parse", "execute", "guard"):
+        for stage in ("parse", "moments", "finalize", "guard"):
             assert stage_latency.count(stage=stage) == 1
 
     def test_healthy_answer_counts_synopsis_provenance(self, system):
@@ -249,11 +254,11 @@ class TestQueryLogAutoRecording:
 
 class TestCompareStageBreakdown:
     def test_describe_includes_stage_timings(self, system):
-        report = system.compare(PLAN_SQL)
+        report = system.compare(HAVING_SQL)
         text = report.describe()
         assert "approx stages:" in text
         assert "parse" in text
-        assert "execute" in text
+        assert "moments" in text
 
     def test_speedup_uses_traced_total(self, system):
         report = system.compare(SQL)

@@ -221,22 +221,15 @@ class TestSurfacing:
         system.answer(COARSE)
         assert "-- cache: exact" in system.explain(COARSE)
 
-    def test_explain_names_the_route(self):
-        system = _system()
-        assert "-- route: moments" in system.explain(COARSE)
-        having = "SELECT g, SUM(v) AS s FROM t GROUP BY g HAVING s > 0"
-        assert "-- route: plan" in system.explain(having)
-
     def test_explain_reports_no_rollup_that_answer_would_not_use(self):
         # answer() appends the unselected GROUP BY column g for its stages,
         # so the roll-up tier serves the query: explain promises exactly
-        # the tier and route answer() then takes.
+        # the tier answer() then takes.
         system = _system()
         system.answer("SELECT g, h, SUM(v) AS s FROM t GROUP BY g, h")
         sql = "SELECT SUM(v) AS s FROM t GROUP BY g"
         text = system.explain(sql)
         assert "-- cache: rollup (from t@v" in text
-        assert "-- route: moments" in text
         assert system.answer(sql).cache_tier == "rollup"
         assert "-- cache: exact" in system.explain(sql)
 

@@ -3,11 +3,12 @@
 Two systems built from the same seed hold identical synopses.  System A
 answers a fine GROUP BY (registering a reuse snapshot) and then a coarser
 probe, served from the roll-up tier; system B answers the coarse probe
-directly through the full pipeline.  Every aggregate value *and* every
-Chebyshev half-width must agree bit for bit -- ``np.array_equal``, no
-tolerance -- because both paths share :meth:`ReuseSnapshot.finalize`'s
-arithmetic (see ``repro/aqua/reuse.py``).  Only the provenance column may
-differ (``synopsis`` vs ``rollup``), which is the tier's audit trail.
+directly through the full pipeline.  Every aggregate value -- MIN/MAX
+included -- *and* every Chebyshev or Hoeffding half-width must agree bit
+for bit -- ``np.array_equal``, no tolerance -- because both paths share
+:meth:`SampleMoments.finalize`'s arithmetic (see
+``repro/estimators/moments.py``).  Only the provenance column may differ
+(``synopsis`` vs ``rollup``), which is the tier's audit trail.
 
 The probes include global aggregates (no GROUP BY) and a slice that
 selects no stratum: a global aggregate answers its one row on both paths
@@ -30,9 +31,12 @@ _AGG_POOL = [
     "AVG(v) AS m",
     "SUM(w) AS sw",
     "AVG(w) AS mw",
+    "MIN(v) AS lo",
+    "MAX(w) AS hi",
 ]
 _ALIAS = {"SUM(v) AS s": "s", "COUNT(*) AS c": "c", "AVG(v) AS m": "m",
-          "SUM(w) AS sw": "sw", "AVG(w) AS mw": "mw"}
+          "SUM(w) AS sw": "sw", "AVG(w) AS mw": "mw", "MIN(v) AS lo": "lo",
+          "MAX(w) AS hi": "hi"}
 _SLICES = [None, "h = 'x'", "h != 'y'", "g IN ('a', 'b')", "g = 'zzz'"]
 
 
@@ -55,9 +59,12 @@ def _table(n, seed):
     )
 
 
-def _system(seed, budget):
+def _system(seed, budget, bound="chebyshev"):
     system = AquaSystem(
-        space_budget=budget, rng=np.random.default_rng(seed), cache=True
+        space_budget=budget,
+        rng=np.random.default_rng(seed),
+        cache=True,
+        bound_method=bound,
     )
     system.register_table("t", _table(2000, seed), grouping_columns=["g", "h"])
     return system
@@ -73,6 +80,7 @@ def _system(seed, budget):
     coarse_col=st.sampled_from(["g", "h", None]),
     where=st.sampled_from(_SLICES),
     guard=st.booleans(),
+    bound=st.sampled_from(["chebyshev", "hoeffding"]),
 )
 @example(  # a global aggregate over a slice that selects no stratum
     seed=0,
@@ -81,9 +89,19 @@ def _system(seed, budget):
     coarse_col=None,
     where="g = 'zzz'",
     guard=False,
+    bound="chebyshev",
+)
+@example(  # the same under Hoeffding, with the extrema of no row
+    seed=0,
+    budget=400,
+    aggs=["SUM(v) AS s", "COUNT(*) AS c", "MIN(v) AS lo"],
+    coarse_col=None,
+    where="g = 'zzz'",
+    guard=False,
+    bound="hoeffding",
 )
 def test_rollup_is_bit_identical_to_direct(
-    seed, budget, aggs, coarse_col, where, guard
+    seed, budget, aggs, coarse_col, where, guard, bound
 ):
     select = ", ".join(aggs)
     fine = f"SELECT g, h, {select} FROM t GROUP BY g, h"
@@ -96,12 +114,12 @@ def test_rollup_is_bit_identical_to_direct(
             f"GROUP BY {coarse_col}"
         )
 
-    warmed = _system(seed, budget)
+    warmed = _system(seed, budget, bound)
     warmed.answer(fine, guard=guard)
     rollup = warmed.answer(coarse, guard=guard)
     assert rollup.cache_tier == "rollup", coarse
 
-    direct = _system(seed, budget).answer(coarse, guard=guard)
+    direct = _system(seed, budget, bound).answer(coarse, guard=guard)
     assert direct.cache_tier is None
 
     assert rollup.result.num_rows == direct.result.num_rows, coarse
@@ -118,6 +136,8 @@ def test_rollup_is_bit_identical_to_direct(
             coarse,
             alias,
         )
+        if spec.startswith(("MIN", "MAX")):
+            continue  # no half-width
         errors_a = np.asarray(rollup.result.column(f"{alias}_error"))
         errors_b = np.asarray(direct.result.column(f"{alias}_error"))
         assert np.array_equal(

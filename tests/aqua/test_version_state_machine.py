@@ -33,7 +33,7 @@ QUERIES = [
     "SELECT g, SUM(v) AS s FROM t GROUP BY g",  # rolls up from the first
     "SELECT AVG(v) AS m FROM t WHERE g = 'a'",
     "SELECT SUM(v) AS s FROM t GROUP BY h",  # h unselected
-    "SELECT g, SUM(v) AS s FROM t GROUP BY g HAVING s > 0",  # plan route
+    "SELECT g, SUM(v) AS s FROM t GROUP BY g HAVING s > 0",
 ]
 BUDGETED = "SELECT g, SUM(v) AS s FROM t GROUP BY g"
 

@@ -46,11 +46,11 @@ def _table(n=3000, seed=11):
 
 
 def _populate(system, name):
-    """An entry for ``name`` in each store: a servable answer (answer cache
-    and roll-up index), a HAVING answer (plan cache) and a budgeted one
+    """An entry for ``name`` in each store: an answer (answer cache and
+    roll-up index), an explained plan (plan cache) and a budgeted answer
     (portfolio resolution)."""
     system.answer(FINE.format(name))
-    system.answer(PLANNED.format(name))
+    system.explain(PLANNED.format(name))
     system.answer(SUM_BY_G.replace(" t ", f" {name} "), max_rel_error=0.5)
 
 

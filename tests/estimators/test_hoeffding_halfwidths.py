@@ -14,10 +14,8 @@ import pytest
 from repro.aqua import AquaSystem
 from repro.engine.aggregates import grouped_reduce
 from repro.engine.sql import parse_query
-from repro.estimators.errors import (
-    hoeffding_halfwidth_stratified_sum,
-    hoeffding_halfwidths,
-)
+from repro.estimators.errors import hoeffding_halfwidth_stratified_sum
+from repro.estimators.point import hoeffding_halfwidths
 from repro.sampling.groups import finest_group_ids, project_key
 from repro.synthetic.tpcd import LineitemConfig, generate_lineitem
 
@@ -105,7 +103,7 @@ def _check(system, sql):
         state.table, sample, aggregate, query.group_by, 0.9
     )
     assert np.array_equal(*_as_arrays(expected, got))
-    # The plan route's error column reads the same function (for the
+    # The answer's error column reads the same kernel (for the
     # groups the WHERE leaves a qualifying sample tuple in).
     result = system.answer(sql).result
     errors = result.column("x_error")

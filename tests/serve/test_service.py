@@ -30,9 +30,9 @@ from repro.testing.faults import ServiceFaultInjector
 SQL = "SELECT g, SUM(v) AS s FROM t GROUP BY g"
 SQL2 = "SELECT g, AVG(v) AS a FROM t GROUP BY g"
 SQL3 = "SELECT g, COUNT(*) AS c FROM t GROUP BY g"
-# HAVING runs the plan route, which scans the sample relation: the slow
-# scan's target.  (Servable queries never read that relation.)
-PLAN_SQL = "SELECT g, SUM(v) AS s FROM t GROUP BY g HAVING s > 0"
+# Its moments scan reads three sample columns (the WHERE's g and v, then
+# SUM's v): the slow scan's target.
+SCAN_SQL = "SELECT g, SUM(v) AS s FROM t WHERE v > 0 AND g != 'z' GROUP BY g"
 
 
 def _table(n=2000, seed=3):
@@ -347,7 +347,7 @@ class TestDeadlines:
                 slow = faults.slow_scan("t", cost_seconds=0.5, clock=clock)
                 with pytest.raises(DeadlineExceeded) as excinfo:
                     service.query(
-                        PLAN_SQL, deadline=Deadline(1.0, clock=clock)
+                        SCAN_SQL, deadline=Deadline(1.0, clock=clock)
                     )
                 assert excinfo.value.stage == "scan"
                 assert slow.reads >= 2
@@ -361,7 +361,7 @@ class TestDeadlines:
             with ServiceFaultInjector(system) as faults:
                 faults.slow_scan("t", cost_seconds=2.0, clock=clock)
                 with pytest.raises(DeadlineExceeded):
-                    service.query(PLAN_SQL)
+                    service.query(SCAN_SQL)
 
     def test_deadline_failure_leaves_no_partial_cache_state(self):
         """A query killed mid-GROUP BY must not poison either cache."""
@@ -372,17 +372,17 @@ class TestDeadlines:
                 faults.slow_scan("t", cost_seconds=0.5, clock=clock)
                 with pytest.raises(DeadlineExceeded) as excinfo:
                     service.query(
-                        PLAN_SQL, deadline=Deadline(1.0, clock=clock)
+                        SCAN_SQL, deadline=Deadline(1.0, clock=clock)
                     )
                 assert excinfo.value.stage == "scan"
                 # No partial answer was stored for the doomed query.
                 assert len(system.answer_cache) == 0
             # Unhindered, the same query completes and *then* caches.
-            first = service.query(PLAN_SQL)
+            first = service.query(SCAN_SQL)
             assert first.result.num_rows == 3
             assert len(system.answer_cache) == 1
             before = system.answer_cache.stats.hits
-            service.query(PLAN_SQL)
+            service.query(SCAN_SQL)
             assert system.answer_cache.stats.hits == before + 1
 
     def test_system_answer_accepts_deadline_directly(self):
@@ -391,7 +391,7 @@ class TestDeadlines:
         with ServiceFaultInjector(system) as faults:
             faults.slow_scan("t", cost_seconds=5.0, clock=clock)
             with pytest.raises(DeadlineExceeded):
-                system.answer(PLAN_SQL, deadline=Deadline(1.0, clock=clock))
+                system.answer(SCAN_SQL, deadline=Deadline(1.0, clock=clock))
 
 
 class TestErrorTaxonomy:
