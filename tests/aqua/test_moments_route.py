@@ -140,6 +140,26 @@ class TestSampleRelationTripwire:
             )
             assert relation.reads == 0
 
+    def test_having_filters_from_the_moments_alone(self):
+        system = _system()
+        with _sample_relation_reads(system) as relation:
+            full = system.answer(
+                "SELECT g, SUM(v) AS s FROM t GROUP BY g ORDER BY g"
+            ).result
+            sums = dict(zip(full.column("g"), full.column("s")))
+            threshold = float(np.median(list(sums.values())))
+            kept = system.answer(
+                f"SELECT g, SUM(v) AS s FROM t GROUP BY g HAVING s > {threshold} "
+                "ORDER BY g"
+            ).result
+            assert relation.reads == 0
+        expected = sorted(key for key, total in sums.items() if total > threshold)
+        assert 0 < len(expected) < len(sums)
+        assert list(kept.column("g")) == expected
+        np.testing.assert_array_equal(
+            kept.column("s"), [sums[key] for key in expected]
+        )
+
 
 # Queries the rewrites refuse: each raises the rewrites' typed error from
 # answer(), guarded or not.
