@@ -1,9 +1,10 @@
 """Construction throughput: the three one-pass paths of Section 6.
 
-Times (a) two-pass construction (exact counts then stratified draw),
-(b) one-pass streaming construction via the maintainers, and (c) the
-Section 4.6 top-up construction, all building a Congress sample of the
-same budget from the same table.
+Times (a) membership-pass construction (one pass lists each finest
+group's rows; the counts, the allocation and the stratified draw all come
+from those lists), (b) one-pass streaming construction via the
+maintainers, and (c) the Section 4.6 top-up construction, all building a
+Congress sample of the same budget from the same table.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ def table():
     )
 
 
-def test_two_pass_build(benchmark, table):
+def test_membership_pass_build(benchmark, table):
     rng = np.random.default_rng(0)
     sample = benchmark(
         lambda: build_sample(
@@ -76,7 +77,7 @@ def test_topup_build(benchmark, table, save_result):
         format_mapping_table(
             "path",
             {
-                "two_pass": {"size": BUDGET},
+                "membership_pass": {"size": BUDGET},
                 "topup": {"size": sample.total_sample_size},
             },
             title="Construction paths: sample sizes at the same budget",

@@ -29,15 +29,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.allocation import AllocationStrategy
+from ..core.allocation import AllocationStrategy, build_sample
 from ..core.congress import Congress
-from ..engine.aggregates import Aggregate
 from ..engine.catalog import Catalog, CatalogError
 from ..engine.executor import ParallelConfig, ParallelExecutor
-from ..engine.expressions import Col, Lit
+from ..engine.expressions import Col
 from ..engine.groupby import key_tuples
 from ..engine.predicates import And, Comparison, InList, Or, Predicate
-from ..engine.query import Presentation, Projection, Query
+from ..engine.query import Presentation, Query
 from ..engine.render import render_query
 from ..engine.schema import Column, ColumnType
 from ..engine.sql import parse_query
@@ -66,7 +65,7 @@ from ..plan import (
     render_plan,
 )
 from ..plan.canonical import predicate_conjuncts
-from ..sampling.groups import GroupKey, make_key
+from ..sampling.groups import GroupKey, group_members
 from ..maintenance.base import SampleMaintainer
 from ..maintenance.onepass import maintainer_for, subsample_to_budget
 from ..rewrite.base import RewriteStrategy, check_rewritable
@@ -633,27 +632,16 @@ class AquaSystem:
         return None
 
     def build_synopsis(self, name: str) -> Synopsis:
-        """(Re)build the sample synopsis for a registered table."""
+        """(Re)build the sample synopsis for a registered table.
+
+        Pending inserts are flushed into the base relation first, so the
+        sample covers every row the synopsis is recorded as covering.
+        """
         state = self._state(name)
         start = time.perf_counter()
         with self.telemetry.tracer.span("build_synopsis", table=name):
-            # Both full-table passes of the one-pass construction -- the
-            # allocation's group-count scan (a planner-lowered COUNT(*)
-            # GROUP BY over the base relation) and the per-stratum
-            # membership scan -- run partitioned when an executor is
-            # configured; the merged counts and member lists are identical
-            # to a serial scan's, so the drawn sample is bit-for-bit the
-            # same.
-            counts = self._group_count_scan(name, state.grouping_columns)
-            allocation = self._allocation.allocate(
-                counts, state.grouping_columns, self._budget
-            )
-            sample = StratifiedSample.build(
-                state.table,
-                state.grouping_columns,
-                allocation.rounded(),
-                rng=self._rng,
-                scan=self._executor,
+            (sample,) = self._build_samples(
+                name, [(state.grouping_columns, self._allocation, self._budget)]
             )
             synopsis = self._install(name, sample)
         metrics = self.telemetry.metrics
@@ -665,50 +653,73 @@ class AquaSystem:
             ).observe(time.perf_counter() - start, table=name)
         return synopsis
 
-    def _group_count_scan(
-        self, name: str, grouping_columns: Tuple[str, ...]
-    ) -> Dict[GroupKey, int]:
-        """Per-finest-group tuple counts ``n_g`` via the plan executor.
+    def _build_samples(
+        self,
+        name: str,
+        requests: Sequence[Tuple[Tuple[str, ...], AllocationStrategy, float]],
+    ) -> List[StratifiedSample]:
+        """Draw one sample per ``(grouping, strategy, budget)``, in order.
 
-        Lowers ``SELECT G..., COUNT(*) FROM name GROUP BY G`` through the
-        planner, so the allocation's counting pass takes the same operator
-        path (and the same parallel GroupBy) as every other scan.  The
-        GroupBy's sorted group order matches
-        :func:`repro.sampling.groups.group_counts` exactly, so downstream
-        order-sensitive consumers (largest-remainder rounding ties) see
-        identical input and the drawn sample stays bit-for-bit the same.
+        Pending inserts are flushed first.  Each distinct grouping's
+        members are listed by one pass over the base relation, run
+        partitioned when an executor is configured, and every sample over
+        that grouping is counted, allocated and drawn from those lists.
+        The merged lists equal a serial pass's, so the drawn samples are
+        bit-for-bit the same either way.
         """
-        query = Query(
-            select=tuple(
-                Projection(Col(column), column) for column in grouping_columns
+        self._flush_pending(name)
+        table = self._state(name).table
+        members: Dict[Tuple[str, ...], Dict[GroupKey, np.ndarray]] = {}
+        samples = []
+        for grouping, strategy, budget in requests:
+            if grouping not in members:
+                for column in grouping:
+                    table.schema.column(column)  # typed error on bad columns
+                members[grouping] = group_members(
+                    table, grouping, self._executor
+                )
+            samples.append(
+                build_sample(
+                    strategy,
+                    table,
+                    grouping,
+                    budget,
+                    rng=self._rng,
+                    members=members[grouping],
+                )
             )
-            + (Aggregate("count", Lit(1), "__count"),),
-            from_item=name,
-            group_by=tuple(grouping_columns),
-        )
-        result = execute_plan(
-            optimize_plan(lower_query(query, self.catalog)),
-            self.catalog,
-            parallel=self._executor,
-            tracer=self.telemetry.tracer,
-        )
-        arrays = [result.column(column) for column in grouping_columns]
-        counts = result.column("__count")
-        return {
-            make_key(tuple(arr[i] for arr in arrays)): int(counts[i])
-            for i in range(result.num_rows)
-        }
+        return samples
 
-    def _install(self, name: str, sample: StratifiedSample) -> Synopsis:
-        installed = self._rewrite.install(sample, name, self.catalog, replace=True)
-        synopsis = Synopsis(
+    def _synopsis(
+        self,
+        name: str,
+        relation: str,
+        sample: StratifiedSample,
+        strategy: AllocationStrategy,
+        budget: float,
+    ) -> Synopsis:
+        """Install ``sample``'s relations under ``relation`` and wrap them.
+
+        The installed handle's ``base_name`` stays the real table even when
+        ``relation`` is a portfolio member's decorated name: the rewriter
+        validates queries against it.
+        """
+        installed = self._rewrite.install(
+            sample, relation, self.catalog, replace=True
+        )
+        return Synopsis(
             base_name=name,
             grouping_columns=tuple(sample.grouping_columns),
-            allocation_strategy=getattr(self._allocation, "name", "custom"),
+            allocation_strategy=getattr(strategy, "name", "custom"),
             rewrite_strategy=self._rewrite.name,
-            budget=self._budget,
+            budget=budget,
             sample=sample,
-            installed=installed,
+            installed=dataclass_replace(installed, base_name=name),
+        )
+
+    def _install(self, name: str, sample: StratifiedSample) -> Synopsis:
+        synopsis = self._synopsis(
+            name, name, sample, self._allocation, self._budget
         )
         state = self._state(name)
         with state.lock:
@@ -807,7 +818,6 @@ class AquaSystem:
         can never be served again.
         """
         state = self._state(name)
-        self._flush_pending(name)
         workload = self.query_log(name)
         if specs is None:
             specs = default_portfolio_specs(
@@ -831,13 +841,28 @@ class AquaSystem:
         with self.telemetry.tracer.span(
             "build_portfolio", table=name, members=len(specs)
         ):
-            for spec in specs:
-                synopsis = self._build_member(name, state, spec)
+            samples = self._build_samples(
+                name,
+                [
+                    (
+                        tuple(spec.grouping_columns or state.grouping_columns),
+                        spec.allocation,
+                        spec.budget,
+                    )
+                    for spec in specs
+                ],
+            )
+            rows_at_build = state.table.num_rows + len(state.pending_rows)
+            for spec, sample in zip(specs, samples):
+                synopsis = self._synopsis(
+                    name,
+                    f"{name}__pf_{spec.name}",
+                    sample,
+                    spec.allocation,
+                    spec.budget,
+                )
                 portfolio.add_member(
-                    spec,
-                    synopsis,
-                    rows_at_build=state.table.num_rows
-                    + len(state.pending_rows),
+                    spec, synopsis, rows_at_build=rows_at_build
                 )
         with state.lock:
             state.portfolio = portfolio
@@ -873,42 +898,6 @@ class AquaSystem:
                 ("table", "trigger"),
             ).inc(table=name, trigger=trigger)
         return self.build_portfolio(name, specs=portfolio.specs())
-
-    def _build_member(
-        self, name: str, state: _TableState, spec: SynopsisSpec
-    ) -> Synopsis:
-        """Build and install one portfolio member's congressional sample.
-
-        The sample relations are installed under a decorated name
-        (``{table}__pf_{member}``) so members coexist in the catalog, but
-        the installed handle's ``base_name`` stays the real table: the
-        rewriter validates queries against it.
-        """
-        grouping = tuple(spec.grouping_columns or state.grouping_columns)
-        for column in grouping:
-            state.table.schema.column(column)  # typed error on bad columns
-        counts = self._group_count_scan(name, grouping)
-        allocation = spec.allocation.allocate(counts, grouping, spec.budget)
-        sample = StratifiedSample.build(
-            state.table,
-            grouping,
-            allocation.rounded(),
-            rng=self._rng,
-            scan=self._executor,
-        )
-        installed = self._rewrite.install(
-            sample, f"{name}__pf_{spec.name}", self.catalog, replace=True
-        )
-        installed = dataclass_replace(installed, base_name=name)
-        return Synopsis(
-            base_name=name,
-            grouping_columns=grouping,
-            allocation_strategy=getattr(spec.allocation, "name", "custom"),
-            rewrite_strategy=self._rewrite.name,
-            budget=spec.budget,
-            sample=sample,
-            installed=installed,
-        )
 
     def _observe_portfolio_answer(
         self,
@@ -2749,7 +2738,6 @@ class AquaSystem:
         ):
             if state.maintainer is None:
                 # No maintainer: fall back to a full rebuild from base data.
-                self._flush_pending(name)
                 synopsis = self.build_synopsis(name)
             else:
                 maintained = state.maintainer.snapshot()

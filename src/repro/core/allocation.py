@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Protocol, Sequence, Tuple
 
 from ..engine.table import Table
-from ..sampling.groups import GroupKey, group_counts
+from ..sampling.groups import GroupKey, group_counts, group_members
 from ..sampling.rounding import largest_remainder_round
 from ..sampling.stratified import StratifiedSample
 
@@ -118,15 +118,9 @@ def allocate_from_table(
     table: Table,
     grouping_columns: Sequence[str],
     budget: float,
-    scan=None,
 ) -> Allocation:
-    """Convenience: compute group counts from ``table`` and allocate.
-
-    ``scan`` optionally runs the counting pass partition-parallel (see
-    :func:`repro.sampling.groups.group_counts`); the allocation itself is
-    identical either way since merged integer counts are exact.
-    """
-    counts = group_counts(table, grouping_columns, scan=scan)
+    """Convenience: compute group counts from ``table`` and allocate."""
+    counts = group_counts(table, grouping_columns)
     return strategy.allocate(counts, grouping_columns, budget)
 
 
@@ -136,9 +130,21 @@ def build_sample(
     grouping_columns: Sequence[str],
     budget: float,
     rng: Optional[np.random.Generator] = None,
+    members: Optional[Mapping[GroupKey, np.ndarray]] = None,
 ) -> StratifiedSample:
-    """End-to-end: allocate and draw the stratified sample from ``table``."""
-    allocation = allocate_from_table(strategy, table, grouping_columns, budget)
+    """End-to-end: count, allocate and draw the stratified sample.
+
+    One membership pass over ``table`` serves all three steps: each finest
+    group's row list gives its count ``n_g`` for the allocation and is the
+    population its stratum is drawn from.  ``members`` is that pass's
+    result (:func:`repro.sampling.groups.group_members`) when the caller
+    shares it between samples over the same grouping, or runs it
+    partition-parallel.
+    """
+    if members is None:
+        members = group_members(table, grouping_columns)
+    counts = {key: len(rows) for key, rows in members.items()}
+    allocation = strategy.allocate(counts, grouping_columns, budget)
     return StratifiedSample.build(
-        table, grouping_columns, allocation.rounded(), rng=rng
+        table, grouping_columns, allocation.rounded(), rng=rng, members=members
     )

@@ -22,7 +22,7 @@ from typing import Dict
 import numpy as np
 
 from ..core.congress import Congress
-from ..core.allocation import allocate_from_table
+from ..core.allocation import build_sample
 from ..engine.catalog import Catalog
 from ..engine.executor import execute
 from ..engine.schema import Column, ColumnType, Schema
@@ -96,10 +96,7 @@ def run_drift(
     grouping = ["region", "product"]
 
     # Stale: built on phase 1 only; population metadata is also stale.
-    stale_alloc = allocate_from_table(Congress(), first_table, grouping, budget)
-    stale = StratifiedSample.build(
-        first_table, grouping, stale_alloc.rounded(), rng=rng
-    )
+    stale = build_sample(Congress(), first_table, grouping, budget, rng=rng)
 
     # Maintained: Eq. 8 maintainer over the whole stream.
     maintainer = CongressMaintainer(_SCHEMA, grouping, budget, rng)
@@ -110,10 +107,7 @@ def run_drift(
     ).to_stratified()
 
     # Rebuilt: the oracle -- full rescan of the final relation.
-    rebuilt_alloc = allocate_from_table(Congress(), full_table, grouping, budget)
-    rebuilt = StratifiedSample.build(
-        full_table, grouping, rebuilt_alloc.rounded(), rng=rng
-    )
+    rebuilt = build_sample(Congress(), full_table, grouping, budget, rng=rng)
 
     catalog = Catalog()
     catalog.register("sales", full_table)

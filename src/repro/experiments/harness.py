@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from ..core.allocation import AllocationStrategy, allocate_from_table
+from ..core.allocation import AllocationStrategy, build_sample
 from ..core.basic_congress import BasicCongress
 from ..core.congress import Congress
 from ..core.house import House
@@ -32,6 +32,7 @@ from ..metrics.groupby_error import GroupByError, groupby_error
 from ..obs import Telemetry
 from ..rewrite.base import RewriteStrategy
 from ..rewrite.integrated import Integrated
+from ..sampling.groups import group_members
 from ..sampling.stratified import StratifiedSample
 from ..synthetic.queries import QueryClass
 from ..synthetic.tpcd import GROUPING_COLUMNS, LineitemConfig, generate_lineitem
@@ -126,15 +127,19 @@ class Testbed:
             "Wall time to allocate and draw one strategy's sample.",
             ("strategy",),
         )
+        # One membership pass serves every strategy's sample.
+        members = group_members(table, GROUPING_COLUMNS)
         samples: Dict[str, StratifiedSample] = {}
         for name, strategy in (strategies or standard_strategies()).items():
             start = time.perf_counter()
             with telemetry.tracer.span("testbed_build", strategy=name):
-                allocation = allocate_from_table(
-                    strategy, table, list(GROUPING_COLUMNS), budget
-                )
-                samples[name] = StratifiedSample.build(
-                    table, GROUPING_COLUMNS, allocation.rounded(), rng=rng
+                samples[name] = build_sample(
+                    strategy,
+                    table,
+                    GROUPING_COLUMNS,
+                    budget,
+                    rng=rng,
+                    members=members,
                 )
             build_seconds.observe(
                 time.perf_counter() - start, strategy=name

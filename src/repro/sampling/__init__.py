@@ -6,6 +6,7 @@ from .groups import (
     all_groupings,
     finest_group_ids,
     group_counts,
+    group_members,
     make_key,
     project_key,
     projected_counts,
@@ -27,6 +28,7 @@ __all__ = [
     "finest_group_ids",
     "floor_round",
     "group_counts",
+    "group_members",
     "largest_remainder_round",
     "make_key",
     "project_key",

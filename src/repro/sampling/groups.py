@@ -27,6 +27,7 @@ __all__ = [
     "all_groupings",
     "finest_group_ids",
     "group_counts",
+    "group_members",
     "project_key",
     "projected_counts",
 ]
@@ -80,31 +81,50 @@ def finest_group_ids(
 
 
 def group_counts(
-    table: Table, grouping_columns: Sequence[str], scan=None
+    table: Table, grouping_columns: Sequence[str]
 ) -> Dict[GroupKey, int]:
-    """Tuple counts ``n_g`` per finest group ``g`` (all groups non-empty).
+    """Tuple counts ``n_g`` per finest group ``g`` (all groups non-empty)."""
+    ids, keys = finest_group_ids(table, grouping_columns)
+    counts = np.bincount(ids, minlength=len(keys))
+    return {key: int(count) for key, count in zip(keys, counts)}
 
-    ``scan`` (optionally) is a partitioned-scan runner exposing
+
+def group_members(
+    table: Table, grouping_columns: Sequence[str], scan=None
+) -> Dict[GroupKey, np.ndarray]:
+    """Base-row indices of each finest group, ascending, keys sorted.
+
+    The one membership pass of sample construction: the list lengths are
+    the counts ``n_g`` an allocation needs, and the lists are what each
+    stratum is drawn from.
+
+    ``scan`` optionally is a partitioned-scan runner exposing
     ``map_partitions(table, fn)`` -- e.g. a
-    :class:`~repro.engine.executor.ParallelExecutor` -- in which case the
-    counting pass runs partition-parallel and the integer counts are merged
-    by addition (exact, order-independent).
+    :class:`~repro.engine.executor.ParallelExecutor`.  Each partition then
+    lists its own members and the global lists are stitched together with
+    the partitions' row offsets.  Range partitions preserve row order, so
+    the merged lists (and the sorted key order) equal the serial pass's.
     """
     if scan is None:
         ids, keys = finest_group_ids(table, grouping_columns)
-        counts = np.bincount(ids, minlength=len(keys))
-        return {key: int(count) for key, count in zip(keys, counts)}
-    merged: Dict[GroupKey, int] = {}
-    partials = scan.map_partitions(
-        table, lambda part: group_counts(part.table, grouping_columns)
-    )
-    for partial in partials:
-        for key, count in partial.items():
-            merged[key] = merged.get(key, 0) + count
-    # Sorted key order matches the serial np.unique order, so downstream
-    # order-sensitive consumers (e.g. largest-remainder rounding ties)
-    # behave identically either way.
-    return {key: merged[key] for key in sorted(merged)}
+        order = np.argsort(ids, kind="stable")
+        boundaries = np.searchsorted(ids[order], np.arange(len(keys) + 1))
+        return {
+            key: order[boundaries[gid] : boundaries[gid + 1]]
+            for gid, key in enumerate(keys)
+        }
+
+    def local_members(part):
+        local = group_members(part.table, grouping_columns)
+        return {
+            key: indices + part.row_offset for key, indices in local.items()
+        }
+
+    merged: Dict[GroupKey, List[np.ndarray]] = {}
+    for partial in scan.map_partitions(table, local_members):
+        for key, indices in partial.items():
+            merged.setdefault(key, []).append(indices)
+    return {key: np.concatenate(merged[key]) for key in sorted(merged)}
 
 
 def project_key(

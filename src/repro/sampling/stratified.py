@@ -26,7 +26,7 @@ from ..engine.groupby import factorize, key_tuples
 from ..engine.schema import Column, ColumnType, Schema
 from ..engine.table import Table
 from ..errors import SynopsisCorruptError
-from .groups import GroupKey, finest_group_ids, make_key, project_key
+from .groups import GroupKey, group_members, make_key, project_key
 
 __all__ = [
     "Stratum",
@@ -321,7 +321,7 @@ class StratifiedSample:
         grouping_columns: Sequence[str],
         allocation: Mapping[GroupKey, int],
         rng: Optional[np.random.Generator] = None,
-        scan=None,
+        members: Optional[Mapping[GroupKey, np.ndarray]] = None,
     ) -> "StratifiedSample":
         """Draw a uniform sample without replacement from each group.
 
@@ -333,64 +333,24 @@ class StratifiedSample:
                 absent from the mapping get zero tuples.  Targets are capped
                 at the group population.
             rng: numpy random generator (defaults to a fresh one).
-            scan: optional partitioned-scan runner exposing
-                ``map_partitions(table, fn)`` (e.g. a
-                :class:`~repro.engine.executor.ParallelExecutor`).  The
-                group-membership pass -- the expensive full-table scan of
-                the construction -- then runs partition-parallel.  Because
-                range partitions preserve row order and merged member lists
-                are concatenated in partition order, the per-stratum member
-                arrays (and therefore the drawn sample, given the same
-                ``rng``) are *identical* to the serial scan's.
+            members: the per-group row lists of ``table`` from
+                :func:`repro.sampling.groups.group_members`, when the caller
+                already ran that pass; listed here otherwise.  Strata are
+                drawn in the mapping's (sorted) key order.
         """
         rng = rng if rng is not None else np.random.default_rng()
-        members_by_key = cls._group_members(table, grouping_columns, scan)
+        if members is None:
+            members = group_members(table, grouping_columns)
         strata: Dict[GroupKey, Stratum] = {}
-        for key, members in members_by_key.items():
-            want = min(int(allocation.get(key, 0)), len(members))
+        for key, rows in members.items():
+            want = min(int(allocation.get(key, 0)), len(rows))
             if want > 0:
-                chosen = rng.choice(members, size=want, replace=False)
+                chosen = rng.choice(rows, size=want, replace=False)
                 chosen = np.sort(chosen)
             else:
                 chosen = np.empty(0, dtype=np.int64)
-            strata[key] = Stratum(key, len(members), chosen)
+            strata[key] = Stratum(key, len(rows), chosen)
         return cls(table, grouping_columns, strata)
-
-    @staticmethod
-    def _group_members(
-        table: Table, grouping_columns: Sequence[str], scan=None
-    ) -> Dict[GroupKey, np.ndarray]:
-        """Per-finest-group base-row indices, ascending, keys sorted.
-
-        With ``scan``, each partition computes its local membership and the
-        global lists are stitched together with the partitions' row offsets.
-        """
-        if scan is None:
-            ids, keys = finest_group_ids(table, grouping_columns)
-            order = np.argsort(ids, kind="stable")
-            sorted_ids = ids[order]
-            boundaries = np.searchsorted(sorted_ids, np.arange(len(keys) + 1))
-            return {
-                key: order[boundaries[gid] : boundaries[gid + 1]]
-                for gid, key in enumerate(keys)
-            }
-
-        def local_members(part):
-            local = StratifiedSample._group_members(
-                part.table, grouping_columns
-            )
-            return {
-                key: indices + part.row_offset
-                for key, indices in local.items()
-            }
-
-        merged: Dict[GroupKey, List[np.ndarray]] = {}
-        for partial in scan.map_partitions(table, local_members):
-            for key, indices in partial.items():
-                merged.setdefault(key, []).append(indices)
-        return {
-            key: np.concatenate(merged[key]) for key in sorted(merged)
-        }
 
     @classmethod
     def from_member_lists(

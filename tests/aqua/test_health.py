@@ -7,6 +7,7 @@ import pytest
 
 from repro import AquaSystem, RefreshPolicy
 from repro.aqua.cli import AquaShell
+from repro.aqua.guard import PROVENANCE_SYNOPSIS
 from repro.errors import TableNotRegisteredError
 from repro.testing import FaultInjector
 
@@ -53,6 +54,18 @@ class TestHealthReport:
         # Refresh resolves it.
         system.refresh_synopsis("rel")
         assert system.health("rel").status == "ok"
+
+    def test_build_after_insert_covers_the_pending_row(self, system):
+        """Without a maintainer, a rebuild must flush pending inserts
+        before drawing: the synopsis is recorded as covering them."""
+        row = next(iter(system._state("rel").table.iter_rows()))
+        system.insert("rel", row)
+        system.build_synopsis("rel")
+        assert system.health("rel").issues == ()
+        answer = system.answer("select a, sum(q) s from rel group by a")
+        assert answer.provenance_counts == {
+            PROVENANCE_SYNOPSIS: answer.result.num_rows
+        }
 
     def test_empty_stratum_degrades_coverage(self, system):
         FaultInjector(system).empty_allocation("rel")

@@ -117,11 +117,10 @@ class TestGuardReusesExecutor:
             telemetry=True,
         )
         system.register_table("t", _table())
-        # Synopsis construction's group-count scan already runs partitioned;
-        # the guard's exact fallback must add scans on top of it.
-        before = system.metrics.get("engine_parallel_scans_total").value(
-            backend="threads"
-        )
+        # The counter is registered by the first partitioned plan scan; the
+        # guard's exact fallback must add scans on top of any made so far.
+        counter = system.metrics.get("engine_parallel_scans_total")
+        before = 0 if counter is None else counter.value(backend="threads")
         answer = system.answer(SQL)
         assert answer.guard is not None and answer.guard.degraded
         after = system.metrics.get("engine_parallel_scans_total").value(

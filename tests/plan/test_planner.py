@@ -148,15 +148,20 @@ class TestLowerRewritten:
 
 class TestGroupCountScan:
     def test_matches_direct_group_counts(self, skewed_table, rng):
-        """Synopsis construction's planner-based counting scan must agree
-        with the sampling layer's direct ``group_counts`` -- same keys,
-        same counts -- or allocations (and therefore samples) drift."""
-        from repro.aqua import AquaSystem
+        """A planner-lowered ``COUNT(*) GROUP BY`` must agree with the
+        sampling layer's direct ``group_counts`` -- same keys, same counts,
+        in the same sorted group order."""
         from repro.sampling import group_counts
+        from repro.sampling.groups import make_key
 
-        system = AquaSystem(space_budget=500, rng=rng)
-        system.register_table("rel", skewed_table)
-        via_plan = system._group_count_scan("rel", ("a", "b"))
+        catalog = Catalog()
+        catalog.register("rel", skewed_table)
+        query = parse_query("select a, b, count(*) c from rel group by a, b")
+        result = execute_plan(optimize(lower_query(query, catalog)), catalog)
+        a, b, c = (result.column(name) for name in ("a", "b", "c"))
+        via_plan = {
+            make_key((a[i], b[i])): int(c[i]) for i in range(result.num_rows)
+        }
         direct = group_counts(skewed_table, ("a", "b"))
         assert via_plan == direct
-        assert list(via_plan) == sorted(direct)  # sorted-key contract
+        assert list(via_plan) == list(direct) == sorted(direct)
