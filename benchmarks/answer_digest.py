@@ -17,10 +17,17 @@ emission's result bytes, ``rows_seen`` and ``provenance`` (``support`` is
 not hashed).  A stream that differs is printed with the largest relative
 difference of each float column that differs.
 
-The script prints each SQL whose hash differs.  It exits non-zero if any
-batch answer differs, or if a stream differs by more than 1e-12 relative
-or in anything but float values.  Stdlib only; it reads
-``benchmarks/e2e`` and changes nothing there.
+It replays the ``ingest_mix`` stream (same scale and seed) on a system set
+up with maintenance on (``set_up(maintenance=True)``): rows are inserted
+one at a time, every refresh hashes the refreshed synopsis -- its strata
+(keys, order, populations, row indices) and its base table's dtypes and
+bytes -- and every answer is hashed as above.
+
+The script prints each SQL whose hash differs, and each differing entry of
+the maintained replay.  It exits non-zero if any batch answer or replay
+entry differs, or if a stream differs by more than 1e-12 relative or in
+anything but float values.  Stdlib only; it reads ``benchmarks/e2e`` and
+changes nothing there.
 """
 
 from __future__ import annotations
@@ -73,6 +80,38 @@ def digest(answer) -> str:
     return h.hexdigest()
 
 
+def sample_digest(sample) -> str:
+    """One synopsis sample's hash: strata in order, then base-table bytes."""
+    h = hashlib.sha256()
+    for key, stratum in sample.strata.items():
+        h.update(f"{key!r}|{stratum.population}|".encode())
+        h.update(stratum.row_indices.astype("<i8").tobytes())
+    table = sample.base_table
+    for column in table.schema:
+        values = table.column(column.name)
+        h.update(f"{column.name}:{column.ctype.value}:{values.dtype.str}".encode())
+        h.update(values.tobytes())
+    return h.hexdigest()
+
+
+def maintained_replay(streams, workloads) -> List[List[str]]:
+    """``[label, hash]`` per refresh and answer of the ``ingest_mix``
+    stream, replayed with maintenance on."""
+    system = workloads.set_up(maintenance=True)
+    entries = []
+    for i, op in enumerate(streams.build("ingest_mix", SEED, SCALE).ops):
+        if op["op"] == "insert":
+            for row in op["rows"]:
+                system.insert(streams.TABLE, row)
+        elif op["op"] == "refresh":
+            synopsis = system.refresh_synopsis(streams.TABLE)
+            entries.append([f"op {i}: refresh", sample_digest(synopsis.sample)])
+        else:
+            answer = system.answer(op["sql"])
+            entries.append([f"op {i}: {op['sql']}", digest(answer)])
+    return entries
+
+
 def emission_record(answer) -> dict:
     """One stream emission: its hash over result bytes, ``rows_seen`` and
     provenance, and its float columns (to size a difference)."""
@@ -115,6 +154,7 @@ def emit(checkout: Path) -> None:
         ]
         for sql in streams.session_templates()
     }
+    out["maintained"] = maintained_replay(streams, workloads)
     json.dump(out, sys.stdout)
 
 
@@ -184,6 +224,8 @@ def main(argv=None) -> int:
     differing = 0
     parent_streams = digests["parent"].pop("streams")
     change_streams = digests["change"].pop("streams")
+    parent_replay = digests["parent"].pop("maintained")
+    change_replay = digests["change"].pop("maintained")
     for guard, parent in digests["parent"].items():
         change = digests["change"][guard]
         for sql in sorted(set(parent) | set(change)):
@@ -206,7 +248,15 @@ def main(argv=None) -> int:
         print(f"stream differs ({detail}): {sql}")
     print(f"streams: {len(parent_streams)} compared")
     print(f"differing streams: {streams_differing} ({beyond} beyond {STREAM_TOLERANCE:g})")
-    return 1 if differing or beyond else 0
+
+    replay_differing = abs(len(parent_replay) - len(change_replay))
+    for before, after in zip(parent_replay, change_replay):
+        if before != after:
+            replay_differing += 1
+            print(f"maintained replay differs: {before[0]}")
+    print(f"maintained replay: {len(parent_replay)} entries compared")
+    print(f"differing maintained-replay entries: {replay_differing}")
+    return 1 if differing or beyond or replay_differing else 0
 
 
 if __name__ == "__main__":

@@ -2676,10 +2676,16 @@ class AquaSystem:
     def enable_maintenance(self, name: str) -> None:
         """Switch a table's synopsis to streaming maintenance (Section 6).
 
-        The existing base rows are streamed through the strategy's
-        maintainer once; subsequent :meth:`insert` calls update the
-        maintainer at O(1)-ish cost without touching the base relation.
+        Pending inserts are flushed first, so the maintainer counts every
+        row a later refresh records as covered.  The base rows are then
+        streamed through the strategy's maintainer once: one pass over the
+        relation, in which the Eq. 8 Congress maintainer reads only the
+        grouping columns, a chunk at a time, and gathers the rows it
+        accepts with one ``take``.  After that each :meth:`insert` updates
+        the maintainer alone (``O(2^|G|)`` counter updates for Congress)
+        without touching the base relation.
         """
+        self._flush_pending(name)
         state = self._state(name)
         strategy_name = getattr(self._allocation, "name", "congress")
         maintainer = maintainer_for(

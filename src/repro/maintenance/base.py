@@ -2,19 +2,21 @@
 
 All maintainers consume a stream of row tuples (values in schema order) via
 :meth:`SampleMaintainer.insert` and can, at any point, produce a
-:class:`MaintainedSample`: per-finest-group sampled rows plus the true group
-populations seen so far.  ``MaintainedSample.to_stratified()`` converts to
-the standard :class:`~repro.sampling.stratified.StratifiedSample` container
-(the base table being the sampled rows themselves, with populations carried
-from the stream counters), so estimators and rewrite strategies work
-unchanged on maintained samples.
+:class:`MaintainedSample`: the sampled rows as columns, each finest group's
+row positions in them, and the true group populations seen so far.
+``MaintainedSample.to_stratified()`` converts to the standard
+:class:`~repro.sampling.stratified.StratifiedSample` container (the base
+table being the sampled rows themselves, with populations carried from the
+stream counters), so estimators and rewrite strategies work unchanged on
+maintained samples.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -38,18 +40,65 @@ class KeyExtractor:
         return make_key(tuple(row[i] for i in self._positions))
 
 
+def _narrowest(table: Table) -> Table:
+    """``table`` with each string column at the width its longest value
+    needs -- the width :meth:`Table.from_rows` gives the same values."""
+    columns = table.columns()
+    for name, values in columns.items():
+        if values.dtype.kind == "U":
+            width = max(1, int(np.char.str_len(values).max(initial=0)))
+            if values.dtype.itemsize != 4 * width:
+                columns[name] = values.astype(f"<U{width}")
+    return Table(table.schema, columns)
+
+
 @dataclass
 class MaintainedSample:
-    """Output of a maintainer: sampled rows and populations per group."""
+    """Output of a maintainer: sampled rows and populations per group.
 
-    schema: Schema
+    ``rows`` holds the sampled rows as columns (it may hold rows no group
+    lists); ``positions[g]`` are group ``g``'s rows in it, in the group's
+    sample order.
+    """
+
     grouping_columns: Tuple[str, ...]
-    rows_by_group: Dict[GroupKey, List[Tuple]]
+    rows: Table
+    positions: Dict[GroupKey, np.ndarray]
     populations: Dict[GroupKey, int]
+
+    @classmethod
+    def from_groups(
+        cls,
+        schema: Schema,
+        grouping_columns: Sequence[str],
+        rows_by_group: Mapping[GroupKey, Sequence[Tuple]],
+        populations: Mapping[GroupKey, int],
+    ) -> "MaintainedSample":
+        """Pack per-group row tuples into columns, group after group."""
+        rows = Table.from_rows(schema, chain.from_iterable(rows_by_group.values()))
+        positions = split(
+            np.arange(len(rows), dtype=np.int64),
+            list(rows_by_group),
+            [len(group) for group in rows_by_group.values()],
+        )
+        return cls(tuple(grouping_columns), rows, positions, dict(populations))
+
+    @property
+    def schema(self) -> Schema:
+        return self.rows.schema
+
+    @property
+    def rows_by_group(self) -> Dict[GroupKey, List[Tuple]]:
+        """Each group's sampled rows as tuples of Python values (a copy)."""
+        columns = [self.rows.column(name) for name in self.schema.names]
+        return {
+            key: list(zip(*(column[at].tolist() for column in columns)))
+            for key, at in self.positions.items()
+        }
 
     @property
     def total_sample_size(self) -> int:
-        return sum(len(rows) for rows in self.rows_by_group.values())
+        return sum(len(at) for at in self.positions.values())
 
     @property
     def total_population(self) -> int:
@@ -57,28 +106,42 @@ class MaintainedSample:
         return sum(int(p) for p in self.populations.values())
 
     def sample_sizes(self) -> Dict[GroupKey, int]:
-        return {key: len(rows) for key, rows in self.rows_by_group.items()}
+        return {key: len(at) for key, at in self.positions.items()}
 
     def to_stratified(self) -> StratifiedSample:
         """Repackage as a :class:`StratifiedSample`.
 
-        The "base table" is the concatenation of the sampled rows; each
-        stratum's ``population`` is the true group size observed on the
+        The "base table" is the sampled rows, gathered by one ``take`` in
+        sorted group order; each stratum is a slice of one ``arange`` over
+        it, and its ``population`` is the true group size observed on the
         stream, so scale factors are correct even though the full relation
         was never materialized.
         """
-        ordered = sorted(self.rows_by_group.items())
-        all_rows: List[Tuple] = []
-        strata: Dict[GroupKey, Stratum] = {}
-        cursor = 0
-        for key, rows in ordered:
-            population = int(self.populations.get(key, len(rows)))
-            indices = np.arange(cursor, cursor + len(rows), dtype=np.int64)
-            strata[key] = Stratum(key, population, indices)
-            all_rows.extend(rows)
-            cursor += len(rows)
-        base = Table.from_rows(self.schema, all_rows)
+        ordered = sorted(self.positions)
+        gathered = [self.positions[key] for key in ordered]
+        base = _narrowest(
+            self.rows.take(
+                np.concatenate(gathered) if gathered else np.empty(0, np.int64)
+            )
+        )
+        sizes = [len(at) for at in gathered]
+        slices = split(np.arange(len(base), dtype=np.int64), ordered, sizes)
+        strata = {
+            key: Stratum(key, int(self.populations.get(key, size)), at)
+            for (key, at), size in zip(slices.items(), sizes)
+        }
         return StratifiedSample(base, self.grouping_columns, strata)
+
+
+def split(
+    values: np.ndarray, keys: Sequence[GroupKey], sizes: Sequence[int]
+) -> Dict[GroupKey, np.ndarray]:
+    """``values`` cut into consecutive slices ``sizes`` long, by key."""
+    out, cursor = {}, 0
+    for key, size in zip(keys, sizes):
+        out[key] = values[cursor : cursor + size]
+        cursor += size
+    return out
 
 
 class SampleMaintainer(ABC):

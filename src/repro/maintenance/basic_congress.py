@@ -153,11 +153,8 @@ class BasicCongressMaintainer(SampleMaintainer):
         for key, members in self._delta.items():
             if members:
                 rows_by_group.setdefault(key, []).extend(members)
-        return MaintainedSample(
-            schema=self.schema,
-            grouping_columns=self.grouping_columns,
-            rows_by_group=rows_by_group,
-            populations=dict(self._populations),
+        return MaintainedSample.from_groups(
+            self.schema, self.grouping_columns, rows_by_group, self._populations
         )
 
     # -- introspection for tests ---------------------------------------------

@@ -14,25 +14,37 @@ store a single ``p`` per group and *settle* groups lazily:
 
 * the inserted tuple's own group is settled on every insert (cheap: its
   probability was just recomputed anyway);
-* all groups are settled in :meth:`snapshot`.
+* all groups are settled in :meth:`snapshot`, at once: the cube gives every
+  group's probability in one array expression and the groups whose
+  probability dropped are thinned from one draw
+  (:func:`~repro.sampling.bernoulli.thin_groups`).
 
 Per-insert bookkeeping is ``O(2^|G|)`` counter updates, exactly as the paper
-notes.
+notes.  Sampled rows live in a row store: columns, plus a tail of the
+tuples accepted one at a time since the last :meth:`snapshot`, which turns
+the tail into columns.  Groups hold row ids into it; thinned rows stay
+until they outnumber the live ones, when the store is compacted.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engine.schema import Schema
-from ..sampling.bernoulli import thin_to_probability
+from ..engine.table import Table
+from ..sampling.bernoulli import thin_groups, thin_to_probability
 from ..sampling.groups import GroupKey
-from .base import MaintainedSample, SampleMaintainer
+from .base import MaintainedSample, SampleMaintainer, split
 from .datacube import CountDataCube
 
 __all__ = ["CongressMaintainer"]
+
+#: rows of grouping columns :meth:`CongressMaintainer.insert_table` reads
+#: into Python values at a time
+CHUNK_ROWS = 16_384
 
 
 class CongressMaintainer(SampleMaintainer):
@@ -61,8 +73,13 @@ class CongressMaintainer(SampleMaintainer):
         self._budget = float(budget)
         self._rng = rng if rng is not None else np.random.default_rng()
         self._cube = CountDataCube(grouping_columns)
-        self._members: Dict[GroupKey, List[Tuple]] = {}
-        self._stored_p: Dict[GroupKey, float] = {}
+        #: probability each group's members were kept at, by dense group id
+        self._stored_p: List[float] = []
+        #: row ids of each group's members, groups in first-accepted order
+        self._members: Dict[int, List[int]] = {}
+        self._store = Table.empty(schema)
+        self._tail: List[Tuple] = []
+        self._dead = 0  # store and tail rows no group holds any more
         self._settle_every = settle_every
         self._since_settle = 0
 
@@ -78,56 +95,135 @@ class CongressMaintainer(SampleMaintainer):
         """The Eq. 8 selection probability for tuples of group ``key`` now."""
         return self._cube.selection_probability(tuple(key), self._budget)
 
-    def _settle(self, key: GroupKey) -> float:
+    def _settle(self, gid: int) -> float:
         """Re-flip group members down to the current probability.
 
         Returns the (settled) current probability.  Members were uniformly
         retained at the stored probability ``p >= q``; after thinning each
         survives with marginal probability exactly ``q``.
         """
-        current = self.current_probability(key)
-        stored = self._stored_p.get(key)
-        if stored is None:
-            self._stored_p[key] = current
+        current = self._cube.group_probability(gid, self._budget)
+        if gid == len(self._stored_p):
+            self._stored_p.append(current)
             return current
+        stored = self._stored_p[gid]
         if current < stored - 1e-15:
-            members = self._members.get(key, [])
+            members = self._members.get(gid)
             if members:
-                self._members[key] = thin_to_probability(
-                    members, stored, current, self._rng
-                )
-            self._stored_p[key] = current
-        return self._stored_p[key]
+                kept = thin_to_probability(members, stored, current, self._rng)
+                self._dead += len(members) - len(kept)
+                self._members[gid] = kept
+            self._stored_p[gid] = current
+        return self._stored_p[gid]
 
     def settle_all(self) -> None:
-        """Reconcile every group with the current counters."""
-        for key in list(self._stored_p):
-            self._settle(key)
+        """Reconcile every group with the current counters.
+
+        Groups are thinned in first-seen order from one draw, the stream
+        settling them one at a time would take.
+        """
+        current = self._cube.selection_probabilities(self._budget)
+        stored = np.array(self._stored_p)
+        dropped = np.flatnonzero(current < stored - 1e-15)
+        if len(dropped):
+            thinned = [g for g in dropped.tolist() if self._members.get(g)]
+            kept = thin_groups(
+                [self._members[g] for g in thinned],
+                stored[thinned],
+                current[thinned],
+                self._rng,
+            )
+            for gid, members in zip(thinned, kept):
+                self._dead += len(self._members[gid]) - len(members)
+                self._members[gid] = members
+            stored[dropped] = current[dropped]
+            self._stored_p = stored.tolist()
         self._since_settle = 0
 
-    def insert(self, row: Sequence) -> None:
-        row = tuple(row)
-        key = self._key_of(row)
-        self._cube.observe(key)
-        probability = self._settle(key)
-        if self._rng.random() < probability:
-            self._members.setdefault(key, []).append(row)
+    def _offer(self, key: GroupKey, row_id: int) -> bool:
+        """Count one tuple of group ``key`` and flip its Eq. 8 coin; an
+        accepted tuple joins its group as row ``row_id``."""
+        gid = self._cube.observe(key)
+        probability = self._settle(gid)  # may thin: draws before the coin
+        accepted = self._rng.random() < probability
+        if accepted:
+            self._members.setdefault(gid, []).append(row_id)
         self._since_settle += 1
         if self._settle_every and self._since_settle >= self._settle_every:
             self.settle_all()
+        return accepted
+
+    def insert(self, row: Sequence) -> None:
+        row = tuple(row)
+        if self._offer(self._key_of(row), len(self._store) + len(self._tail)):
+            self._tail.append(row)
+        if 2 * self._dead > len(self._store) + len(self._tail):
+            self._row_store()
+
+    def insert_table(self, table: Table) -> None:
+        """Stream a whole table through the maintainer.
+
+        The same coins, in the same order, as inserting its rows one at a
+        time; acceptance is decided from the grouping columns alone, read
+        ``CHUNK_ROWS`` rows at a time, and the accepted rows are appended
+        with one ``take``.
+        """
+        first = len(self._row_store())
+        accepted: List[int] = []
+        columns = [table.column(name) for name in self.grouping_columns]
+        for lo in range(0, table.num_rows, CHUNK_ROWS):
+            values = [column[lo : lo + CHUNK_ROWS].tolist() for column in columns]
+            keys = zip(*values) if values else repeat((), len(table) - lo)
+            for row, key in zip(range(lo, lo + CHUNK_ROWS), keys):
+                if self._offer(key, first + len(accepted)):
+                    accepted.append(row)
+        self._store = self._store.concat(
+            table.take(np.array(accepted, dtype=np.int64))
+        )
+        self.inserts_seen += table.num_rows
+        self._row_store()
+
+    def _row_store(self) -> Table:
+        """The row store as columns: the tail appended, and dead rows
+        dropped (row ids renumbered in order) once they outnumber the live
+        ones."""
+        if self._tail:
+            tail = Table.from_rows(self.schema, self._tail)
+            self._store = self._store.concat(tail)
+            self._tail = []
+        if 2 * self._dead > len(self._store):
+            groups = list(self._members)
+            sizes = [len(self._members[g]) for g in groups]
+            ids = np.fromiter(
+                chain.from_iterable(self._members.values()),
+                np.int64,
+                sum(sizes),
+            )
+            live = np.zeros(len(self._store), dtype=bool)
+            live[ids] = True
+            renumbered = (np.cumsum(live) - 1)[ids].tolist()
+            self._store = self._store.filter(live)
+            cursor = 0
+            for gid, size in zip(groups, sizes):
+                self._members[gid] = renumbered[cursor : cursor + size]
+                cursor += size
+            self._dead = 0
+        return self._store
 
     def snapshot(self) -> MaintainedSample:
         self.settle_all()
-        rows_by_group = {
-            key: list(members)
-            for key, members in self._members.items()
-            if members
-        }
+        rows = self._row_store()
+        keys = self._cube.group_keys
+        held = [(keys[g], ids) for g, ids in self._members.items() if ids]
+        sizes = [len(ids) for __, ids in held]
+        flat = np.fromiter(
+            chain.from_iterable(ids for __, ids in held), np.int64, sum(sizes)
+        )
         return MaintainedSample(
-            schema=self.schema,
-            grouping_columns=self.grouping_columns,
-            rows_by_group=rows_by_group,
-            populations=self._cube.finest_counts(),
+            self.grouping_columns,
+            rows,
+            split(flat, [key for key, __ in held], sizes),
+            self._cube.finest_counts(),
         )
 
     # -- introspection ---------------------------------------------------

@@ -57,11 +57,8 @@ class HouseMaintainer(SampleMaintainer):
         rows_by_group: Dict[GroupKey, List[Tuple]] = {}
         for row in self._reservoir.items():
             rows_by_group.setdefault(self._key_of(row), []).append(row)
-        return MaintainedSample(
-            schema=self.schema,
-            grouping_columns=self.grouping_columns,
-            rows_by_group=rows_by_group,
-            populations=dict(self._populations),
+        return MaintainedSample.from_groups(
+            self.schema, self.grouping_columns, rows_by_group, self._populations
         )
 
 
@@ -119,9 +116,6 @@ class SenateMaintainer(SampleMaintainer):
             key: [tuple(row) for row in sampler.items()]
             for key, sampler in self._reservoirs.items()
         }
-        return MaintainedSample(
-            schema=self.schema,
-            grouping_columns=self.grouping_columns,
-            rows_by_group=rows_by_group,
-            populations=dict(self._populations),
+        return MaintainedSample.from_groups(
+            self.schema, self.grouping_columns, rows_by_group, self._populations
         )

@@ -62,16 +62,16 @@ def subsample_to_budget(
     factor = budget / total
     fractional = {key: size * factor for key, size in sizes.items()}
     targets = largest_remainder_round(fractional, total=budget, caps=sizes)
-    rows_by_group: Dict[GroupKey, list] = {}
-    for key, rows in maintained.rows_by_group.items():
-        kept = subsample_exact(rows, targets.get(key, 0), rng)
-        if kept:
-            rows_by_group[key] = kept
+    positions: Dict[GroupKey, np.ndarray] = {}
+    for key, at in maintained.positions.items():
+        kept = subsample_exact(at, targets.get(key, 0), rng)
+        if len(kept):
+            positions[key] = kept
     return MaintainedSample(
-        schema=maintained.schema,
-        grouping_columns=maintained.grouping_columns,
-        rows_by_group=rows_by_group,
-        populations=dict(maintained.populations),
+        maintained.grouping_columns,
+        maintained.rows,
+        positions,
+        dict(maintained.populations),
     )
 
 

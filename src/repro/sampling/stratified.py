@@ -427,13 +427,11 @@ class StratifiedSample:
             empty = np.empty(0, dtype=np.int64)
             return empty, np.empty(0, dtype=np.float64), empty
         indices = np.concatenate([s.row_indices for s in strata])
-        sfs = np.concatenate(
-            [np.full(s.sample_size, s.scale_factor) for s in strata]
+        sizes = [s.sample_size for s in strata]
+        sfs = np.repeat(
+            np.array([s.scale_factor for s in strata], dtype=np.float64), sizes
         )
-        gids = np.concatenate(
-            [np.full(s.sample_size, gid, dtype=np.int64)
-             for gid, s in enumerate(strata)]
-        )
+        gids = np.repeat(np.arange(len(strata), dtype=np.int64), sizes)
         return indices, sfs, gids
 
     def sample_table(self) -> Table:

@@ -32,7 +32,7 @@ class TestKeyExtractor:
 
 class TestMaintainedSample:
     def _sample(self, schema):
-        return MaintainedSample(
+        return MaintainedSample.from_groups(
             schema=schema,
             grouping_columns=("a",),
             rows_by_group={
@@ -73,7 +73,7 @@ class TestMaintainedSample:
         assert single.value == pytest.approx(13.0)
 
     def test_empty_sample(self, schema):
-        sample = MaintainedSample(
+        sample = MaintainedSample.from_groups(
             schema=schema, grouping_columns=("a",),
             rows_by_group={}, populations={},
         )
@@ -81,7 +81,7 @@ class TestMaintainedSample:
         assert stratified.total_sample_size == 0
 
     def test_missing_population_defaults_to_sample_size(self, schema):
-        sample = MaintainedSample(
+        sample = MaintainedSample.from_groups(
             schema=schema,
             grouping_columns=("a",),
             rows_by_group={("x",): [("x", 1, 1.0)]},

@@ -21,7 +21,7 @@ class TestSubsampleToBudget:
             for i, size in enumerate(sizes)
         }
         populations = {key: len(rows) * 10 for key, rows in rows_by_group.items()}
-        return MaintainedSample(
+        return MaintainedSample.from_groups(
             schema=schema,
             grouping_columns=("g",),
             rows_by_group=rows_by_group,

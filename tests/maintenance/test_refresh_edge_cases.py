@@ -6,6 +6,7 @@ import pytest
 
 from repro import AquaSystem, House
 from repro.engine import Column, ColumnType, Schema, Table
+from repro.synthetic import GROUPING_COLUMNS, LineitemConfig, generate_lineitem
 
 
 def two_group_table(n_big=900, n_small=100, seed=3):
@@ -99,6 +100,28 @@ class TestRefreshWithMaintainer:
         exact = {r["g"]: r["s"] for r in system.exact(SQL).to_dicts()}
         for row in answer.result.to_dicts():
             assert row["s"] == pytest.approx(exact[row["g"]], rel=0.5)
+
+
+class TestMaintenanceAfterPendingInserts:
+    def test_pending_rows_reach_the_maintainer(self):
+        """Rows inserted before maintenance is switched on are part of what
+        the maintainer counts, so the refreshed strata cover every row."""
+        table = generate_lineitem(
+            LineitemConfig(table_size=20_000, num_groups=50, seed=0)
+        )
+        system = AquaSystem(space_budget=1000, rng=np.random.default_rng(1))
+        system.register_table("lineitem", table, grouping_columns=GROUPING_COLUMNS)
+        system.synopsis("lineitem")
+        system.insert("lineitem", table.row(0))
+        system.enable_maintenance("lineitem")
+        system.refresh_synopsis("lineitem")
+        answer = system.answer(
+            "select l_returnflag, sum(l_quantity) s from lineitem "
+            "group by l_returnflag"
+        )
+        assert set(answer.provenance_counts) == {"synopsis"}
+        assert system.health("lineitem").issues == ()
+        assert system.synopsis("lineitem").sample.total_population == 20_001
 
 
 class TestZeroBudgetStrata:

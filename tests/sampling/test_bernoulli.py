@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sampling import BernoulliSampler, subsample_exact, thin_to_probability
+from repro.sampling.bernoulli import thin_groups
 
 
 class TestBernoulliSampler:
@@ -61,6 +62,21 @@ class TestThinToProbability:
         assert kept == sorted(kept)
 
 
+class TestThinGroups:
+    def test_one_draw_equals_one_call_per_group(self):
+        groups = [list(range(7)), [], list(range(10, 15)), list(range(20, 23))]
+        old = np.array([0.9, 0.5, 0.6, 0.4])
+        new = np.array([0.3, 0.2, 0.6, 0.1])
+        one, each = np.random.default_rng(4), np.random.default_rng(4)
+        thinned = thin_groups(groups, old, new, one)
+        assert thinned == [
+            thin_to_probability(items, o, n, each)
+            for items, o, n in zip(groups, old.tolist(), new.tolist())
+        ]
+        assert thinned[2] == groups[2]  # ratio 1: kept, no numbers drawn
+        assert one.random() == each.random()
+
+
 class TestSubsampleExact:
     def test_exact_size(self, rng):
         out = subsample_exact(list(range(50)), 7, rng)
@@ -73,3 +89,11 @@ class TestSubsampleExact:
 
     def test_zero_size(self, rng):
         assert subsample_exact([1, 2, 3], 0, rng) == []
+
+    def test_array_in_array_out(self):
+        items = np.arange(100, 150)
+        picked = subsample_exact(items, 7, np.random.default_rng(3))
+        listed = subsample_exact(list(range(100, 150)), 7, np.random.default_rng(3))
+        assert isinstance(picked, np.ndarray)
+        assert picked.tolist() == listed
+        assert subsample_exact(items, 60) is items
