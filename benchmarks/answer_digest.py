@@ -23,10 +23,20 @@ one at a time, every refresh hashes the refreshed synopsis -- its strata
 (keys, order, populations, row indices) and its base table's dtypes and
 bytes -- and every answer is hashed as above.
 
-The script prints each SQL whose hash differs, and each differing entry of
-the maintained replay.  It exits non-zero if any batch answer or replay
-entry differs, or if a stream differs by more than 1e-12 relative or in
-anything but float values.  Stdlib only; it reads ``benchmarks/e2e`` and
+It replays the guard ladder on a fresh system (``guard_cases``): repairs
+of about 1, 12, 85 and 500 groups under ``min_group_support`` and
+``max_relative_halfwidth`` settings, and exact fallbacks for HAVING, LIMIT
+and a repair over ``max_repair_fraction``.  Each answer is hashed as above
+plus its ``GuardReport``: provenance in order, flagged reasons, dropped
+groups and fallback reason.  A second hash over rows and report entries in
+a canonical order tells an entry that only reorders rows from one whose
+values change.
+
+The script prints each SQL whose hash differs, each differing entry of
+the maintained replay and of the guard replay (marked ``row order only``
+when its canonical hash agrees).  It exits non-zero if any batch answer,
+replay or guard-replay entry differs, or if a stream differs by more than
+1e-12 relative or in anything but float values.  Stdlib only; it reads ``benchmarks/e2e`` and
 changes nothing there.
 """
 
@@ -112,6 +122,71 @@ def maintained_replay(streams, workloads) -> List[List[str]]:
     return entries
 
 
+def guard_cases(streams) -> List[List]:
+    """``[label, SQL, GuardPolicy fields]`` of the guard replay."""
+    qg2 = streams._qg2("SUM", "l_quantity", "l_extendedprice", "l_id >= 190000")
+    qg2_half = streams._qg2("AVG", "l_extendedprice", "l_quantity", "l_id >= 100000")
+    qg3 = streams._qg3("SUM", "l_quantity", "l_id >= 0")
+    qg3_half = streams._qg3("AVG", "l_extendedprice", "l_id >= 100000")
+    repair_all = {"max_repair_fraction": 1.0}
+    return [
+        ["Qg2 default policy", qg2, {}],
+        ["Qg2 default policy, ORDER BY", f"{qg2} ORDER BY agg_b", {}],
+        ["Qg2 min_group_support 30", qg2_half, {"min_group_support": 30, **repair_all}],
+        ["Qg3 max_relative_halfwidth 1.6", qg3, {"max_relative_halfwidth": 1.6, **repair_all}],
+        ["Qg3 max_relative_halfwidth 1.0", qg3, {"max_relative_halfwidth": 1.0, **repair_all}],
+        ["Qg3 max_relative_halfwidth 0.6", qg3, {"max_relative_halfwidth": 0.6, **repair_all}],
+        ["Qg3 min_group_support 4", qg3_half, {"min_group_support": 4, **repair_all}],
+        ["HAVING falls back", f"{qg3} HAVING agg_a > 0", {"max_relative_halfwidth": 1.0}],
+        ["LIMIT falls back", f"{qg3} ORDER BY agg_a LIMIT 10", {"max_relative_halfwidth": 1.0}],
+        ["over max_repair_fraction", qg3, {"max_relative_halfwidth": 0.6}],
+    ]
+
+
+def guard_record(answer) -> Dict[str, str]:
+    """One guarded answer's hash -- :func:`digest` plus its ``GuardReport``
+    -- and the same hash over rows and report entries in canonical order."""
+    import numpy as np
+
+    result = answer.result
+    report = answer.guard
+    entries = (
+        list(report.provenance.items()),
+        list(report.flagged.items()),
+        list(report.dropped),
+    )
+    order = np.lexsort([result.column(name) for name in reversed(result.schema.names)])
+    canonical = hashlib.sha256()
+    for column in result.schema:
+        values = result.column(column.name)[order]
+        canonical.update(f"{column.name}:{values.dtype.str}".encode())
+        canonical.update(values.tobytes())
+    canonical.update(repr([sorted(map(repr, entry)) for entry in entries]).encode())
+    fallback = f"|{report.fallback_reason}".encode()
+    canonical.update(fallback)
+    full = hashlib.sha256(digest(answer).encode())
+    full.update(repr(entries).encode())
+    full.update(fallback)
+    return {
+        "digest": full.hexdigest(),
+        "canonical": canonical.hexdigest(),
+        "counts": repr(report.counts),
+    }
+
+
+def guard_replay(streams, workloads) -> List[List]:
+    """``[label, record]`` per case of :func:`guard_cases`, each answered
+    on the same system with the answer cache off."""
+    from repro import GuardPolicy
+
+    system = workloads.set_up()
+    system.set_cache(False)
+    return [
+        [f"{label}: {sql}", guard_record(system.answer(sql, guard=GuardPolicy(**fields)))]
+        for label, sql, fields in guard_cases(streams)
+    ]
+
+
 def emission_record(answer) -> dict:
     """One stream emission: its hash over result bytes, ``rows_seen`` and
     provenance, and its float columns (to size a difference)."""
@@ -155,6 +230,7 @@ def emit(checkout: Path) -> None:
         for sql in streams.session_templates()
     }
     out["maintained"] = maintained_replay(streams, workloads)
+    out["guarded"] = guard_replay(streams, workloads)
     json.dump(out, sys.stdout)
 
 
@@ -226,6 +302,8 @@ def main(argv=None) -> int:
     change_streams = digests["change"].pop("streams")
     parent_replay = digests["parent"].pop("maintained")
     change_replay = digests["change"].pop("maintained")
+    parent_guarded = digests["parent"].pop("guarded")
+    change_guarded = digests["change"].pop("guarded")
     for guard, parent in digests["parent"].items():
         change = digests["change"][guard]
         for sql in sorted(set(parent) | set(change)):
@@ -256,7 +334,19 @@ def main(argv=None) -> int:
             print(f"maintained replay differs: {before[0]}")
     print(f"maintained replay: {len(parent_replay)} entries compared")
     print(f"differing maintained-replay entries: {replay_differing}")
-    return 1 if differing or beyond or replay_differing else 0
+
+    guard_differing = reordered = 0
+    for (label, before), (_, after) in zip(parent_guarded, change_guarded):
+        if before["digest"] == after["digest"]:
+            continue
+        guard_differing += 1
+        only_order = before["canonical"] == after["canonical"]
+        reordered += only_order
+        kind = "row order only" if only_order else "values"
+        print(f"guard replay differs ({kind}; {before['counts']} -> {after['counts']}): {label}")
+    print(f"guard replay: {len(parent_guarded)} entries compared")
+    print(f"differing guard-replay entries: {guard_differing} ({reordered} in row order only)")
+    return 1 if differing or beyond or replay_differing or guard_differing else 0
 
 
 if __name__ == "__main__":

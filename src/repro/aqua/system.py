@@ -21,6 +21,7 @@ then a full exact fallback -- tagging every group with its provenance.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
@@ -32,10 +33,9 @@ import numpy as np
 from ..core.allocation import AllocationStrategy, build_sample
 from ..core.congress import Congress
 from ..engine.catalog import Catalog, CatalogError
-from ..engine.executor import ParallelConfig, ParallelExecutor
-from ..engine.expressions import Col
-from ..engine.groupby import key_tuples
-from ..engine.predicates import And, Comparison, InList, Or, Predicate
+from ..engine.executor import ParallelConfig, ParallelExecutor, execute_on_table
+from ..engine.groupby import factorize, key_tuples, rows_in_groups
+from ..engine.predicates import Predicate
 from ..engine.query import Presentation, Query
 from ..engine.render import render_query
 from ..engine.schema import Column, ColumnType
@@ -127,8 +127,8 @@ def promised_rel_error_by_alias(result: Table) -> Dict[str, float]:
     """Worst finite per-group relative half-width, per aggregate alias.
 
     Zero-valued and non-finite groups are skipped (their relative error is
-    undefined); an alias absent from the returned dict made no finite
-    promise at all.
+    undefined), and so are string values that do not parse as numbers; an
+    alias absent from the returned dict made no finite promise at all.
     """
     promised: Dict[str, float] = {}
     for name in result.schema.names:
@@ -137,23 +137,25 @@ def promised_rel_error_by_alias(result: Table) -> Dict[str, float]:
         alias = name[: -len("_error")]
         if alias not in result.schema:
             continue
-        halfwidths = result.column(name)
-        estimates = result.column(alias)
-        worst = -1.0
-        for i in range(result.num_rows):
-            halfwidth = float(halfwidths[i])
-            try:
-                value = float(estimates[i])
-            except (TypeError, ValueError):
-                continue
-            if not (math.isfinite(halfwidth) and math.isfinite(value)):
-                continue
-            if value == 0.0:
-                continue
-            worst = max(worst, halfwidth / abs(value))
-        if worst >= 0.0:
-            promised[alias] = worst
+        halfwidths = result.column(name).astype(np.float64)
+        values = result.column(alias)
+        if values.dtype.kind not in "biuf":  # text reads as float() reads it
+            values = [_float_or_nan(text) for text in values.tolist()]
+        values = np.asarray(values, dtype=np.float64)
+        usable = np.isfinite(halfwidths) & np.isfinite(values) & (values != 0)
+        if usable.any():
+            with np.errstate(over="ignore"):
+                worst = float(np.max(halfwidths[usable] / np.abs(values[usable])))
+            if worst >= 0.0:
+                promised[alias] = worst
     return promised
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 @dataclass
@@ -234,19 +236,6 @@ class ApproximateAnswer:
         if self.trace is not None:
             return self.trace.total_seconds
         return self.elapsed_seconds
-
-
-def _balanced(
-    combine: Callable[[Predicate, Predicate], Predicate],
-    terms: Sequence[Predicate],
-) -> Predicate:
-    """Fold ``terms`` with a binary connective into a balanced tree."""
-    if len(terms) == 1:
-        return terms[0]
-    middle = len(terms) // 2
-    return combine(
-        _balanced(combine, terms[:middle]), _balanced(combine, terms[middle:])
-    )
 
 
 def _fmt_pct(value: float) -> str:
@@ -1170,8 +1159,9 @@ class AquaSystem:
         The pipeline honours an optional per-query *deadline*: a typed
         :class:`~repro.errors.DeadlineExceeded` (tagged with the stage or
         plan operator it died in) aborts the answer cooperatively -- stage
-        boundaries here, per-operator in the plan executor of the guard's
-        base-table scans, per-partition in the parallel scanner.  With
+        boundaries here (the guard's repair scan included), per-operator in
+        the plan executor of its exact fallback, per-partition in the
+        parallel scanner.  With
         ``deadline=None``, any deadline installed by an enclosing
         :func:`~repro.serve.deadline.deadline_scope` (e.g. the serving
         layer's) still applies.
@@ -1233,9 +1223,8 @@ class AquaSystem:
                         )
                     except RecursionError as exc:
                         raise QueryTooDeepError(
-                            "the query (or the guard's repair of it) nests "
-                            "predicates deeper than the interpreter's "
-                            "recursion limit allows"
+                            "the query nests predicates deeper than the "
+                            "interpreter's recursion limit allows"
                         ) from exc
             except Exception as exc:
                 if measure:
@@ -1963,14 +1952,14 @@ class AquaSystem:
         query: Query,
         synopsis: Synopsis,
         group_by: Sequence[str],
-        present: set,
+        present: List[GroupKey],
     ) -> List[GroupKey]:
         """Answer groups the synopsis knows exist but failed to estimate.
 
         Only detectable when the query groups by a subset of the
         stratification columns: then every populated stratum projects onto
         an expected answer group.  (A WHERE clause may legitimately empty a
-        group -- the repair query settles that against the base table.)
+        group -- the repair settles that against the base table.)
         HAVING and LIMIT legitimately drop groups from the answer, so no
         absence is diagnosable under them.
         """
@@ -1978,7 +1967,13 @@ class AquaSystem:
             return []
         if not group_by or not set(group_by) <= set(synopsis.grouping_columns):
             return []
-        return sorted(synopsis.sample.frame.expected_groups(group_by) - present)
+        absent = synopsis.sample.frame.expected_groups(group_by) - set(present)
+        if not absent:
+            return []
+        # Tuples holding NaN never compare equal: settle the rest by value.
+        _, columns = factorize([np.asarray(c) for c in zip(*absent)])
+        found = rows_in_groups(columns, present)
+        return key_tuples([np.delete(column, found) for column in columns])
 
     def _flag_groups(
         self,
@@ -1987,73 +1982,59 @@ class AquaSystem:
         keys: List[GroupKey],
         support: np.ndarray,
         policy: GuardPolicy,
-    ) -> Dict[GroupKey, str]:
+    ) -> Tuple[np.ndarray, Dict[GroupKey, str]]:
         """Threshold checks per answer group: support, finiteness, bounds.
 
-        The checks run column-at-a-time; only the rows that fail one are
-        then visited to word their reasons.
+        Each check runs once, column-at-a-time, into a boolean array; only
+        the rows that fail one are then visited, to word their reasons from
+        those arrays.  Returns the failing-row mask and each failing
+        group's reasons.
         """
-        error_columns = {
-            a.alias: f"{a.alias}_error"
-            for a in query.aggregates()
-            if a.func in ESTIMABLE_AGGREGATES
-        }
-        checked: List[Tuple[str, np.ndarray, Optional[np.ndarray]]] = []
-        failing = support < policy.min_group_support
+        limit = policy.max_relative_halfwidth
+        # (mask, wording of row i) per check, in the order reasons are given.
+        checks = [
+            (
+                support < policy.min_group_support,
+                lambda i: f"sample support {int(support[i])} below minimum "
+                f"{policy.min_group_support}",
+            )
+        ]
         for aggregate in query.aggregates():
-            column = result.column(aggregate.alias)
+            alias = aggregate.alias
+            column = result.column(alias)
             if column.dtype.kind not in "fiu":
                 continue  # non-numeric aggregate (e.g. MIN over strings)
             values = column.astype(np.float64)
-            error_name = error_columns.get(aggregate.alias)
-            halfwidths = (
-                result.column(error_name) if error_name is not None else None
-            )
-            checked.append((aggregate.alias, values, halfwidths))
-            failing = failing | ~np.isfinite(values)
-            if halfwidths is not None:
-                failing = failing | np.isnan(halfwidths)
-                if policy.max_relative_halfwidth is not None:
-                    # relative_halfwidth(), array-at-a-time: 0 for a zero
-                    # half-width, inf over a zero estimate.
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        relative = np.where(
-                            halfwidths == 0.0,
-                            0.0,
-                            np.abs(halfwidths) / np.abs(values),
-                        )
-                    failing = failing | (
-                        relative > policy.max_relative_halfwidth
+            finite = np.isfinite(values)
+            checks.append((~finite, lambda i, a=alias: f"{a} is not finite"))
+            if aggregate.func not in ESTIMABLE_AGGREGATES:
+                continue
+            halfwidths = result.column(f"{alias}_error")
+            nan = np.isnan(halfwidths) & finite  # one reason per value
+            checks.append((nan, lambda i, a=alias: f"{a}_error is NaN"))
+            if limit is not None:
+                # relative_halfwidth(), array-at-a-time: 0 for a zero
+                # half-width, inf over a zero estimate (never above the
+                # limit for a value that is not finite or a NaN half-width).
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    relative = np.where(
+                        halfwidths == 0.0,
+                        0.0,
+                        np.abs(halfwidths) / np.abs(values),
                     )
-        flagged: Dict[GroupKey, str] = {}
-        for i in np.flatnonzero(failing).tolist():
-            reasons = []
-            if support[i] < policy.min_group_support:
-                reasons.append(
-                    f"sample support {int(support[i])} below minimum "
-                    f"{policy.min_group_support}"
+                checks.append(
+                    (
+                        relative > limit,
+                        lambda i, a=alias, r=relative: f"{a} relative "
+                        f"half-width {float(r[i]):.3g} exceeds {limit:.3g}",
+                    )
                 )
-            for alias, values, halfwidths in checked:
-                value = float(values[i])
-                if not math.isfinite(value):
-                    reasons.append(f"{alias} is not finite")
-                    continue
-                if halfwidths is None:
-                    continue
-                halfwidth = float(halfwidths[i])
-                if math.isnan(halfwidth):
-                    reasons.append(f"{alias}_error is NaN")
-                elif policy.max_relative_halfwidth is not None:
-                    relative = relative_halfwidth(halfwidth, value)
-                    if relative > policy.max_relative_halfwidth:
-                        reasons.append(
-                            f"{alias} relative half-width "
-                            f"{relative:.3g} exceeds "
-                            f"{policy.max_relative_halfwidth:.3g}"
-                        )
-            if reasons:
-                flagged[keys[i]] = "; ".join(reasons)
-        return flagged
+        failing = functools.reduce(np.logical_or, [mask for mask, _ in checks])
+        flagged = {
+            keys[i]: "; ".join(word(i) for mask, word in checks if mask[i])
+            for i in np.flatnonzero(failing).tolist()
+        }
+        return failing, flagged
 
     def _guard_answer(
         self,
@@ -2080,8 +2061,10 @@ class AquaSystem:
             )
             for count in support.tolist():
                 support_histogram.observe(count)
-        flagged = self._flag_groups(query, result, keys, support, policy)
-        missing = self._missing_groups(query, synopsis, group_by, set(keys))
+        failing, flagged = self._flag_groups(
+            query, result, keys, support, policy
+        )
+        missing = self._missing_groups(query, synopsis, group_by, keys)
 
         needy = len(flagged) + len(missing)
         if needy == 0:
@@ -2125,90 +2108,71 @@ class AquaSystem:
                 version=answer.version, flagged=flagged,
             )
         return self._repair_answer(
-            query, synopsis, answer, policy, stale, keys, flagged, missing
+            query, answer, policy, stale, keys, failing, flagged, missing
         )
 
     def _repair_answer(
         self,
         query: Query,
-        synopsis: Synopsis,
         answer: ApproximateAnswer,
         policy: GuardPolicy,
         stale: int,
         keys: List[GroupKey],
+        failing: np.ndarray,
         flagged: Dict[GroupKey, str],
         missing: List[GroupKey],
     ) -> ApproximateAnswer:
         """Patch only the failing groups from the base table.
 
         This is the paper's small-group problem handled at serve time: the
-        synopsis answer is kept for well-supported groups, while flagged and
-        missing groups are recomputed exactly over just their base rows.
+        synopsis answer is kept for well-supported groups (``~failing``),
+        while flagged and missing groups are recomputed exactly over just
+        their base rows.  The merge is in ``GROUP BY`` key order, as every
+        other answer is, before the query's ORDER BY applies.
         """
         result = answer.result
         group_by = list(query.group_by)
-        repair_keys = sorted(set(flagged) | set(missing))
-        repair_query = self._restrict_to_groups(query, group_by, repair_keys)
+        repair_keys = list(flagged) + missing
 
+        check_deadline("repair")
         start = time.perf_counter()
         with self.telemetry.tracer.span(
             "repair", groups=len(repair_keys)
-        ):
-            repair = self.exact(repair_query)
+        ) as span:
+            rows = self._group_rows(query, repair_keys)
+            span.set(rows=rows.num_rows)
+            repair = self._exact_with_zero_errors(query, rows)
         repair_elapsed = time.perf_counter() - start
 
-        repair_rows: Dict[GroupKey, Dict[str, object]] = {}
-        for i, key in enumerate(
-            self._result_keys(repair, query.group_by)
-        ):
-            repair_rows[key] = {
-                name: repair.column(name)[i] for name in repair.schema.names
-            }
+        # The result's schema coerces each repaired column to its type.
+        repaired = Table(result.schema, repair.project(result.schema.names).columns())
+        kept = result.filter(~failing)
+        merged = kept.concat(repaired)
+        order = merged.sort_order(group_by)
+        merged = Table(  # STR columns at the width Table.from_rows gives
+            merged.schema,
+            {
+                name: ColumnType.STR.coerce(values.tolist())
+                if values.dtype.kind == "U"
+                else values
+                for name, values in merged.take(order).columns().items()
+            },
+        )
+        tags = np.where(
+            order >= kept.num_rows, PROVENANCE_REPAIRED, PROVENANCE_SYNOPSIS
+        )
+        provenance = dict(
+            zip(self._result_keys(merged, group_by), tags.tolist())
+        )
+        # A flagged group without qualifying base rows was a phantom.
+        found = rows_in_groups(
+            [result.column(name) for name in group_by],
+            self._result_keys(repair, group_by),
+            failing,
+        )
+        phantoms = np.setdiff1d(np.flatnonzero(failing), found)
+        dropped = tuple(keys[i] for i in phantoms.tolist())
 
-        error_names = {
-            f"{a.alias}_error"
-            for a in query.aggregates()
-            if a.func in ESTIMABLE_AGGREGATES
-        }
-        names = result.schema.names
-        rows: List[Tuple] = []
-        tags: List[str] = []
-        provenance: Dict[GroupKey, str] = {}
-        dropped: List[GroupKey] = []
-        for i, key in enumerate(keys):
-            if key in flagged:
-                fixed = repair_rows.get(key)
-                if fixed is None:
-                    # The base table has no qualifying rows for this group:
-                    # the flagged estimate was a phantom; drop it.
-                    dropped.append(key)
-                    continue
-                rows.append(
-                    tuple(
-                        0.0 if name in error_names else fixed[name]
-                        for name in names
-                    )
-                )
-                tags.append(PROVENANCE_REPAIRED)
-                provenance[key] = PROVENANCE_REPAIRED
-            else:
-                rows.append(tuple(result.column(name)[i] for name in names))
-                tags.append(PROVENANCE_SYNOPSIS)
-                provenance[key] = PROVENANCE_SYNOPSIS
-        for key in missing:
-            fixed = repair_rows.get(key)
-            if fixed is None:
-                continue  # group has no qualifying base rows after all
-            rows.append(
-                tuple(
-                    0.0 if name in error_names else fixed[name]
-                    for name in names
-                )
-            )
-            tags.append(PROVENANCE_REPAIRED)
-            provenance[key] = PROVENANCE_REPAIRED
-
-        merged = Table.from_rows(result.schema, rows)
         merged = self._attach_provenance(merged, tags, policy)
         if query.order_by:
             merged = merged.sort_by(list(query.order_by))
@@ -2216,48 +2180,31 @@ class AquaSystem:
             policy=policy,
             provenance=provenance,
             flagged=dict(flagged),
-            dropped=tuple(dropped),
+            dropped=dropped,
             stale_inserts=stale,
         )
-        return ApproximateAnswer(
+        return dataclass_replace(
+            answer,
             result=merged,
-            confidence=answer.confidence,
-            synopsis=synopsis,
             elapsed_seconds=answer.elapsed_seconds + repair_elapsed,
-            version=answer.version,
             guard=report,
         )
 
-    def _restrict_to_groups(
-        self, query: Query, group_by: Sequence[str], keys: Sequence[GroupKey]
-    ) -> Query:
-        """The original query, restricted to the given answer groups."""
-        if len(group_by) == 1:
-            key_predicate = InList.of(
-                Col(group_by[0]), [key[0] for key in keys]
-            )
-        else:
-            # Balanced trees: depth log2(groups), not one level per group,
-            # so the recursive predicate walkers stay far from the limit.
-            key_predicate = _balanced(
-                Or,
-                [
-                    _balanced(
-                        And,
-                        [
-                            Comparison.of(Col(column), "=", value)
-                            for column, value in zip(group_by, key)
-                        ],
-                    )
-                    for key in keys
-                ],
-            )
-        where = (
-            key_predicate
-            if query.where is None
-            else And(query.where, key_predicate)
+    def _group_rows(self, query: Query, keys: Sequence[GroupKey]) -> Table:
+        """The base rows that pass the query's WHERE and whose ``GROUP BY``
+        key is one of ``keys``, in base order: the rows a restricted
+        :meth:`exact` would aggregate.  Pending inserts are flushed first,
+        as :meth:`exact` does.
+        """
+        name = query.base_table_name()
+        self._flush_pending(name)
+        table = self.catalog.get(name)
+        rows = rows_in_groups(
+            [table.column(c) for c in query.group_by],
+            keys,
+            None if query.where is None else query.where.evaluate(table),
         )
-        return dataclass_replace(query, where=where, order_by=(), limit=None)
+        return table.take(rows)
 
     def _attach_provenance(
         self, table: Table, tags: Sequence[str], policy: GuardPolicy
@@ -2526,9 +2473,9 @@ class AquaSystem:
         serves approximate answers, then executed by the physical plan
         executor; aggregate scans run partition-parallel when the system
         has an executor and the relation is large enough.  This is the
-        machinery the guard's exact fallback and per-group repairs use, so
-        degraded service keeps up with base tables the synopsis was built
-        to avoid scanning.  It runs the stage query (:meth:`Query.bind`)
+        machinery the guard's exact fallback uses, so degraded service
+        keeps up with base tables the synopsis was built to avoid
+        scanning.  It runs the stage query (:meth:`Query.bind`)
         and presents the result in the query's own columns, so it accepts
         every query :meth:`answer` does.
         """
@@ -2550,10 +2497,21 @@ class AquaSystem:
             raise TableNotRegisteredError(str(exc)) from exc
         return result if present is None else present(result)
 
-    def _exact_with_zero_errors(self, query: Query) -> Table:
-        """:meth:`exact` on a stage query, with a zero ``<alias>_error``
-        column per SUM/COUNT/AVG: an exact answer has no sampling error."""
-        result = self.exact(query)
+    def _exact_with_zero_errors(
+        self, query: Query, rows: Optional[Table] = None
+    ) -> Table:
+        """:meth:`exact` on a stage query, or its aggregation over ``rows``
+        that passed its WHERE (the engine's table-level entry, the same
+        GROUP BY as the plan's), with a zero ``<alias>_error`` column per
+        SUM/COUNT/AVG: an exact answer has no sampling error."""
+        if rows is None:
+            result = self.exact(query)
+        else:
+            result = execute_on_table(
+                dataclass_replace(query, where=None, order_by=(), limit=None),
+                rows,
+                parallel=self._executor,
+            )
         for aggregate in query.aggregates():
             if aggregate.func in ESTIMABLE_AGGREGATES:
                 result = result.with_column(

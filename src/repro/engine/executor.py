@@ -80,7 +80,7 @@ def execute_on_table(
     """Execute ``query`` directly against ``table``, ignoring the FROM name.
 
     The FROM item must be a plain name (not a subquery); this entry point is
-    used by estimator code that already holds the resolved sample relation.
+    for callers that already hold the rows, such as the guard's repair.
     """
     if isinstance(query.from_item, Query):
         raise QueryError("execute_on_table does not support nested subqueries")
@@ -196,14 +196,6 @@ class ParallelExecutor:
             telemetry if telemetry is not None else Telemetry.disabled()
         )
 
-    # -- plumbing ------------------------------------------------------------
-
-    def execute(self, query: Query, catalog: Catalog) -> Table:
-        return execute(query, catalog, parallel=self)
-
-    def execute_on_table(self, query: Query, table: Table) -> Table:
-        return execute_on_table(query, table, parallel=self)
-
     def partition_count(self, rows: int) -> int:
         """How many partitions an input of ``rows`` rows would be split into."""
         workers = self.config.workers
@@ -212,18 +204,6 @@ class ParallelExecutor:
         if self.config.min_partition_rows > 0:
             workers = min(workers, rows // self.config.min_partition_rows)
         return max(workers, 1)
-
-    def should_parallelize(self, query: Query, table: Table) -> bool:
-        """True when the plan is supported and the input is big enough.
-
-        Supported plans are aggregate/GROUP BY queries (every engine
-        aggregate has a mergeable state; HAVING/ORDER BY/LIMIT apply after
-        the merge).  Non-aggregate projections stay serial -- they are
-        memory-bound single passes with nothing to merge.
-        """
-        if not (query.has_aggregates() or query.group_by):
-            return False
-        return self.partition_count(table.num_rows) >= 2
 
     def _map(self, fn: Callable, parts: Sequence[Partition]) -> List:
         if self.config.backend == "serial" or len(parts) == 1:
@@ -255,17 +235,6 @@ class ParallelExecutor:
         return self._map(fn, parts)
 
     # -- the partitioned aggregate scan --------------------------------------
-
-    def aggregate_partitioned(self, query: Query, table: Table) -> Table:
-        """Filter + group + aggregate ``table`` across partitions.
-
-        Returns the same keys-then-aggregates table :func:`group_by`
-        produces; the caller applies select-list shaping, HAVING, ORDER BY
-        and LIMIT exactly as in the serial path.
-        """
-        return self.aggregate_table(
-            table, list(query.group_by), query.aggregates(), where=query.where
-        )
 
     def aggregate_table(
         self,
@@ -349,18 +318,10 @@ class ParallelExecutor:
         for _, seconds, *_ in scans:
             partition_seconds.observe(seconds)
 
-    def note_serial_fallback(self, query: Query, table: Table) -> None:
-        """Record that an aggregate plan ran serially despite this executor."""
-        reason = (
-            "unsupported_plan"
-            if not (query.has_aggregates() or query.group_by)
-            else "small_input"
-        )
-        self.note_plan_serial_fallback(reason)
-
-    def note_plan_serial_fallback(self, reason: str = "small_input") -> None:
-        """Record a serial fallback without a Query (the plan executor's
-        GroupBy operator only knows the input was too small to split)."""
+    def note_serial_fallback(self, reason: str = "small_input") -> None:
+        """Record that an aggregate scan ran serially despite this executor:
+        its input was too small to split, or (``"unsupported_plan"``) the
+        plan had nothing to merge."""
         metrics = self.telemetry.metrics
         if not metrics.enabled:
             return
@@ -379,13 +340,16 @@ def _run(
     aggregating = query.has_aggregates() or bool(query.group_by)
 
     if aggregating:
-        if parallel is not None and parallel.should_parallelize(
-            query, input_table
-        ):
-            result = parallel.aggregate_partitioned(query, input_table)
+        if parallel is not None and parallel.partition_count(input_table.num_rows) >= 2:
+            result = parallel.aggregate_table(
+                input_table,
+                list(query.group_by),
+                query.aggregates(),
+                where=query.where,
+            )
         else:
             if parallel is not None:
-                parallel.note_serial_fallback(query, input_table)
+                parallel.note_serial_fallback()
             filtered = _apply_where(query, input_table)
             result = group_by(
                 filtered, list(query.group_by), query.aggregates()
@@ -408,8 +372,8 @@ def _run(
         if query.having is not None:
             result = result.filter(query.having.evaluate(result))
     else:
-        if parallel is not None:
-            parallel.note_serial_fallback(query, input_table)
+        if parallel is not None:  # a projection: nothing to merge
+            parallel.note_serial_fallback("unsupported_plan")
         filtered = _apply_where(query, input_table)
         columns = {}
         schema_cols = []

@@ -15,7 +15,7 @@ runs one partial per partition and merges them with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .table import Table
 __all__ = [
     "factorize",
     "key_tuples",
+    "rows_in_groups",
     "group_ids_for",
     "group_by",
     "distinct",
@@ -108,6 +109,77 @@ def key_tuples(key_arrays: Sequence[np.ndarray]) -> List[Tuple]:
     return list(zip(*(column.tolist() for column in key_arrays)))
 
 
+def rows_in_groups(
+    columns: Sequence[np.ndarray],
+    keys: Sequence[Tuple],
+    candidates: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The rows (of the ``candidates`` mask, default all) whose key over
+    ``columns`` is one of ``keys``, ascending.
+
+    Column by column, a standing row's value is ranked among that column's
+    key values and the rank folded mixed-radix into the row's code, as
+    :func:`factorize` folds codes; the code is then ranked among the keys'
+    own prefixes, and a row whose value or prefix no key has falls.  Keys
+    are compared by value, never cast to a column's dtype; NaN matches NaN.
+    """
+    if not keys:
+        return np.empty(0, dtype=np.int64)
+    rows = None
+    key_codes = np.zeros(len(keys), dtype=np.int64)
+    for position, column in enumerate(columns):
+        uniques, key_ranks = np.unique(
+            np.asarray([key[position] for key in keys]), return_inverse=True
+        )
+        radix = len(uniques) + 1
+        prefixes, key_codes = np.unique(
+            key_codes * radix + key_ranks, return_inverse=True
+        )
+        ranks = _ranks(column if rows is None else column[rows], uniques)
+        if position:  # fold into the earlier columns' code, ranked by prefix
+            ranks = _ranks(codes.astype(np.int64) * radix + ranks, prefixes)
+        codes = ranks
+        standing = codes < len(prefixes)
+        if position == 0 and candidates is not None:
+            standing &= candidates
+        if not standing.all():
+            kept = np.flatnonzero(standing)
+            rows = kept if rows is None else rows[kept]
+            codes = codes[kept]
+    return np.arange(len(columns[0])) if rows is None else rows
+
+
+def _ranks(values: np.ndarray, uniques: np.ndarray) -> np.ndarray:
+    """Each value's index in the sorted, distinct, nonempty ``uniques``, or
+    ``len(uniques)`` where absent: one comparison per value for a few, a
+    dense table lookup for integers of a small range (the
+    ``np.isin(kind="table")`` rule), else a binary search.
+    """
+    absent = len(uniques)
+    if absent <= 4:  # a few values: one comparison each
+        ranks = np.uint8(absent)
+        for rank, value in enumerate(uniques.tolist()):
+            same = np.isnan(values) if value != value else values == value
+            ranks = np.where(same, np.uint8(rank), ranks)
+        return ranks
+    if values.dtype.kind in "iu" and uniques.dtype.kind in "iu":
+        low, high = int(uniques[0]), int(uniques[-1])
+        # Out-of-range values clip onto a pad at either end; keys within
+        # 2**62 keep an offset that wraps off the table as well.
+        if -(2**62) < low and high < 2**62 and (
+            high - low <= 6 * (len(values) + absent)
+        ):
+            table = np.full(high - low + 3, absent, np.min_scalar_type(absent))
+            table[uniques - (low - 1)] = np.arange(absent)
+            return np.take(table, values - (low - 1), mode="clip")
+    ranks = np.minimum(np.searchsorted(uniques, values), absent - 1)
+    candidates = uniques[ranks]
+    equal = candidates == values
+    if uniques.dtype.kind == "f":
+        equal |= np.isnan(candidates) & np.isnan(values)
+    return np.where(equal, ranks, absent)
+
+
 def group_ids_for(
     table: Table, key_columns: Sequence[str]
 ) -> Tuple[np.ndarray, List[Tuple], int]:
@@ -171,23 +243,23 @@ def merge_group_partials(
 ) -> GroupByPartial:
     """Merge partition-local partials over the union of their group keys.
 
-    The merged key order is the sorted union, matching the sorted order
-    :func:`group_ids_for` gives a single whole-table scan, so the parallel
-    path emits groups in exactly the serial order.
+    The partitions' keys are factorized together (:func:`factorize`), so
+    the merged key order is the sorted order :func:`group_ids_for` gives a
+    single whole-table scan, NaN keys included: the parallel path emits
+    groups in exactly the serial order.
     """
     if not partials:
         raise ValueError("merge_group_partials needs at least one partial")
     key_columns = partials[0].key_columns
-    merged_keys = sorted({key for p in partials for key in p.group_keys})
-    index_of = {key: i for i, key in enumerate(merged_keys)}
-    index_maps = [
-        np.fromiter(
-            (index_of[key] for key in p.group_keys),
-            dtype=np.int64,
-            count=p.num_groups,
+    keys = [key for p in partials for key in p.group_keys]
+    if key_columns:
+        ids, key_arrays = factorize(
+            [np.asarray([key[i] for key in keys]) for i in range(len(key_columns))]
         )
-        for p in partials
-    ]
+        merged_keys = key_tuples(key_arrays)
+    else:
+        ids, merged_keys = np.zeros(len(keys), dtype=np.int64), [()]
+    index_maps = np.split(ids, np.cumsum([p.num_groups for p in partials])[:-1])
     aliases = list(partials[0].states)
     states = {
         alias: merge_states(

@@ -177,7 +177,7 @@ def _group(
         span.set(mode="parallel")
         return parallel.aggregate_table(table, list(node.keys), aggregates)
     if parallel is not None:
-        parallel.note_plan_serial_fallback()
+        parallel.note_serial_fallback()
     return group_by(table, list(node.keys), aggregates)
 
 

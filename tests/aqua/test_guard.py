@@ -21,7 +21,6 @@ from repro.engine import (
     Table,
     parse_query,
 )
-from repro.engine.predicates import Predicate
 from repro.errors import (
     AquaError,
     GuardViolationError,
@@ -153,6 +152,66 @@ class TestRepair:
                 assert row["s"] == pytest.approx(exact[(row["a"], row["b"])])
 
 
+    def test_repaired_missing_group_keeps_group_by_key_order(self, system):
+        """A missing group is repaired into its key position, not appended
+        after the synopsis rows."""
+        FaultInjector(system).empty_allocation("rel", key=("a1", "b1"))
+        sql = "select a, b, sum(q) s from rel group by a, b"
+        answer = system.answer(sql)
+        assert answer.guard.provenance[("a1", "b1")] == PROVENANCE_REPAIRED
+        exact = system.exact(sql)
+
+        def keys(table):
+            return list(zip(table.column("a").tolist(), table.column("b").tolist()))
+
+        assert keys(answer.result) == keys(exact)
+        assert list(answer.guard.provenance) == keys(exact)
+
+
+class TestNaNKeyedGroups:
+    """A FLOAT grouping column whose every tenth key is NaN: the NaN group
+    is a real group, one of five."""
+
+    SQL = "select g, sum(q) s from rel group by g"
+
+    @pytest.fixture
+    def nan_system(self):
+        n = 4000
+        g = (np.arange(n) % 4).astype(float)
+        g[::10] = np.nan
+        schema = Schema(
+            [
+                Column("g", ColumnType.FLOAT, "grouping"),
+                Column("q", ColumnType.FLOAT, "aggregate"),
+            ]
+        )
+        table = Table.from_columns(
+            schema, g=g, q=np.random.default_rng(3).uniform(0.0, 10.0, n)
+        )
+        system = AquaSystem(space_budget=400, rng=np.random.default_rng(1))
+        system.register_table("rel", table)
+        return system
+
+    def test_flagged_nan_group_is_repaired_not_dropped(self, nan_system):
+        policy = GuardPolicy(min_group_support=10**9, max_repair_fraction=1.0)
+        answer = nan_system.answer(self.SQL, guard=policy)
+        exact = nan_system.exact(self.SQL)
+        assert answer.guard.counts == {PROVENANCE_REPAIRED: 5}
+        assert answer.guard.dropped == ()
+        for name in ("g", "s"):
+            np.testing.assert_array_equal(
+                answer.result.column(name), exact.column(name)
+            )
+
+    def test_unflagged_nan_group_is_not_missing(self, nan_system):
+        """The NaN group the synopsis answered is present, so it is neither
+        repaired nor served twice."""
+        answer = nan_system.answer(self.SQL)
+        assert answer.guard.counts == {PROVENANCE_SYNOPSIS: 5}
+        assert answer.result.num_rows == 5
+        assert np.isnan(answer.result.column("g")[-1])
+
+
 # SQL, and the output names of its GROUP BY columns in GROUP BY order
 ALIASED = {
     "one column": ("select a as x, sum(q) as s from rel group by a", ["x"]),
@@ -279,9 +338,9 @@ class TestOrderByAliasedBaseName:
 
 
 class TestManyGroupRepair:
-    """ROADMAP item 1c: the repair predicate over hundreds of multi-column
-    groups used to be a left-deep ``Or`` chain, one level per group, that the
-    recursive predicate walkers could not follow."""
+    """Hundreds of flagged multi-column groups: the repair restricts the
+    base rows by group code, so no predicate tree grows with the groups;
+    user SQL can still nest deeper than the walkers follow."""
 
     @pytest.fixture(scope="class")
     def wide(self):
@@ -317,23 +376,6 @@ class TestManyGroupRepair:
         exact = wide.exact(sql).sort_by(["a", "b", "c"])
         repaired = answer.result.sort_by(["a", "b", "c"])
         assert np.allclose(repaired.column("s"), exact.column("s"))
-
-    def test_repair_predicate_is_a_shallow_tree(self, wide):
-        query = parse_query("select a, b, c, sum(q) s from wide group by a, b, c")
-        keys = [(a, b, f"c{c}") for a in range(8) for b in range(8) for c in range(8)]
-        restricted = wide._restrict_to_groups(query, ["a", "b", "c"], keys)
-
-        def depth(node):
-            children = [
-                getattr(node, name)
-                for name in ("left", "right")
-                if isinstance(getattr(node, name, None), Predicate)
-            ]
-            return 1 + max((depth(child) for child in children), default=0)
-
-        assert depth(restricted.where) <= 2 + 9 + 2  # log2(512) Or levels
-        mask = restricted.where.evaluate(wide.catalog.get("wide"))
-        assert mask.all()
 
     def test_residual_recursion_error_is_typed(self, wide):
         clauses = " or ".join(f"q > {1000 + i}" for i in range(3000))

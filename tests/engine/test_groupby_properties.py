@@ -7,8 +7,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ColumnType, Schema, Table, group_ids_for
+from repro.engine import ColumnType, Schema, Table, col, group_ids_for
 from repro.engine import groupby
+from repro.engine.aggregates import Aggregate
 
 
 def record_group_ids(table, key_columns):
@@ -107,3 +108,92 @@ class TestAgainstRecordArrayOracle:
         single_ids, __, single_num = group_ids_for(table, ["f"])
         assert single_num == 2
         assert single_ids.tolist() == [1, 0, 1, 1, 0]
+
+
+NAN_VALUES = {**VALUES, ColumnType.FLOAT: st.sampled_from([-1.5, 0.0, 2.0, np.nan])}
+
+
+@st.composite
+def keyed_tables(draw, max_rows=30):
+    """A table of 1-3 key columns (NaN among the floats) and a payload."""
+    ctypes = draw(
+        st.lists(st.sampled_from(list(NAN_VALUES)), min_size=1, max_size=3)
+    )
+    num_rows = draw(st.integers(min_value=0, max_value=max_rows))
+    names = [f"k{i}" for i in range(len(ctypes))]
+    columns = {
+        name: draw(
+            st.lists(NAN_VALUES[ctype], min_size=num_rows, max_size=num_rows)
+        )
+        for name, ctype in zip(names, ctypes)
+    }
+    schema = Schema.of(*zip(names, ctypes), ("v", ColumnType.FLOAT))
+    values = draw(
+        st.lists(
+            st.floats(-9, 9, allow_nan=False), min_size=num_rows, max_size=num_rows
+        )
+    )
+    return Table.from_columns(schema, v=values, **columns), names
+
+
+def same_key(left, right) -> bool:
+    return all(a == b or (a != a and b != b) for a, b in zip(left, right))
+
+
+class TestRowsInGroups:
+    @given(keyed_tables(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_the_candidates_with_a_listed_key(self, drawn, data):
+        """Keys drawn from the rows and from the value pools (so some have
+        no rows); NaN matches NaN, and a longer string never matches a
+        shorter column value it would truncate to."""
+        table, names = drawn
+        ctypes = [table.schema.column(name).ctype for name in names]
+        rows = list(zip(*(table.column(name).tolist() for name in names)))
+        pool = rows + [
+            tuple(data.draw(NAN_VALUES[ctype]) for ctype in ctypes)
+            for _ in range(3)
+        ] + [tuple("ab" * 4 if c is ColumnType.STR else 0 for c in ctypes)]
+        keys = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        candidates = data.draw(
+            st.none()
+            | st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))
+        )
+        found = groupby.rows_in_groups(
+            [table.column(n) for n in names],
+            keys,
+            None if candidates is None else np.array(candidates, dtype=bool),
+        )
+        assert found.tolist() == [
+            i
+            for i, row in enumerate(rows)
+            if (candidates is None or candidates[i])
+            and any(same_key(row, key) for key in keys)
+        ]
+
+
+class TestPartialMerge:
+    @given(keyed_tables(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=50, deadline=None)
+    def test_partitions_merge_to_the_serial_grouping(self, drawn, parts):
+        """NaN keys of every partition merge into one group, sorted last,
+        as the serial scan groups them."""
+        table, names = drawn
+        aggregates = [Aggregate("sum", col("v"), "s"), Aggregate.count_star("c")]
+        bounds = np.linspace(0, table.num_rows, parts + 1).astype(int)
+        partials = [
+            groupby.partial_group_by(table.slice(lo, hi), names, aggregates)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        merged = groupby.finalize_group_by(
+            groupby.merge_group_partials(partials), table.schema, aggregates
+        )
+        serial = groupby.group_by(table, names, aggregates)
+        assert merged.schema == serial.schema
+        for name in merged.schema.names:
+            got, want = merged.column(name), serial.column(name)
+            assert got.dtype == want.dtype
+            if got.dtype.kind == "f":
+                np.testing.assert_allclose(got, want, rtol=1e-12, equal_nan=True)
+            else:
+                assert np.array_equal(got, want)
