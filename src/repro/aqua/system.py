@@ -2636,12 +2636,13 @@ class AquaSystem:
 
         Pending inserts are flushed first, so the maintainer counts every
         row a later refresh records as covered.  The base rows are then
-        streamed through the strategy's maintainer once: one pass over the
-        relation, in which the Eq. 8 Congress maintainer reads only the
-        grouping columns, a chunk at a time, and gathers the rows it
-        accepts with one ``take``.  After that each :meth:`insert` updates
-        the maintainer alone (``O(2^|G|)`` counter updates for Congress)
-        without touching the base relation.
+        loaded into the strategy's maintainer once.  The Eq. 8 Congress
+        maintainer counts the groups with one ``factorize``, flips one coin
+        per row at its group's final probability (the distribution
+        streaming the rows one at a time gives, from other random numbers)
+        and gathers the rows it accepts with one ``take``.  After that each
+        :meth:`insert` updates the maintainer alone (``O(2^|G|)`` counter
+        updates for Congress) without touching the base relation.
         """
         self._flush_pending(name)
         state = self._state(name)

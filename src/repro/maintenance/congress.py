@@ -19,6 +19,14 @@ store a single ``p`` per group and *settle* groups lazily:
   probability dropped are thinned from one draw
   (:func:`~repro.sampling.bernoulli.thin_groups`).
 
+A whole table needs no lazy thinning: :meth:`CongressMaintainer.insert_table`
+counts it first ("given a data cube of the counts ... any of our biased
+samples can be constructed in one pass") and flips one coin per row at its
+group's final probability.  Streaming the same rows accepts row ``i`` at
+``p_i`` and thins it by ratios whose product is ``p_final / p_i``, so both
+keep each row independently with probability ``p_final``; they draw
+different random numbers.
+
 Per-insert bookkeeping is ``O(2^|G|)`` counter updates, exactly as the paper
 notes.  Sampled rows live in a row store: columns, plus a tail of the
 tuples accepted one at a time since the last :meth:`snapshot`, which turns
@@ -28,7 +36,7 @@ until they outnumber the live ones, when the store is compacted.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,15 +44,11 @@ import numpy as np
 from ..engine.schema import Schema
 from ..engine.table import Table
 from ..sampling.bernoulli import thin_groups, thin_to_probability
-from ..sampling.groups import GroupKey
+from ..sampling.groups import GroupKey, finest_group_ids
 from .base import MaintainedSample, SampleMaintainer, split
 from .datacube import CountDataCube
 
 __all__ = ["CongressMaintainer"]
-
-#: rows of grouping columns :meth:`CongressMaintainer.insert_table` reads
-#: into Python values at a time
-CHUNK_ROWS = 16_384
 
 
 class CongressMaintainer(SampleMaintainer):
@@ -161,25 +165,42 @@ class CongressMaintainer(SampleMaintainer):
             self._row_store()
 
     def insert_table(self, table: Table) -> None:
-        """Stream a whole table through the maintainer.
+        """Load a whole table at once: count it, then flip one coin per row.
 
-        The same coins, in the same order, as inserting its rows one at a
-        time; acceptance is decided from the grouping columns alone, read
-        ``CHUNK_ROWS`` rows at a time, and the accepted rows are appended
-        with one ``take``.
+        Every count is known up front, so each row is drawn directly at its
+        group's final Eq. 8 probability -- the probability the stream would
+        thin it down to, one row at a time.  The table's finest groups come
+        from one ``factorize`` and join the cube in first-seen row order;
+        groups already held are thinned to their new probabilities
+        (:meth:`settle_all`); then one ``rng.random(n)``, in row order,
+        accepts row ``i`` iff its number is below its group's probability.
+        Accepted rows join their groups in row order, groups in dense-id
+        order, and are appended with one ``take``.
         """
-        first = len(self._row_store())
-        accepted: List[int] = []
-        columns = [table.column(name) for name in self.grouping_columns]
-        for lo in range(0, table.num_rows, CHUNK_ROWS):
-            values = [column[lo : lo + CHUNK_ROWS].tolist() for column in columns]
-            keys = zip(*values) if values else repeat((), len(table) - lo)
-            for row, key in zip(range(lo, lo + CHUNK_ROWS), keys):
-                if self._offer(key, first + len(accepted)):
-                    accepted.append(row)
-        self._store = self._store.concat(
-            table.take(np.array(accepted, dtype=np.int64))
+        ids, keys = finest_group_ids(table, self.grouping_columns)
+        present, first_row = np.unique(ids, return_index=True)
+        seen = present[np.argsort(first_row)]
+        counts = np.bincount(ids, minlength=len(keys))
+        dense = np.zeros(len(keys), dtype=np.int64)
+        dense[seen] = self._cube.observe_counts(
+            {keys[g]: int(counts[g]) for g in seen.tolist()}
         )
+        probabilities = self._cube.selection_probabilities(self._budget)
+        self._stored_p.extend(probabilities[len(self._stored_p) :].tolist())
+        self.settle_all()
+        row_gid = dense[ids]
+        accepted = np.flatnonzero(
+            self._rng.random(table.num_rows) < probabilities[row_gid]
+        )
+        first_id = len(self._row_store())
+        gids = row_gid[accepted]
+        order = np.argsort(gids, kind="stable")
+        groups, starts = np.unique(gids[order], return_index=True)
+        row_ids = (order + first_id).tolist()
+        ends = [*starts[1:].tolist(), len(row_ids)]
+        for gid, lo, hi in zip(groups.tolist(), starts.tolist(), ends):
+            self._members.setdefault(gid, []).extend(row_ids[lo:hi])
+        self._store = self._store.concat(table.take(accepted))
         self.inserts_seen += table.num_rows
         self._row_store()
 

@@ -95,12 +95,18 @@ class CountDataCube:
         """Record one tuple of finest group ``key``; returns its dense id."""
         return self._add(key, 1)
 
-    def observe_counts(self, finest_counts: Mapping[GroupKey, int]) -> None:
-        """Record many tuples at once from finest-group counts."""
+    def observe_counts(self, finest_counts: Mapping[GroupKey, int]) -> List[int]:
+        """Record many tuples at once from finest-group counts.
+
+        New groups get dense ids in the mapping's order; returns each
+        group's id, in that order.
+        """
+        ids = []
         for key, count in finest_counts.items():
             if count < 0:
                 raise ValueError(f"negative count for group {key}: {count}")
-            self._add(key, count)
+            ids.append(self._add(key, count))
+        return ids
 
     # -- accessors -----------------------------------------------------------
 

@@ -22,7 +22,6 @@ from ..core.allocation import AllocationStrategy
 from ..engine.schema import Schema
 from ..engine.table import Table
 from ..obs import Telemetry
-from ..sampling.bernoulli import subsample_exact
 from ..sampling.groups import GroupKey
 from ..sampling.rounding import largest_remainder_round
 from ..sampling.stratified import StratifiedSample
@@ -53,6 +52,11 @@ def subsample_to_budget(
     scale-down factor ``f`` of Equation 6 empirically), rounded by largest
     remainder so the final total is exact.  Subsampling a uniform sample
     uniformly yields a uniform sample, so stratum validity is preserved.
+
+    One ``rng.random`` draw covers every member, groups in the snapshot's
+    order; each group keeps its ``target`` members with the smallest
+    numbers, in ascending order of them.  A sample already within budget
+    comes back unchanged and draws nothing.
     """
     rng = rng if rng is not None else np.random.default_rng()
     sizes = maintained.sample_sizes()
@@ -62,11 +66,21 @@ def subsample_to_budget(
     factor = budget / total
     fractional = {key: size * factor for key, size in sizes.items()}
     targets = largest_remainder_round(fractional, total=budget, caps=sizes)
-    positions: Dict[GroupKey, np.ndarray] = {}
-    for key, at in maintained.positions.items():
-        kept = subsample_exact(at, targets.get(key, 0), rng)
-        if len(kept):
-            positions[key] = kept
+    keys = list(maintained.positions)
+    lengths = np.fromiter(sizes.values(), np.int64, len(keys))
+    wanted = np.array([targets.get(key, 0) for key in keys], dtype=np.int64)
+    group = np.repeat(np.arange(len(keys)), lengths)
+    order = np.lexsort((rng.random(total), group))
+    starts = np.cumsum(lengths) - lengths
+    rank = np.arange(total) - np.repeat(starts, lengths)
+    members = np.concatenate(list(maintained.positions.values()))
+    picked = members[order[rank < np.repeat(wanted, lengths)]]
+    ends = np.cumsum(wanted).tolist()
+    positions: Dict[GroupKey, np.ndarray] = {
+        key: picked[end - size : end]
+        for key, size, end in zip(keys, wanted.tolist(), ends)
+        if size
+    }
     return MaintainedSample(
         maintained.grouping_columns,
         maintained.rows,

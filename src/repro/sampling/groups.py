@@ -34,12 +34,19 @@ __all__ = [
 
 GroupKey = Tuple  # tuple of plain python scalars
 
+#: the one NaN object every key holds in place of a NaN value.  Python
+#: hashes a float NaN by identity and tuples compare items by identity
+#: first, so keys sharing this object find each other in dicts, as
+#: :func:`~repro.engine.groupby.factorize` puts NaN keys in one group.
+_NAN = float("nan")
+
 
 def _as_python(value) -> object:
-    """Normalize numpy scalars to plain Python so GroupKeys hash stably."""
+    """Normalize numpy scalars to plain Python, and every NaN to
+    :data:`_NAN`, so GroupKeys hash stably."""
     if isinstance(value, np.generic):
-        return value.item()
-    return value
+        value = value.item()
+    return _NAN if value != value else value
 
 
 def make_key(values: Sequence) -> GroupKey:

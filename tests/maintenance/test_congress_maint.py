@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import AquaSystem
 from repro.core import Congress
-from repro.engine import ColumnType, Schema
+from repro.engine import Column, ColumnType, Schema, Table
 from repro.maintenance import CongressMaintainer
 
 
@@ -103,3 +104,40 @@ class TestExpectedSizesHelper:
             probability = maintainer.current_probability(key)
             population = maintainer.cube.finest_counts()[key]
             assert value == pytest.approx(probability * population)
+
+
+class TestNaNKeys:
+    """Every NaN grouping value is one group, as ``factorize`` makes it."""
+
+    @pytest.fixture
+    def table(self):
+        schema = Schema(
+            [
+                Column("g", ColumnType.FLOAT, "grouping"),
+                Column("v", ColumnType.FLOAT, "aggregate"),
+            ]
+        )
+        g = np.array([1.0, 2.0, np.nan] * 100)
+        return Table.from_columns(schema, g=g, v=np.arange(300.0))
+
+    def test_row_and_bulk_loads_count_one_nan_group(self, table):
+        rows = CongressMaintainer(table.schema, ["g"], 30, np.random.default_rng(0))
+        rows.insert_many(table.iter_rows())
+        bulk = CongressMaintainer(table.schema, ["g"], 30, np.random.default_rng(0))
+        bulk.insert_table(table)
+        bulk.insert((float("nan"), 0.0))  # a NaN of its own, after the load
+        assert rows.cube.num_groups(("g",)) == 3
+        assert bulk.cube.num_groups(("g",)) == 3
+
+    def test_maintained_strata_are_the_built_synopsis_strata(self, table):
+        system = AquaSystem(space_budget=30, rng=np.random.default_rng(1))
+        system.register_table("t", table, grouping_columns=["g"])
+        built = system.synopsis("t").sample.strata
+        system.enable_maintenance("t")
+        system.insert("t", (float("nan"), 0.0))
+        maintained = system.refresh_synopsis("t").sample.strata
+        assert len(built) == 3
+        assert set(maintained) == set(built)
+        assert {key: s.population for key, s in maintained.items()} == {
+            key: s.population + (key[0] != key[0]) for key, s in built.items()
+        }

@@ -1,9 +1,11 @@
 """Byte-identity oracle for the maintained (Section 6) refresh path.
 
-The reference below is the row-tuple algorithm, kept verbatim: a
-dict-of-dicts count cube, per-group member lists of row tuples settled one
-group at a time, ``thin_to_probability`` and ``subsample_exact`` over
-lists, and ``to_stratified`` through ``Table.from_rows``.  The columnar
+The reference below is the row-tuple algorithm: a dict-of-dicts count
+cube, per-group member lists of row tuples settled one group at a time,
+``thin_to_probability`` over lists, a table load that counts every row
+first and flips one coin per row at its group's final probability, a
+scale-down that draws one number per member and keeps each group's
+smallest, and ``to_stratified`` through ``Table.from_rows``.  The columnar
 maintainers must draw the same random numbers in the same order, so under
 one seed both give the same strata (keys, order, populations, row indices)
 and the same base-table bytes, dtypes included.
@@ -22,7 +24,6 @@ from repro.maintenance import (
     SenateMaintainer,
     subsample_to_budget,
 )
-from repro.maintenance import congress as congress_module
 from repro.maintenance.base import KeyExtractor
 from repro.sampling.groups import all_groupings
 from repro.sampling.rounding import largest_remainder_round
@@ -109,6 +110,28 @@ class ReferenceCongress:
             self._settle(key)
         self._since_settle = 0
 
+    def insert_table(self, table):
+        rows = [tuple(row) for row in table.iter_rows()]
+        keys = [self._key_of(row) for row in rows]
+        for key in keys:
+            self._cube.observe(key)
+        self.settle_all()
+        for key in keys:
+            if key not in self._stored_p:
+                self._settle(key)
+        probability = {
+            key: self._cube.selection_probability(key, self._budget)
+            for key in self._stored_p
+        }
+        coins = self._rng.random(len(rows))
+        accepted = {}
+        for row, key, coin in zip(rows, keys, coins):
+            if coin < probability[key]:
+                accepted.setdefault(key, []).append(row)
+        for key in self._stored_p:
+            if key in accepted:
+                self._members.setdefault(key, []).extend(accepted[key])
+
     def insert(self, row):
         row = tuple(row)
         key = self._key_of(row)
@@ -131,8 +154,8 @@ class ReferenceCongress:
 
 
 def reference_subsample(rows_by_group, budget, rng, drawn=None):
-    """The scale-down; ``drawn`` collects the groups ``rng.choice`` ran
-    for, in draw order."""
+    """The scale-down; ``drawn`` collects the groups the one draw covers,
+    in draw order."""
     sizes = {key: len(rows) for key, rows in rows_by_group.items()}
     total = sum(sizes.values())
     if total <= budget:
@@ -140,16 +163,14 @@ def reference_subsample(rows_by_group, budget, rng, drawn=None):
     factor = budget / total
     fractional = {key: size * factor for key, size in sizes.items()}
     targets = largest_remainder_round(fractional, total=budget, caps=sizes)
+    numbers = iter(rng.random(total).tolist())
     out = {}
     for key, rows in rows_by_group.items():
-        size = targets.get(key, 0)
-        if size >= len(rows):
-            kept = list(rows)
-        else:
-            idx = rng.choice(len(rows), size=size, replace=False)
-            kept = [rows[int(i)] for i in idx]
-            if drawn is not None:
-                drawn.append(key)
+        drawn_here = [next(numbers) for __ in rows]
+        smallest = sorted(range(len(rows)), key=drawn_here.__getitem__)
+        kept = [rows[i] for i in smallest[: targets.get(key, 0)]]
+        if drawn is not None:
+            drawn.append(key)
         if kept:
             out[key] = kept
     return out
@@ -197,17 +218,20 @@ def reference_refreshed(reference, budget, rng, drawn=None):
 
 
 def replay(schema, grouping, budget, initial, stream, *, seed=0,
-           settle_every=0, refresh_every=50, subsample_budget=None):
-    """Feed ``initial`` (a Table, bulk) then ``stream`` (row tuples, one by
-    one) to both implementations, comparing every refresh.  Returns the
-    reference and, per refresh, the groups drawn from in draw order."""
+           settle_every=0, refresh_every=50, subsample_budget=None, head=()):
+    """Feed ``head`` (row tuples, one by one), ``initial`` (a Table, bulk)
+    then ``stream`` (row tuples, one by one) to both implementations,
+    comparing every refresh.  Returns the reference and, per refresh, the
+    groups drawn from in draw order."""
     subsample_budget = subsample_budget or budget
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     maintainer = CongressMaintainer(schema, grouping, budget, rng, settle_every)
     reference = ReferenceCongress(schema, grouping, budget, ref_rng, settle_every)
-    maintainer.insert_table(initial)
-    for row in initial.iter_rows():
+    for row in head:
+        maintainer.insert(row)
         reference.insert(row)
+    maintainer.insert_table(initial)
+    reference.insert_table(initial)
     draws = []
 
     def compare():
@@ -317,20 +341,18 @@ class TestCongressRefreshIdentity:
 
 
 class TestInsertTableIdentity:
-    @pytest.mark.parametrize("chunk", [64, congress_module.CHUNK_ROWS])
-    def test_bulk_equals_row_at_a_time(self, monkeypatch, chunk):
-        monkeypatch.setattr(congress_module, "CHUNK_ROWS", chunk)
-        table = lineitem(1000 if chunk == 64 else 3000, 27, seed=12)
-        assert table.num_rows % chunk
-        bulk_rng, row_rng = np.random.default_rng(1), np.random.default_rng(1)
-        bulk = CongressMaintainer(table.schema, GROUPING_COLUMNS, 40, bulk_rng)
-        rows = CongressMaintainer(table.schema, GROUPING_COLUMNS, 40, row_rng)
-        bulk.insert(next(table.iter_rows()))  # a tail before the bulk load
-        rows.insert(next(table.iter_rows()))
-        bulk.insert_table(table)
-        rows.insert_many(table.iter_rows())
-        assert bulk.inserts_seen == rows.inserts_seen == table.num_rows
-        assert_same_sample(refreshed(bulk, 30, bulk_rng), refreshed(rows, 30, row_rng))
+    @pytest.mark.parametrize("settle_every", [0, 37])
+    def test_load_onto_held_rows(self, settle_every):
+        """A load onto rows inserted one at a time first thins the held
+        groups to their new probabilities, then flips its own coins; the
+        held rows' tail is in the row store before the loaded rows."""
+        table = lineitem(3000, 27, seed=12)
+        head = list(lineitem(400, 64, seed=13).iter_rows())
+        stream = list(lineitem(300, 64, seed=14).iter_rows())
+        replay(
+            table.schema, GROUPING_COLUMNS, 40, table, stream,
+            seed=1, settle_every=settle_every, head=head, refresh_every=60,
+        )
 
 
 def house_rows(m):
