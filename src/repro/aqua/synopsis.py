@@ -50,11 +50,10 @@ class Synopsis:
         synopsis -- the answer-time guard repairs them from the base table,
         and :meth:`AquaSystem.health` reports them as reduced coverage.
         """
-        return tuple(
-            key
-            for key, stratum in sorted(self.sample.strata.items())
-            if stratum.population > 0 and stratum.sample_size == 0
-        )
+        sample = self.sample
+        order = sample.key_order
+        empty = (sample.populations[order] > 0) & (sample.sizes[order] == 0)
+        return tuple(map(sample.keys.__getitem__, order[empty].tolist()))
 
     def validate(self) -> List[str]:
         """Structural issues with the underlying sample (empty = sound)."""
@@ -69,5 +68,5 @@ class Synopsis:
             f"rewrite={self.rewrite_strategy} size={self.sample_size} "
             f"({100 * self.sampling_fraction:.2f}% of "
             f"{self.sample.total_population} rows), "
-            f"strata={len(self.sample.strata)}"
+            f"strata={len(self.sample.keys)}"
         )

@@ -3,7 +3,8 @@
 All maintainers consume a stream of row tuples (values in schema order) via
 :meth:`SampleMaintainer.insert` and can, at any point, produce a
 :class:`MaintainedSample`: the sampled rows as columns, each finest group's
-row positions in them, and the true group populations seen so far.
+row positions in them as one array, and the true group populations seen so
+far.
 ``MaintainedSample.to_stratified()`` converts to the standard
 :class:`~repro.sampling.stratified.StratifiedSample` container (the base
 table being the sampled rows themselves, with populations carried from the
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, repeat
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 from ..engine.schema import Schema
 from ..engine.table import Table
 from ..sampling.groups import GroupKey, make_key
-from ..sampling.stratified import StratifiedSample, Stratum
+from ..sampling.stratified import StratifiedSample, segment_positions
 
 __all__ = ["MaintainedSample", "SampleMaintainer", "KeyExtractor"]
 
@@ -57,13 +60,17 @@ class MaintainedSample:
     """Output of a maintainer: sampled rows and populations per group.
 
     ``rows`` holds the sampled rows as columns (it may hold rows no group
-    lists); ``positions[g]`` are group ``g``'s rows in it, in the group's
-    sample order.
+    lists).  Group ``keys[i]`` holds ``sizes[i]`` of them: the entries of
+    ``members`` (positions in ``rows``) from ``sizes[:i].sum()`` on, in the
+    group's sample order.  ``populations`` counts every group seen on the
+    stream, sampled or not.
     """
 
     grouping_columns: Tuple[str, ...]
     rows: Table
-    positions: Dict[GroupKey, np.ndarray]
+    keys: Tuple[GroupKey, ...]
+    members: np.ndarray
+    sizes: np.ndarray
     populations: Dict[GroupKey, int]
 
     @classmethod
@@ -76,16 +83,31 @@ class MaintainedSample:
     ) -> "MaintainedSample":
         """Pack per-group row tuples into columns, group after group."""
         rows = Table.from_rows(schema, chain.from_iterable(rows_by_group.values()))
-        positions = split(
+        return cls(
+            tuple(grouping_columns),
+            rows,
+            tuple(rows_by_group),
             np.arange(len(rows), dtype=np.int64),
-            list(rows_by_group),
-            [len(group) for group in rows_by_group.values()],
+            np.fromiter(
+                map(len, rows_by_group.values()), np.int64, len(rows_by_group)
+            ),
+            dict(populations),
         )
-        return cls(tuple(grouping_columns), rows, positions, dict(populations))
 
     @property
     def schema(self) -> Schema:
         return self.rows.schema
+
+    @cached_property
+    def positions(self) -> Mapping[GroupKey, np.ndarray]:
+        """Each group's positions in ``rows`` (a read-only mapping)."""
+        ends = np.cumsum(self.sizes).tolist()
+        return MappingProxyType(
+            {
+                key: self.members[end - size : end]
+                for key, size, end in zip(self.keys, self.sizes.tolist(), ends)
+            }
+        )
 
     @property
     def rows_by_group(self) -> Dict[GroupKey, List[Tuple]]:
@@ -98,7 +120,7 @@ class MaintainedSample:
 
     @property
     def total_sample_size(self) -> int:
-        return sum(len(at) for at in self.positions.values())
+        return int(self.sizes.sum())
 
     @property
     def total_population(self) -> int:
@@ -106,42 +128,40 @@ class MaintainedSample:
         return sum(int(p) for p in self.populations.values())
 
     def sample_sizes(self) -> Dict[GroupKey, int]:
-        return {key: len(at) for key, at in self.positions.items()}
+        return dict(zip(self.keys, self.sizes.tolist()))
 
     def to_stratified(self) -> StratifiedSample:
         """Repackage as a :class:`StratifiedSample`.
 
-        The "base table" is the sampled rows, gathered by one ``take`` in
-        sorted group order; each stratum is a slice of one ``arange`` over
-        it, and its ``population`` is the true group size observed on the
+        Every group seen on the stream becomes a stratum, in sorted key
+        order; a group with no sampled row is an empty stratum.  The "base
+        table" is the sampled rows, gathered by one ``take`` in that order,
+        so the strata's row indices are one ``arange`` over it.  A
+        stratum's ``population`` is the true group size observed on the
         stream, so scale factors are correct even though the full relation
         was never materialized.
         """
-        ordered = sorted(self.positions)
-        gathered = [self.positions[key] for key in ordered]
-        base = _narrowest(
-            self.rows.take(
-                np.concatenate(gathered) if gathered else np.empty(0, np.int64)
-            )
+        held = dict(zip(self.keys, range(len(self.keys))))
+        unlisted = held.keys() - self.populations.keys()
+        keys = sorted(chain(self.populations, unlisted))
+        at = np.fromiter(map(held.get, keys, repeat(-1)), np.int64, len(keys))
+        sampled = at >= 0
+        sizes = np.zeros(len(keys), dtype=np.int64)
+        sizes[sampled] = self.sizes[at[sampled]]
+        starts = np.cumsum(self.sizes) - self.sizes
+        gathered = segment_positions(starts[at[sampled]], sizes[sampled])
+        base = _narrowest(self.rows.take(self.members[gathered]))
+        populations = np.fromiter(
+            map(self.populations.get, keys, sizes.tolist()), np.int64, len(keys)
         )
-        sizes = [len(at) for at in gathered]
-        slices = split(np.arange(len(base), dtype=np.int64), ordered, sizes)
-        strata = {
-            key: Stratum(key, int(self.populations.get(key, size)), at)
-            for (key, at), size in zip(slices.items(), sizes)
-        }
-        return StratifiedSample(base, self.grouping_columns, strata)
-
-
-def split(
-    values: np.ndarray, keys: Sequence[GroupKey], sizes: Sequence[int]
-) -> Dict[GroupKey, np.ndarray]:
-    """``values`` cut into consecutive slices ``sizes`` long, by key."""
-    out, cursor = {}, 0
-    for key, size in zip(keys, sizes):
-        out[key] = values[cursor : cursor + size]
-        cursor += size
-    return out
+        return StratifiedSample.from_arrays(
+            base,
+            self.grouping_columns,
+            keys,
+            populations,
+            sizes,
+            np.arange(len(base), dtype=np.int64),
+        )
 
 
 class SampleMaintainer(ABC):

@@ -36,7 +36,7 @@ until they outnumber the live ones, when the store is compacted.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +45,7 @@ from ..engine.schema import Schema
 from ..engine.table import Table
 from ..sampling.bernoulli import thin_groups, thin_to_probability
 from ..sampling.groups import GroupKey, finest_group_ids
-from .base import MaintainedSample, SampleMaintainer, split
+from .base import MaintainedSample, SampleMaintainer
 from .datacube import CountDataCube
 
 __all__ = ["CongressMaintainer"]
@@ -232,18 +232,22 @@ class CongressMaintainer(SampleMaintainer):
         return self._store
 
     def snapshot(self) -> MaintainedSample:
+        """The settled sample, columnar: groups holding members in
+        first-accepted order, their row ids flattened into one array."""
         self.settle_all()
         rows = self._row_store()
-        keys = self._cube.group_keys
-        held = [(keys[g], ids) for g, ids in self._members.items() if ids]
-        sizes = [len(ids) for __, ids in held]
-        flat = np.fromiter(
-            chain.from_iterable(ids for __, ids in held), np.int64, sum(sizes)
-        )
+        groups = self._members
+        sizes = np.fromiter(map(len, groups.values()), np.int64, len(groups))
+        held = sizes > 0
+        keys = map(self._cube.group_keys.__getitem__, groups)
         return MaintainedSample(
             self.grouping_columns,
             rows,
-            split(flat, [key for key, __ in held], sizes),
+            tuple(compress(keys, held.tolist())),
+            np.fromiter(
+                chain.from_iterable(groups.values()), np.int64, int(sizes.sum())
+            ),
+            sizes[held],
             self._cube.finest_counts(),
         )
 

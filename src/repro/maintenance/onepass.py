@@ -14,7 +14,8 @@ Two routes to a congressional sample without a precomputed data cube:
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, Optional, Sequence, Union
+from itertools import compress
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,8 +23,7 @@ from ..core.allocation import AllocationStrategy
 from ..engine.schema import Schema
 from ..engine.table import Table
 from ..obs import Telemetry
-from ..sampling.groups import GroupKey
-from ..sampling.rounding import largest_remainder_round
+from ..sampling.rounding import largest_remainder_array
 from ..sampling.stratified import StratifiedSample
 from .base import MaintainedSample, SampleMaintainer
 from .basic_congress import BasicCongressMaintainer
@@ -59,34 +59,39 @@ def subsample_to_budget(
     comes back unchanged and draws nothing.
     """
     rng = rng if rng is not None else np.random.default_rng()
-    sizes = maintained.sample_sizes()
-    total = sum(sizes.values())
+    sizes = maintained.sizes
+    total = int(sizes.sum())
     if total <= budget:
         return maintained
-    factor = budget / total
-    fractional = {key: size * factor for key, size in sizes.items()}
-    targets = largest_remainder_round(fractional, total=budget, caps=sizes)
-    keys = list(maintained.positions)
-    lengths = np.fromiter(sizes.values(), np.int64, len(keys))
-    wanted = np.array([targets.get(key, 0) for key in keys], dtype=np.int64)
-    group = np.repeat(np.arange(len(keys)), lengths)
-    order = np.lexsort((rng.random(total), group))
-    starts = np.cumsum(lengths) - lengths
-    rank = np.arange(total) - np.repeat(starts, lengths)
-    members = np.concatenate(list(maintained.positions.values()))
-    picked = members[order[rank < np.repeat(wanted, lengths)]]
-    ends = np.cumsum(wanted).tolist()
-    positions: Dict[GroupKey, np.ndarray] = {
-        key: picked[end - size : end]
-        for key, size, end in zip(keys, wanted.tolist(), ends)
-        if size
-    }
+    wanted = largest_remainder_array(
+        sizes * (budget / total), total=budget, caps=sizes
+    )
+    group = np.repeat(
+        np.arange(len(sizes), dtype=np.min_scalar_type(max(len(sizes) - 1, 0))),
+        sizes,
+    )
+    order = _by_group_then_draw(group, rng.random(total))
+    starts = np.cumsum(sizes) - sizes
+    rank = np.arange(total) - np.repeat(starts, sizes)
+    picked = maintained.members[order[rank < np.repeat(wanted, sizes)]]
+    kept = wanted > 0
     return MaintainedSample(
         maintained.grouping_columns,
         maintained.rows,
-        positions,
+        tuple(compress(maintained.keys, kept.tolist())),
+        picked,
+        wanted[kept],
         dict(maintained.populations),
     )
+
+
+def _by_group_then_draw(group: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``np.lexsort((draws, group))`` for distinct ``draws``: sort by the
+    draws, then stably by group.  ``group`` is unsigned and at most 16 bits
+    wide for any snapshot of up to 65,536 groups, which numpy's stable sort
+    orders by radix."""
+    by_draw = np.argsort(draws)
+    return by_draw[np.argsort(group[by_draw], kind="stable")]
 
 
 def maintainer_for(

@@ -16,7 +16,8 @@ aligned with the grouping columns that define it.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "group_counts",
     "group_members",
     "project_key",
+    "project_keys",
     "projected_counts",
 ]
 
@@ -134,6 +136,19 @@ def group_members(
     return {key: np.concatenate(merged[key]) for key in sorted(merged)}
 
 
+def _positions_in(
+    grouping_columns: Sequence[str], target: Sequence[str]
+) -> List[int]:
+    """Where each ``target`` column sits in ``grouping_columns``."""
+    positions = {name: i for i, name in enumerate(grouping_columns)}
+    try:
+        return [positions[name] for name in target]
+    except KeyError as exc:
+        raise KeyError(
+            f"grouping column {exc.args[0]!r} not in {list(grouping_columns)}"
+        ) from None
+
+
 def project_key(
     key: GroupKey,
     grouping_columns: Sequence[str],
@@ -147,13 +162,26 @@ def project_key(
     >>> project_key(("a1", "b2"), ["A", "B"], ["B"])
     ('b2',)
     """
-    positions = {name: i for i, name in enumerate(grouping_columns)}
-    try:
-        return tuple(key[positions[name]] for name in target)
-    except KeyError as exc:
-        raise KeyError(
-            f"grouping column {exc.args[0]!r} not in {list(grouping_columns)}"
-        ) from None
+    return tuple(key[i] for i in _positions_in(grouping_columns, target))
+
+
+def project_keys(
+    keys: Iterable[GroupKey],
+    grouping_columns: Sequence[str],
+    target: Sequence[str],
+) -> Iterator[GroupKey]:
+    """:func:`project_key` over many keys: the column positions are looked
+    up once and every key is projected by one ``itemgetter``.
+
+    >>> list(project_keys([("a1", "b2"), ("a1", "b3")], ["A", "B"], ["B"]))
+    [('b2',), ('b3',)]
+    """
+    positions = _positions_in(grouping_columns, target)
+    if len(positions) > 1:
+        return map(itemgetter(*positions), keys)
+    if positions:
+        return zip(map(itemgetter(positions[0]), keys))
+    return (() for __ in keys)
 
 
 def projected_counts(

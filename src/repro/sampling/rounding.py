@@ -14,7 +14,12 @@ from typing import Dict, Hashable, Mapping, Optional, TypeVar
 
 import numpy as np
 
-__all__ = ["largest_remainder_round", "floor_round", "randomized_round"]
+__all__ = [
+    "largest_remainder_round",
+    "largest_remainder_array",
+    "floor_round",
+    "randomized_round",
+]
 
 K = TypeVar("K", bound=Hashable)
 
@@ -34,24 +39,58 @@ def largest_remainder_round(
 
     Returns:
         Per-key integer allocation summing to ``total`` (or to the sum of
-        caps if the caps make ``total`` infeasible).
+        caps if the caps make ``total`` infeasible).  The keyed form of
+        :func:`largest_remainder_array`, keys in ``fractional``'s order.
     """
     keys = list(fractional)
     values = np.array([fractional[k] for k in keys], dtype=np.float64)
-    if np.any(values < -1e-9):
-        bad = [k for k, v in zip(keys, values) if v < -1e-9]
-        raise ValueError(f"negative allocations for {bad}")
+    bad = np.flatnonzero(values < -1e-9)
+    if len(bad):
+        raise ValueError(f"negative allocations for {[keys[i] for i in bad]}")
+    cap_values = (
+        np.array([caps[k] for k in keys], dtype=np.int64)
+        if caps is not None
+        else None
+    )
+    rounded = largest_remainder_array(values, total, cap_values)
+    return dict(zip(keys, rounded.tolist()))
+
+
+def _fill(room: np.ndarray, amount: int) -> np.ndarray:
+    """What a greedy pass over ``room`` in order takes to reach ``amount``:
+    each entry ``min(room, what is still missing)``."""
+    room = np.minimum(room, amount)  # keeps the running sum in range
+    before = np.cumsum(room) - room
+    return np.clip(amount - before, 0, room)
+
+
+def largest_remainder_array(
+    values: np.ndarray,
+    total: Optional[int] = None,
+    caps: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """:func:`largest_remainder_round` over arrays: ``values`` rounded to
+    int64 counts summing to ``total``, each at most its ``caps`` entry.
+
+    The leftover goes one each to the largest remainders, ties to the
+    earlier position (a stable sort), then spills into any headroom left,
+    largest first.  A ``total`` below the floor sum is stripped from the
+    smallest remainders first.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(values < -1e-9)
+    if len(bad):
+        raise ValueError(f"negative allocations at positions {bad.tolist()}")
     values = np.maximum(values, 0.0)
 
     if total is None:
         total = int(round(float(values.sum())))
-    cap_values = (
-        np.array([caps[k] for k in keys], dtype=np.int64)
-        if caps is not None
-        else np.full(len(keys), np.iinfo(np.int64).max)
-    )
-    if caps is not None and np.any(cap_values < 0):
-        raise ValueError("caps must be non-negative")
+    if caps is None:
+        cap_values = np.full(len(values), np.iinfo(np.int64).max)
+    else:
+        cap_values = np.asarray(caps, dtype=np.int64)
+        if np.any(cap_values < 0):
+            raise ValueError("caps must be non-negative")
 
     base = np.minimum(np.floor(values).astype(np.int64), cap_values)
     remaining = total - int(base.sum())
@@ -59,36 +98,22 @@ def largest_remainder_round(
         # Total smaller than the floor sum: strip from the smallest
         # remainders (largest over-allocation) first.
         order = np.argsort(values - base)  # ascending remainder
-        for idx in order:
-            if remaining == 0:
-                break
-            reducible = int(base[idx])
-            take = min(reducible, -remaining)
-            base[idx] -= take
-            remaining += take
-        return dict(zip(keys, base.tolist()))
+        base[order] -= _fill(base[order], -remaining)
+        return base
 
     # Distribute the leftover to the largest remainders, respecting caps.
     remainders = values - np.floor(values)
     headroom = cap_values - base
     order = np.argsort(-remainders, kind="stable")
-    for idx in order:
-        if remaining == 0:
-            break
-        if headroom[idx] > 0:
-            base[idx] += 1
-            headroom[idx] -= 1
-            remaining -= 1
+    favoured = order[headroom[order] > 0][:remaining]
+    base[favoured] += 1
+    headroom[favoured] -= 1
+    remaining -= len(favoured)
     if remaining > 0:
         # Caps exhausted the obvious candidates; spill into any headroom.
-        for idx in np.argsort(-headroom):
-            if remaining == 0:
-                break
-            take = min(int(headroom[idx]), remaining)
-            base[idx] += take
-            headroom[idx] -= take
-            remaining -= take
-    return dict(zip(keys, base.tolist()))
+        order = np.argsort(-headroom)
+        base[order] += _fill(headroom[order], remaining)
+    return base
 
 
 def floor_round(

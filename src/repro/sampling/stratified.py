@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,12 +27,13 @@ from ..engine.groupby import factorize, key_tuples
 from ..engine.schema import Column, ColumnType, Schema
 from ..engine.table import Table
 from ..errors import SynopsisCorruptError
-from .groups import GroupKey, group_members, make_key, project_key
+from .groups import GroupKey, group_members, make_key, project_keys
 
 __all__ = [
     "Stratum",
     "SampleFrame",
     "StratifiedSample",
+    "segment_positions",
     "SF_COLUMN",
     "GID_COLUMN",
 ]
@@ -72,6 +74,14 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] : starts[i] + lengths[i]``, one segment
+    after the other, as one int64 array."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    shift = np.asarray(starts, dtype=np.int64) - (np.cumsum(lengths) - lengths)
+    return np.repeat(shift, lengths) + np.arange(lengths.sum(), dtype=np.int64)
+
+
 class SampleFrame:
     """Everything about one sample that is the same for every query.
 
@@ -80,13 +90,15 @@ class SampleFrame:
     scale factor and stratum, the gathered sample rows, the per-stratum
     populations and sizes, and how strata project onto a coarser ``GROUP BY``
     -- are computed once, here, and only read afterwards.  The frame is
-    built lazily by :attr:`StratifiedSample.frame` and owned by that sample
-    object: whoever installs a different sample (a rebuild, a refresh, a
-    fault injector) necessarily installs a different frame, so nothing
-    cached here can outlive the strata it was computed from.  That holds
-    for the structural verdict too (:attr:`damaged_strata`,
-    :attr:`structural_issues`): it is worked out on first read and then
-    remembered for as long as the frame lives.  All arrays are read-only.
+    built from the sample's arrays by :attr:`StratifiedSample.frame` and
+    owned by that sample object: whoever installs a different sample (a
+    rebuild, a refresh, a fault injector) necessarily installs a different
+    frame, so nothing cached here can outlive the strata it was computed
+    from.  That holds for the structural verdict too
+    (:attr:`damaged_strata`, :attr:`structural_issues`): it is worked out on
+    first read and then remembered for as long as the frame lives.  All
+    arrays are read-only.  The frame holds no reference to its sample, so a
+    replaced sample is freed as soon as nothing else holds it.
 
     Per-row arrays and the unsuffixed per-stratum arrays cover the strata
     holding at least one sample tuple, in ``strata`` insertion order (the
@@ -97,36 +109,21 @@ class SampleFrame:
     def __init__(self, sample: "StratifiedSample"):
         self._base = sample.base_table
         self.grouping_columns = sample.grouping_columns
-        strata = self._strata = sample._strata
-        self.all_keys: Tuple[GroupKey, ...] = tuple(strata)
-        count = len(strata)
-        self.all_populations = _readonly(
-            np.fromiter(
-                (s.population for s in strata.values()), np.int64, count
-            )
-        )
-        self.all_sizes = _readonly(
-            np.fromiter(
-                (s.sample_size for s in strata.values()), np.int64, count
-            )
-        )
-        sampled = [s for s in strata.values() if s.sample_size > 0]
-        self.stratum_keys: Tuple[GroupKey, ...] = tuple(
-            make_key(s.key) for s in sampled
-        )
+        self.all_keys: Tuple[GroupKey, ...] = sample.keys
+        self.all_populations = sample.populations
+        self.all_sizes = sample.sizes
         has_rows = self.all_sizes > 0
         sizes = self.all_sizes[has_rows]
+        self.stratum_keys: Tuple[GroupKey, ...] = tuple(
+            compress(sample._normalized_keys, has_rows.tolist())
+        )
         self.populations = _readonly(
             self.all_populations[has_rows].astype(np.float64)
         )
         self.sizes = _readonly(sizes.astype(np.float64))
-        self.row_indices = _readonly(
-            np.concatenate([s.row_indices for s in sampled])
-            if sampled
-            else np.empty(0, dtype=np.int64)
-        )
+        self.row_indices = sample.row_indices
         self.stratum_ids = _readonly(
-            np.repeat(np.arange(len(sampled), dtype=np.int64), sizes)
+            np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
         )
         # population / size, exactly Stratum.scale_factor for each row
         self.sf = _readonly(np.repeat(self.populations / self.sizes, sizes))
@@ -197,24 +194,28 @@ class SampleFrame:
         """What :attr:`damaged_strata` found, in words, in sorted key order.
 
         Empty when the sample is structurally sound.  Only the marked
-        strata are visited; each is re-read by the checks that word its
-        issues, so the tuple is the one a visit to every stratum gives.
+        strata are visited; each is re-read from the sample's arrays by the
+        checks that word its issues, so the tuple is the one a visit to
+        every stratum gives.
         """
         num_base = self._base.num_rows
         marked = np.flatnonzero(self.damaged_strata).tolist()
+        if not marked:
+            return ()
+        ends = np.cumsum(self.all_sizes)
         issues: List[str] = []
-        for key in sorted(self.all_keys[i] for i in marked):
-            stratum = self._strata[key]
-            if stratum.population < 0:
+        for i in sorted(marked, key=self.all_keys.__getitem__):
+            key = self.all_keys[i]
+            population, size = int(self.all_populations[i]), int(self.all_sizes[i])
+            end = int(ends[i])
+            if population < 0:
+                issues.append(f"stratum {key}: negative population {population}")
+            if size > max(population, 0):
                 issues.append(
-                    f"stratum {key}: negative population {stratum.population}"
+                    f"stratum {key}: sample size {size} exceeds "
+                    f"population {population}"
                 )
-            if stratum.sample_size > max(stratum.population, 0):
-                issues.append(
-                    f"stratum {key}: sample size {stratum.sample_size} exceeds "
-                    f"population {stratum.population}"
-                )
-            indices = np.asarray(stratum.row_indices)
+            indices = self.row_indices[end - size : end]
             if len(indices):
                 if indices.min() < 0 or indices.max() >= num_base:
                     issues.append(
@@ -223,8 +224,8 @@ class SampleFrame:
                     )
                 elif (np.diff(np.sort(indices)) == 0).any():
                     issues.append(f"stratum {key}: duplicate row indices")
-            if stratum.sample_size > 0:
-                sf = stratum.scale_factor
+            if size > 0:
+                sf = population / size
                 if not math.isfinite(sf) or sf <= 0:
                     issues.append(f"stratum {key}: corrupt scale factor {sf}")
         return tuple(issues)
@@ -284,12 +285,13 @@ class SampleFrame:
         group_by = tuple(group_by)
         cached = self._expected.get(group_by)
         if cached is None:
+            populated = list(
+                compress(self.all_keys, (self.all_populations > 0).tolist())
+            )
             cached = frozenset(
-                project_key(key, self.grouping_columns, group_by)
-                for key, population in zip(
-                    self.all_keys, self.all_populations.tolist()
-                )
-                if population > 0
+                project_keys(populated, self.grouping_columns, group_by)
+                if populated
+                else ()
             )
             self._expected[group_by] = cached
         return cached
@@ -298,8 +300,13 @@ class SampleFrame:
 class StratifiedSample:
     """Per-group uniform samples of a base table, with stratum metadata.
 
-    Immutable after construction: a changed sample is a new object (which is
-    what lets :attr:`frame` cache per-sample work without invalidation).
+    The strata are held as arrays: ``keys`` in insertion order, their
+    ``populations`` and ``sizes`` (int64), and one ``row_indices`` array
+    holding every stratum's base-row indices, strata in key order.
+    Immutable after construction (all arrays are read-only): a changed
+    sample is a new object, which is what lets :attr:`frame` cache
+    per-sample work without invalidation.  :attr:`strata` is a view of
+    :class:`Stratum` objects sliced from the arrays, built on first use.
     """
 
     def __init__(
@@ -308,11 +315,80 @@ class StratifiedSample:
         grouping_columns: Sequence[str],
         strata: Mapping[GroupKey, Stratum],
     ):
+        keys = tuple(strata)
+        values = list(strata.values())
+        sampled = [s.row_indices for s in values if s.sample_size > 0]
+        self._adopt(
+            base_table,
+            grouping_columns,
+            keys,
+            tuple(map(make_key, keys)),
+            np.fromiter((s.population for s in values), np.int64, len(keys)),
+            np.fromiter((s.sample_size for s in values), np.int64, len(keys)),
+            np.concatenate(sampled) if sampled else np.empty(0, np.int64),
+        )
+
+    def _adopt(
+        self,
+        base_table: Table,
+        grouping_columns: Sequence[str],
+        keys: Tuple[GroupKey, ...],
+        normalized_keys: Tuple[GroupKey, ...],
+        populations: np.ndarray,
+        sizes: np.ndarray,
+        row_indices: np.ndarray,
+    ) -> None:
+        if not len(keys) == len(populations) == len(sizes):
+            raise ValueError(
+                f"{len(keys)} keys, {len(populations)} populations and "
+                f"{len(sizes)} sizes do not line up"
+            )
+        if int(sizes.sum()) != len(row_indices):
+            raise ValueError(
+                f"sizes sum to {int(sizes.sum())} but {len(row_indices)} row "
+                "indices were given"
+            )
         self._base = base_table
         self._grouping_columns = tuple(grouping_columns)
-        self._strata: Dict[GroupKey, Stratum] = dict(strata)
+        self._keys = keys
+        self._normalized_keys = normalized_keys
+        self._populations = _readonly(populations)
+        self._sizes = _readonly(sizes)
+        self._row_indices = _readonly(row_indices)
 
     # -- construction --------------------------------------------------------
+
+    @classmethod
+    def from_arrays(
+        cls,
+        base_table: Table,
+        grouping_columns: Sequence[str],
+        keys: Sequence[GroupKey],
+        populations: np.ndarray,
+        sizes: np.ndarray,
+        row_indices: np.ndarray,
+    ) -> "StratifiedSample":
+        """Assemble from the arrays the sample holds, without a per-stratum
+        pass.
+
+        ``keys`` must already be normalized (:func:`make_key`);
+        ``populations`` and ``sizes`` are aligned with them, and
+        ``row_indices`` holds each stratum's ``sizes[i]`` base-row indices,
+        strata in key order.  The arrays are adopted, not copied, and made
+        read-only.
+        """
+        sample = cls.__new__(cls)
+        keys = tuple(keys)
+        sample._adopt(
+            base_table,
+            grouping_columns,
+            keys,
+            keys,
+            np.asarray(populations, dtype=np.int64),
+            np.asarray(sizes, dtype=np.int64),
+            np.asarray(row_indices, dtype=np.int64),
+        )
+        return sample
 
     @classmethod
     def build(
@@ -341,16 +417,21 @@ class StratifiedSample:
         rng = rng if rng is not None else np.random.default_rng()
         if members is None:
             members = group_members(table, grouping_columns)
-        strata: Dict[GroupKey, Stratum] = {}
+        populations, sizes, chosen = [], [], []
         for key, rows in members.items():
-            want = min(int(allocation.get(key, 0)), len(rows))
-            if want > 0:
-                chosen = rng.choice(rows, size=want, replace=False)
-                chosen = np.sort(chosen)
-            else:
-                chosen = np.empty(0, dtype=np.int64)
-            strata[key] = Stratum(key, len(rows), chosen)
-        return cls(table, grouping_columns, strata)
+            want = max(min(int(allocation.get(key, 0)), len(rows)), 0)
+            if want:
+                chosen.append(np.sort(rng.choice(rows, size=want, replace=False)))
+            populations.append(len(rows))
+            sizes.append(want)
+        return cls.from_arrays(
+            table,
+            grouping_columns,
+            tuple(members),
+            np.array(populations, dtype=np.int64),
+            np.array(sizes, dtype=np.int64),
+            np.concatenate(chosen) if chosen else np.empty(0, np.int64),
+        )
 
     @classmethod
     def from_member_lists(
@@ -386,6 +467,48 @@ class StratifiedSample:
         return self._grouping_columns
 
     @property
+    def keys(self) -> Tuple[GroupKey, ...]:
+        """Stratum keys in insertion order."""
+        return self._keys
+
+    @property
+    def populations(self) -> np.ndarray:
+        """Each stratum's population ``n_g`` (int64, aligned with ``keys``)."""
+        return self._populations
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Each stratum's sample size (int64, aligned with ``keys``)."""
+        return self._sizes
+
+    @property
+    def row_indices(self) -> np.ndarray:
+        """Every stratum's base-row indices, strata in key order."""
+        return self._row_indices
+
+    @cached_property
+    def key_order(self) -> np.ndarray:
+        """Positions of the strata in sorted key order."""
+        keys = self._keys
+        return _readonly(
+            np.fromiter(
+                sorted(range(len(keys)), key=keys.__getitem__),
+                np.int64,
+                len(keys),
+            )
+        )
+
+    @cached_property
+    def _strata(self) -> Dict[GroupKey, Stratum]:
+        ends = np.cumsum(self._sizes).tolist()
+        return {
+            key: Stratum(key, population, self._row_indices[end - size : end])
+            for key, population, size, end in zip(
+                self._keys, self._populations.tolist(), self._sizes.tolist(), ends
+            )
+        }
+
+    @property
     def strata(self) -> Dict[GroupKey, Stratum]:
         return dict(self._strata)
 
@@ -394,11 +517,11 @@ class StratifiedSample:
 
     @property
     def total_sample_size(self) -> int:
-        return sum(s.sample_size for s in self._strata.values())
+        return len(self._row_indices)
 
     @property
     def total_population(self) -> int:
-        return self.frame.total_population
+        return int(self._populations.sum())
 
     @cached_property
     def frame(self) -> SampleFrame:
@@ -406,7 +529,7 @@ class StratifiedSample:
         return SampleFrame(self)
 
     def sample_sizes(self) -> Dict[GroupKey, int]:
-        return {key: s.sample_size for key, s in self._strata.items()}
+        return dict(zip(self._keys, self._sizes.tolist()))
 
     def scale_factors(self) -> Dict[GroupKey, float]:
         return {
@@ -417,56 +540,64 @@ class StratifiedSample:
 
     # -- materialization -----------------------------------------------------
 
-    def _ordered_nonempty(self) -> List[Stratum]:
-        return [s for __, s in sorted(self._strata.items()) if s.sample_size > 0]
+    def _in_key_order(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The frame's sampled strata in sorted key order.
 
-    def _all_indices_and_sf(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated row indices, per-row SF, and per-row dense gid."""
-        strata = self._ordered_nonempty()
-        if not strata:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.float64), empty
-        indices = np.concatenate([s.row_indices for s in strata])
-        sizes = [s.sample_size for s in strata]
-        sfs = np.repeat(
-            np.array([s.scale_factor for s in strata], dtype=np.float64), sizes
-        )
-        gids = np.repeat(np.arange(len(strata), dtype=np.int64), sizes)
-        return indices, sfs, gids
+        Returns ``(strata, indices, sfs, gids)``: ``strata[j]`` is the
+        frame's index of the ``j``-th sampled stratum in key order, then the
+        concatenated row indices, per-row SF and per-row dense gid in that
+        order.  Strata inserted in key order (every sample :meth:`build`
+        and a maintained refresh make) read the frame's arrays as they are.
+        """
+        frame = self.frame
+        order = self.key_order
+        sampled_rank = np.cumsum(self._sizes > 0) - 1
+        strata = sampled_rank[order[self._sizes[order] > 0]]
+        if np.array_equal(strata, np.arange(len(strata))):
+            return strata, frame.row_indices, frame.sf, frame.stratum_ids
+        sizes = frame.sizes.astype(np.int64)
+        rows = segment_positions((np.cumsum(sizes) - sizes)[strata], sizes[strata])
+        gids = np.repeat(np.arange(len(strata), dtype=np.int64), sizes[strata])
+        return strata, frame.row_indices[rows], frame.sf[rows], gids
+
+    def _stratum_sf(self, strata: np.ndarray) -> np.ndarray:
+        frame = self.frame
+        return (frame.populations / frame.sizes)[strata]
 
     def sample_table(self) -> Table:
         """The bare sample relation (no scale-factor bookkeeping)."""
-        indices, __, __ = self._all_indices_and_sf()
+        __, indices, __, __ = self._in_key_order()
         return self._base.take(indices)
 
     def integrated_relation(self) -> Table:
         """Sample relation with a per-tuple ``SF`` column (Figure 8/11)."""
-        indices, sfs, __ = self._all_indices_and_sf()
+        __, indices, sfs, __ = self._in_key_order()
         return self._base.take(indices).with_column(
             Column(SF_COLUMN, ColumnType.FLOAT), sfs
         )
 
     def normalized_relations(self) -> Tuple[Table, Table]:
         """``(SampRel, AuxRel)`` keyed by the grouping columns (Figure 9)."""
-        indices, __, __ = self._all_indices_and_sf()
-        samp_rel = self._base.take(indices)
-        strata = self._ordered_nonempty()
-        aux_schema = Schema(
-            [self._base.schema.column(name) for name in self._grouping_columns]
-            + [Column(SF_COLUMN, ColumnType.FLOAT)]
+        strata, indices, __, __ = self._in_key_order()
+        aux_rel = self.frame.key_table.take(strata).with_column(
+            Column(SF_COLUMN, ColumnType.FLOAT), self._stratum_sf(strata)
         )
-        aux_rows = [tuple(s.key) + (s.scale_factor,) for s in strata]
-        return samp_rel, Table.from_rows(aux_schema, aux_rows)
+        return self._base.take(indices), aux_rel
 
     def key_normalized_relations(self) -> Tuple[Table, Table]:
         """``(SampRel + GID, AuxRel(GID, SF))`` (Figure 10)."""
-        indices, __, gids = self._all_indices_and_sf()
+        strata, indices, __, gids = self._in_key_order()
         samp_rel = self._base.take(indices).with_column(
             Column(GID_COLUMN, ColumnType.INT), gids
         )
-        strata = self._ordered_nonempty()
         aux_schema = Schema(
             [Column(GID_COLUMN, ColumnType.INT), Column(SF_COLUMN, ColumnType.FLOAT)]
         )
-        aux_rows = [(gid, s.scale_factor) for gid, s in enumerate(strata)]
-        return samp_rel, Table.from_rows(aux_schema, aux_rows)
+        aux_rel = Table(
+            aux_schema,
+            {
+                GID_COLUMN: np.arange(len(strata), dtype=np.int64),
+                SF_COLUMN: self._stratum_sf(strata),
+            },
+        )
+        return samp_rel, aux_rel

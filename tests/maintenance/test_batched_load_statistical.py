@@ -157,7 +157,10 @@ class TestOneDrawScaleDown:
         for key, size in sizes.items():
             positions[key] = np.arange(cursor, cursor + size, dtype=np.int64)
             cursor += size
-        snapshot = MaintainedSample(("a",), rows, positions, dict(sizes))
+        snapshot = MaintainedSample(
+            ("a",), rows, tuple(sizes), np.arange(total),
+            np.fromiter(sizes.values(), np.int64), dict(sizes),
+        )
         budget = 39
         targets = largest_remainder_round(
             {key: size * budget / total for key, size in sizes.items()},

@@ -4,7 +4,7 @@ strata, and groups born after the synopsis was built."""
 import numpy as np
 import pytest
 
-from repro import AquaSystem, House
+from repro import AquaSystem, GuardPolicy, House
 from repro.engine import Column, ColumnType, Schema, Table
 from repro.synthetic import GROUPING_COLUMNS, LineitemConfig, generate_lineitem
 
@@ -158,3 +158,53 @@ class TestZeroBudgetStrata:
         report = system.compare(SQL)
         report.approximate.elapsed_seconds = 0.0
         assert "n/a" in report.describe()
+
+
+class TestMaintainedUnsampledGroups:
+    """A maintained refresh makes a stratum for every group it has seen, as
+    ``build_synopsis`` does: a populated group that drew no sampled row is
+    an empty stratum, so health counts it as uncovered and the guard's
+    missing-group check can see it."""
+
+    @pytest.fixture
+    def system(self):
+        rng = np.random.default_rng(3)
+        schema = Schema(
+            [
+                Column("g", ColumnType.INT, "grouping"),
+                Column("v", ColumnType.FLOAT, "aggregate"),
+            ]
+        )
+        table = Table.from_columns(
+            schema, g=rng.integers(0, 400, size=4000), v=rng.normal(size=4000)
+        )
+        system = AquaSystem(space_budget=100, rng=np.random.default_rng(3))
+        system.register_table("rel", table)
+        return system
+
+    def test_health_counts_the_unsampled_groups(self, system):
+        built = system.health("rel")
+        assert (built.strata_total, built.strata_covered) == (400, 100)
+        assert len(system.synopsis("rel").empty_strata) == 300
+        system.enable_maintenance("rel")
+        synopsis = system.refresh_synopsis("rel")
+        health = system.health("rel")
+        assert health.strata_total == 400
+        assert health.strata_covered == synopsis.sample.frame.num_strata < 400
+        assert len(synopsis.empty_strata) == 400 - health.strata_covered
+        assert synopsis.sample.total_population == 4000
+
+    def test_guard_repairs_the_unsampled_groups(self, system):
+        system.enable_maintenance("rel")
+        synopsis = system.refresh_synopsis("rel")
+        assert system.health("rel").issues == ()
+        assert len(synopsis.sample.frame.expected_groups(["g"])) == 400
+        answer = system.answer(
+            "select g, sum(v) s from rel group by g",
+            guard=GuardPolicy(min_group_support=1, max_repair_fraction=1.0),
+        )
+        assert answer.result.num_rows == 400
+        sampled = synopsis.sample.frame.num_strata
+        assert answer.provenance_counts == {
+            "synopsis": sampled, "repaired": 400 - sampled,
+        }

@@ -177,8 +177,10 @@ def reference_subsample(rows_by_group, budget, rng, drawn=None):
 
 
 def reference_to_stratified(schema, grouping_columns, rows_by_group, populations):
+    """Every group seen is a stratum, an unsampled one empty."""
     all_rows, strata, cursor = [], {}, 0
-    for key, rows in sorted(rows_by_group.items()):
+    for key in sorted(set(rows_by_group) | set(populations)):
+        rows = rows_by_group.get(key, [])
         population = int(populations.get(key, len(rows)))
         indices = np.arange(cursor, cursor + len(rows), dtype=np.int64)
         strata[key] = Stratum(key, population, indices)
