@@ -136,19 +136,6 @@ def group_members(
     return {key: np.concatenate(merged[key]) for key in sorted(merged)}
 
 
-def _positions_in(
-    grouping_columns: Sequence[str], target: Sequence[str]
-) -> List[int]:
-    """Where each ``target`` column sits in ``grouping_columns``."""
-    positions = {name: i for i, name in enumerate(grouping_columns)}
-    try:
-        return [positions[name] for name in target]
-    except KeyError as exc:
-        raise KeyError(
-            f"grouping column {exc.args[0]!r} not in {list(grouping_columns)}"
-        ) from None
-
-
 def project_key(
     key: GroupKey,
     grouping_columns: Sequence[str],
@@ -162,7 +149,13 @@ def project_key(
     >>> project_key(("a1", "b2"), ["A", "B"], ["B"])
     ('b2',)
     """
-    return tuple(key[i] for i in _positions_in(grouping_columns, target))
+    positions = {name: i for i, name in enumerate(grouping_columns)}
+    try:
+        return tuple(key[positions[name]] for name in target)
+    except KeyError as exc:
+        raise KeyError(
+            f"grouping column {exc.args[0]!r} not in {list(grouping_columns)}"
+        ) from None
 
 
 def project_keys(
@@ -176,7 +169,9 @@ def project_keys(
     >>> list(project_keys([("a1", "b2"), ("a1", "b3")], ["A", "B"], ["B"]))
     [('b2',), ('b3',)]
     """
-    positions = _positions_in(grouping_columns, target)
+    # projecting the positions 0..n-1 gives each target column's position,
+    # and project_key's KeyError for a column outside grouping_columns
+    positions = project_key(range(len(grouping_columns)), grouping_columns, target)
     if len(positions) > 1:
         return map(itemgetter(*positions), keys)
     if positions:
