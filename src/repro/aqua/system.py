@@ -338,10 +338,13 @@ class _TableState:
     refresh_policy: Optional[RefreshPolicy] = None
     # Monotonic data version: advanced only by AquaSystem._bump_version,
     # on every insert, flush, synopsis or portfolio (re)build and
-    # re-registration.  Every cache key embeds it, and the bump drops every
-    # entry keyed to the old one, so nothing built for replaced data is
-    # served -- or kept alive -- after a mutation.
+    # re-registration.  Every cache key embeds it, so nothing built for
+    # replaced data is served; the bump also drops the entries stored since
+    # the last one, so nothing is kept alive after a mutation.
     version: int = 0
+    # Whether AquaSystem._store_if_current has stored an entry for this
+    # table since the last bump; the bump walks the stores only if so.
+    stored: bool = False
     # Serializes mutation (insert, pending-row flush, synopsis install)
     # against concurrent serving workers; reentrant because a flush can
     # happen inside a locked refresh.
@@ -614,6 +617,7 @@ class AquaSystem:
             # nothing computed from the replaced data is stored after this.
             with previous.lock:
                 state.version = previous.version
+                state.stored = previous.stored
                 self._bump_version(name, state)
                 self._tables[name] = state
         if build:
@@ -726,16 +730,22 @@ class AquaSystem:
         Drops the table's entries from all four version-keyed stores --
         the answer cache, the plan cache, the roll-up index and the
         portfolio's budget resolutions -- so nothing the system holds
-        references a replaced sample.  Keys keep the version: it still
-        carries correctness against a concurrent writer.
+        references a replaced sample.  The first three are filled only
+        through :meth:`_store_if_current`, so they are walked only when it
+        has stored something for the table since the last bump: a run of
+        inserts with no answer between them walks nothing.  Keys keep the
+        version, so correctness does not rest on the walk, not even
+        against a concurrent writer.
         """
         with state.lock:
             state.version += 1
-            if self._cache is not None:
-                self._cache.invalidate(name)
-            self._plan_cache.invalidate(name)
-            if self._reuse is not None:
-                self._reuse.invalidate(name)
+            if state.stored:
+                state.stored = False
+                if self._cache is not None:
+                    self._cache.invalidate(name)
+                self._plan_cache.invalidate(name)
+                if self._reuse is not None:
+                    self._reuse.invalidate(name)
             if state.portfolio is not None:
                 state.portfolio.invalidate_resolutions()
 
@@ -753,6 +763,7 @@ class AquaSystem:
         with state.lock:
             if self._tables.get(name) is state and state.version == version:
                 store()
+                state.stored = True
 
     def synopsis(self, name: str) -> Synopsis:
         synopsis = self._state(name).synopsis
@@ -2641,8 +2652,10 @@ class AquaSystem:
         per row at its group's final probability (the distribution
         streaming the rows one at a time gives, from other random numbers)
         and gathers the rows it accepts with one ``take``.  After that each
-        :meth:`insert` updates the maintainer alone (``O(2^|G|)`` counter
-        updates for Congress) without touching the base relation.
+        :meth:`insert` reaches the maintainer alone, without touching the
+        base relation; the Congress maintainer only buffers the row, and
+        the next :meth:`refresh_synopsis` loads the buffered rows as one
+        table, in the same way.
         """
         self._flush_pending(name)
         state = self._state(name)
@@ -2660,8 +2673,9 @@ class AquaSystem:
     def insert(self, name: str, row: Sequence) -> None:
         """Insert one tuple into a table (buffered) and its maintainer."""
         state = self._state(name)
+        row = tuple(row)
         with state.lock:
-            state.pending_rows.append(tuple(row))
+            state.pending_rows.append(row)
             state.inserts_since_refresh += 1
             self._bump_version(name, state)
             if state.maintainer is not None:
@@ -2705,11 +2719,14 @@ class AquaSystem:
                 # No maintainer: fall back to a full rebuild from base data.
                 synopsis = self.build_synopsis(name)
             else:
-                maintained = state.maintainer.snapshot()
-                maintained = subsample_to_budget(
-                    maintained, self._budget, self._rng
-                )
-                synopsis = self._install(name, maintained.to_stratified())
+                # One lock from the snapshot to the install: an insert
+                # between them would be counted as covered but not sampled.
+                with state.lock:
+                    maintained = state.maintainer.snapshot()
+                    maintained = subsample_to_budget(
+                        maintained, self._budget, self._rng
+                    )
+                    synopsis = self._install(name, maintained.to_stratified())
         if metrics.enabled:
             metrics.counter(
                 "aqua_refreshes_total",

@@ -10,41 +10,39 @@ base relation: when a group's selection probability has dropped from ``p``
 to ``q`` since its members were last reconciled, each member survives an
 independent coin flip with probability ``q/p`` (the [GM98] process the paper
 cites).  All tuples of the same finest group share one probability, so we
-store a single ``p`` per group and *settle* groups lazily:
+store a single ``p`` per group.
 
-* the inserted tuple's own group is settled on every insert (cheap: its
-  probability was just recomputed anyway);
-* all groups are settled in :meth:`snapshot`, at once: the cube gives every
-  group's probability in one array expression and the groups whose
-  probability dropped are thinned from one draw
-  (:func:`~repro.sampling.bernoulli.thin_groups`).
+Rows arrive in *loads*.  "Given a data cube of the counts ... any of our
+biased samples can be constructed in one pass": a load counts its rows
+first, thins every held group whose probability dropped from one draw
+(groups in dense-id order), then flips one coin per row, in row order, at
+its group's final probability.  :meth:`CongressMaintainer.insert_table` is
+one load; :meth:`CongressMaintainer.insert` only buffers its row, and every
+reader (:meth:`~CongressMaintainer.snapshot`, ``insert_table``,
+:meth:`~CongressMaintainer.settle_all`, ``cube``, ``current_probability``,
+``expected_sizes``) first loads the buffered rows as one table.  Streaming
+the same rows one at a time would accept row ``i`` at ``p_i`` and thin it by
+ratios whose product is ``p_final / p_i``, so both keep each row
+independently with probability ``p_final``; they draw different random
+numbers.
 
-A whole table needs no lazy thinning: :meth:`CongressMaintainer.insert_table`
-counts it first ("given a data cube of the counts ... any of our biased
-samples can be constructed in one pass") and flips one coin per row at its
-group's final probability.  Streaming the same rows accepts row ``i`` at
-``p_i`` and thins it by ratios whose product is ``p_final / p_i``, so both
-keep each row independently with probability ``p_final``; they draw
-different random numbers.
-
-Per-insert bookkeeping is ``O(2^|G|)`` counter updates, exactly as the paper
-notes.  Sampled rows live in a row store: columns, plus a tail of the
-tuples accepted one at a time since the last :meth:`snapshot`, which turns
-the tail into columns.  Groups hold row ids into it; thinned rows stay
-until they outnumber the live ones, when the store is compacted.
+Sampled rows live in a row store of columns.  Each group's members are row
+ids into it, kept as one flat array, group after group in first-accepted
+order; thinned rows stay in the store until they outnumber the live ones,
+when it is compacted.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engine.schema import Schema
 from ..engine.table import Table
-from ..sampling.bernoulli import thin_groups, thin_to_probability
-from ..sampling.groups import GroupKey, finest_group_ids
+from ..sampling.groups import GroupKey, finest_group_ids, make_key
+from ..sampling.stratified import segment_positions
 from .base import MaintainedSample, SampleMaintainer
 from .datacube import CountDataCube
 
@@ -60,16 +58,12 @@ class CongressMaintainer(SampleMaintainer):
         grouping_columns: Sequence[str],
         budget: float,
         rng: Optional[np.random.Generator] = None,
-        settle_every: int = 0,
     ):
         """Args:
         schema: relation schema.
         grouping_columns: the stratification columns ``G``.
         budget: the paper's ``Y`` -- the target (pre-scale-down) size knob.
         rng: numpy generator.
-        settle_every: if > 0, settle *all* groups each time this many
-            inserts have accumulated (bounds staleness between snapshots;
-            0 = settle only the touched group, plus at snapshot time).
         """
         super().__init__(schema, grouping_columns)
         if budget < 0:
@@ -78,14 +72,27 @@ class CongressMaintainer(SampleMaintainer):
         self._rng = rng if rng is not None else np.random.default_rng()
         self._cube = CountDataCube(grouping_columns)
         #: probability each group's members were kept at, by dense group id
-        self._stored_p: List[float] = []
-        #: row ids of each group's members, groups in first-accepted order
-        self._members: Dict[int, List[int]] = {}
+        self._stored_p = np.empty(0)
+        # The groups that have held members, as dense ids in first-accepted
+        # order; each one's member count (0 once thinned out); the members'
+        # row ids in the store, group after group; and each dense id's
+        # place among the groups (-1: never held).
+        self._groups = np.empty(0, dtype=np.int64)
+        self._sizes = np.empty(0, dtype=np.int64)
+        self._members = np.empty(0, dtype=np.int64)
+        self._slot = np.empty(0, dtype=np.int64)
         self._store = Table.empty(schema)
-        self._tail: List[Tuple] = []
-        self._dead = 0  # store and tail rows no group holds any more
-        self._settle_every = settle_every
-        self._since_settle = 0
+        self._dead = 0  # store rows no group holds any more
+        #: rows inserted since the last load, in insertion order
+        self._pending: List[Tuple] = []
+        # a row's grouping values as they came, as a tuple (an itemgetter
+        # of one position returns the bare value)
+        positions = [schema.position(name) for name in self.grouping_columns]
+        self._raw_key: Callable = (
+            itemgetter(*positions)
+            if len(positions) > 1
+            else lambda row: tuple(map(row.__getitem__, positions))
+        )
 
     @property
     def budget(self) -> float:
@@ -93,161 +100,167 @@ class CongressMaintainer(SampleMaintainer):
 
     @property
     def cube(self) -> CountDataCube:
+        self._drain()
         return self._cube
 
     def current_probability(self, key: GroupKey) -> float:
         """The Eq. 8 selection probability for tuples of group ``key`` now."""
+        self._drain()
         return self._cube.selection_probability(tuple(key), self._budget)
 
-    def _settle(self, gid: int) -> float:
-        """Re-flip group members down to the current probability.
-
-        Returns the (settled) current probability.  Members were uniformly
-        retained at the stored probability ``p >= q``; after thinning each
-        survives with marginal probability exactly ``q``.
-        """
-        current = self._cube.group_probability(gid, self._budget)
-        if gid == len(self._stored_p):
-            self._stored_p.append(current)
-            return current
-        stored = self._stored_p[gid]
-        if current < stored - 1e-15:
-            members = self._members.get(gid)
-            if members:
-                kept = thin_to_probability(members, stored, current, self._rng)
-                self._dead += len(members) - len(kept)
-                self._members[gid] = kept
-            self._stored_p[gid] = current
-        return self._stored_p[gid]
-
     def settle_all(self) -> None:
-        """Reconcile every group with the current counters.
+        """Reconcile every group with the counters: load the buffered rows.
 
-        Groups are thinned in first-seen order from one draw, the stream
-        settling them one at a time would take.
+        Every load settles every group against the counts it leaves, so
+        nothing is left to settle after it.
         """
-        current = self._cube.selection_probabilities(self._budget)
-        stored = np.array(self._stored_p)
-        dropped = np.flatnonzero(current < stored - 1e-15)
-        if len(dropped):
-            thinned = [g for g in dropped.tolist() if self._members.get(g)]
-            kept = thin_groups(
-                [self._members[g] for g in thinned],
-                stored[thinned],
-                current[thinned],
-                self._rng,
-            )
-            for gid, members in zip(thinned, kept):
-                self._dead += len(self._members[gid]) - len(members)
-                self._members[gid] = members
-            stored[dropped] = current[dropped]
-            self._stored_p = stored.tolist()
-        self._since_settle = 0
-
-    def _offer(self, key: GroupKey, row_id: int) -> bool:
-        """Count one tuple of group ``key`` and flip its Eq. 8 coin; an
-        accepted tuple joins its group as row ``row_id``."""
-        gid = self._cube.observe(key)
-        probability = self._settle(gid)  # may thin: draws before the coin
-        accepted = self._rng.random() < probability
-        if accepted:
-            self._members.setdefault(gid, []).append(row_id)
-        self._since_settle += 1
-        if self._settle_every and self._since_settle >= self._settle_every:
-            self.settle_all()
-        return accepted
+        self._drain()
 
     def insert(self, row: Sequence) -> None:
-        row = tuple(row)
-        if self._offer(self._key_of(row), len(self._store) + len(self._tail)):
-            self._tail.append(row)
-        if 2 * self._dead > len(self._store) + len(self._tail):
-            self._row_store()
+        """Buffer one tuple; the next reader loads it."""
+        self._pending.append(tuple(row))
 
     def insert_table(self, table: Table) -> None:
         """Load a whole table at once: count it, then flip one coin per row.
 
-        Every count is known up front, so each row is drawn directly at its
-        group's final Eq. 8 probability -- the probability the stream would
-        thin it down to, one row at a time.  The table's finest groups come
-        from one ``factorize`` and join the cube in first-seen row order;
-        groups already held are thinned to their new probabilities
-        (:meth:`settle_all`); then one ``rng.random(n)``, in row order,
-        accepts row ``i`` iff its number is below its group's probability.
-        Accepted rows join their groups in row order, groups in dense-id
-        order, and are appended with one ``take``.
+        Buffered inserts are loaded first, as their own load.  The table's
+        finest groups come from one ``factorize`` and join the cube in
+        first-seen row order; then :meth:`_load` counts, settles and flips.
         """
+        self._drain()
         ids, keys = finest_group_ids(table, self.grouping_columns)
         present, first_row = np.unique(ids, return_index=True)
         seen = present[np.argsort(first_row)]
-        counts = np.bincount(ids, minlength=len(keys))
         dense = np.zeros(len(keys), dtype=np.int64)
-        dense[seen] = self._cube.observe_counts(
-            {keys[g]: int(counts[g]) for g in seen.tolist()}
-        )
-        probabilities = self._cube.selection_probabilities(self._budget)
-        self._stored_p.extend(probabilities[len(self._stored_p) :].tolist())
-        self.settle_all()
-        row_gid = dense[ids]
-        accepted = np.flatnonzero(
-            self._rng.random(table.num_rows) < probabilities[row_gid]
-        )
-        first_id = len(self._row_store())
-        gids = row_gid[accepted]
-        order = np.argsort(gids, kind="stable")
-        groups, starts = np.unique(gids[order], return_index=True)
-        row_ids = (order + first_id).tolist()
-        ends = [*starts[1:].tolist(), len(row_ids)]
-        for gid, lo, hi in zip(groups.tolist(), starts.tolist(), ends):
-            self._members.setdefault(gid, []).extend(row_ids[lo:hi])
-        self._store = self._store.concat(table.take(accepted))
+        dense[seen] = self._cube.register([keys[g] for g in seen.tolist()])
+        self._load(dense[ids], table.take)
         self.inserts_seen += table.num_rows
-        self._row_store()
 
-    def _row_store(self) -> Table:
-        """The row store as columns: the tail appended, and dead rows
-        dropped (row ids renumbered in order) once they outnumber the live
-        ones."""
-        if self._tail:
-            tail = Table.from_rows(self.schema, self._tail)
-            self._store = self._store.concat(tail)
-            self._tail = []
+    def _drain(self) -> None:
+        """Load the buffered inserts as one table, in insertion order.
+
+        Each row's grouping values are read with one ``itemgetter`` and
+        normalized once per distinct value the cube does not know; the
+        groups join the cube in first-seen row order, as
+        :meth:`insert_table`'s do.
+        """
+        rows = self._pending
+        if not rows:
+            return
+        self._pending = []
+        raw_ids: Dict = {}
+        row_raw = [
+            raw_ids.setdefault(raw, len(raw_ids))
+            for raw in map(self._raw_key, rows)
+        ]
+        gids = self._cube.register(raw_ids, normalize=make_key)
+        self._load(
+            gids[row_raw],
+            lambda at: Table.from_rows(
+                self.schema, map(rows.__getitem__, at.tolist())
+            ),
+        )
+
+    def _load(
+        self, row_gid: np.ndarray, take: Callable[[np.ndarray], Table]
+    ) -> None:
+        """One load of rows in (registered) dense groups ``row_gid``.
+
+        The rows are counted into the cube, every group's Eq. 8 probability
+        is computed once, held groups are thinned to theirs
+        (:meth:`_settle`), then one ``rng.random(n)``, in row order, accepts
+        row ``i`` iff its number is below its group's probability.  Accepted
+        rows join their groups in row order (:meth:`_join`), and
+        ``take(accepted)`` appends them to the row store.
+        """
+        counts = np.bincount(
+            row_gid, minlength=self._cube.num_groups(self.grouping_columns)
+        )
+        present = np.flatnonzero(counts)
+        self._cube.add(present, counts[present])
+        probabilities = self._cube.selection_probabilities(self._budget)
+        self._settle(probabilities)
+        accepted = np.flatnonzero(
+            self._rng.random(len(row_gid)) < probabilities[row_gid]
+        )
+        self._join(
+            row_gid[accepted], len(self._store) + np.arange(len(accepted))
+        )
+        if len(accepted):
+            self._store = self._store.concat(take(accepted))
         if 2 * self._dead > len(self._store):
-            groups = list(self._members)
-            sizes = [len(self._members[g]) for g in groups]
-            ids = np.fromiter(
-                chain.from_iterable(self._members.values()),
-                np.int64,
-                sum(sizes),
+            self._compact()
+
+    def _settle(self, current: np.ndarray) -> None:
+        """Thin every held group down to its probability in ``current``.
+
+        The groups whose probability dropped are thinned in dense-id order
+        from one draw, one number per member in member order: the stream
+        one :func:`~repro.sampling.bernoulli.thin_to_probability` call per
+        group would take.  Groups new to the cube are stored at their
+        probability.
+        """
+        stored = self._stored_p
+        dropped = np.flatnonzero(current[: len(stored)] < stored - 1e-15)
+        grown = len(current) - len(stored)
+        self._slot = np.concatenate([self._slot, np.full(grown, -1)])
+        slots = self._slot[dropped]
+        slots = slots[slots >= 0]
+        slots = slots[self._sizes[slots] > 0]
+        if len(slots):
+            gids, sizes = self._groups[slots], self._sizes[slots]
+            starts = np.cumsum(self._sizes) - self._sizes
+            at = segment_positions(starts[slots], sizes)
+            kept = self._rng.random(len(at)) < np.repeat(
+                current[gids] / stored[gids], sizes
             )
-            live = np.zeros(len(self._store), dtype=bool)
-            live[ids] = True
-            renumbered = (np.cumsum(live) - 1)[ids].tolist()
-            self._store = self._store.filter(live)
-            cursor = 0
-            for gid, size in zip(groups, sizes):
-                self._members[gid] = renumbered[cursor : cursor + size]
-                cursor += size
-            self._dead = 0
-        return self._store
+            self._dead += len(at) - int(np.count_nonzero(kept))
+            keep = np.ones(len(self._members), dtype=bool)
+            keep[at] = kept
+            self._members = self._members[keep]
+            self._sizes = self._sizes.copy()
+            self._sizes[slots] = np.add.reduceat(
+                kept, np.cumsum(sizes) - sizes, dtype=np.int64
+            )
+        stored = np.concatenate([stored, current[len(stored) :]])
+        stored[dropped] = current[dropped]
+        self._stored_p = stored
+
+    def _join(self, gids: np.ndarray, row_ids: np.ndarray) -> None:
+        """Append accepted rows ``row_ids`` (row order) to their groups
+        ``gids``; groups holding members for the first time follow the
+        others, in dense-id order."""
+        new = np.unique(gids[self._slot[gids] < 0])
+        self._slot[new] = len(self._groups) + np.arange(len(new))
+        self._groups = np.concatenate([self._groups, new])
+        sizes = np.concatenate([self._sizes, np.zeros(len(new), np.int64)])
+        slots = self._slot[gids]
+        order = np.argsort(slots, kind="stable")
+        self._members = np.insert(
+            self._members, np.cumsum(sizes)[slots[order]], row_ids[order]
+        )
+        self._sizes = sizes + np.bincount(slots, minlength=len(sizes))
+
+    def _compact(self) -> None:
+        """Drop the dead rows from the store, renumbering row ids in order."""
+        live = np.zeros(len(self._store), dtype=bool)
+        live[self._members] = True
+        self._members = (np.cumsum(live) - 1)[self._members]
+        self._store = self._store.filter(live)
+        self._dead = 0
 
     def snapshot(self) -> MaintainedSample:
         """The settled sample, columnar: groups holding members in
-        first-accepted order, their row ids flattened into one array."""
-        self.settle_all()
-        rows = self._row_store()
-        groups = self._members
-        sizes = np.fromiter(map(len, groups.values()), np.int64, len(groups))
-        held = sizes > 0
-        keys = map(self._cube.group_keys.__getitem__, groups)
+        first-accepted order, their row ids in one array."""
+        self._drain()
+        held = self._sizes > 0
+        keys = self._cube.group_keys
         return MaintainedSample(
             self.grouping_columns,
-            rows,
-            tuple(compress(keys, held.tolist())),
-            np.fromiter(
-                chain.from_iterable(groups.values()), np.int64, int(sizes.sum())
-            ),
-            sizes[held],
+            self._store,
+            tuple(map(keys.__getitem__, self._groups[held].tolist())),
+            self._members,
+            self._sizes[held],
             self._cube.finest_counts(),
         )
 
@@ -256,6 +269,6 @@ class CongressMaintainer(SampleMaintainer):
     def expected_sizes(self) -> Dict[GroupKey, float]:
         """Current ``n_g * p_g`` per group (the pre-scale-down targets)."""
         out = {}
-        for key, n_g in self._cube.finest_counts().items():
+        for key, n_g in self.cube.finest_counts().items():
             out[key] = n_g * self.current_probability(key)
         return out

@@ -9,15 +9,18 @@ incrementally at O(2^|G|) counter updates per inserted tuple, which is also
 exactly the bookkeeping the Eq. 8 Congress maintainer needs.
 
 Each finest group gets a dense id the first time it is seen.  Per grouping
-``T`` the cube keeps the ``T``-groups (its *cells*) in first-seen order,
-their counts, and the cell of every finest group, so recording a tuple is
-``2^|G|`` increments and Eq. 8 for every finest group at once is one array
-expression per grouping (:meth:`CountDataCube.selection_probabilities`).
+``T`` the cube keeps the ``T``-groups (its *cells*) in first-seen order, the
+cell of every finest group and each cell's count as arrays, so recording a
+batch of tuples is one indexed add per grouping (:meth:`CountDataCube.add`)
+and Eq. 8 for every finest group at once is one array expression per
+grouping (:meth:`CountDataCube.selection_probabilities`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -45,14 +48,16 @@ class CountDataCube:
         self._keys: List[GroupKey] = []
         self._ids: Dict[GroupKey, int] = {}
         # per grouping: cell of each projected key (first-seen order), the
-        # cell of each finest group, and each cell's count
+        # cell of each finest group by dense id, and each cell's count
         self._cell_of: Tuple[Dict[GroupKey, int], ...] = tuple(
             {} for __ in self._groupings
         )
-        self._cells: Tuple[List[int], ...] = tuple([] for __ in self._groupings)
-        self._counts: Tuple[List[int], ...] = tuple(
-            [] for __ in self._groupings
-        )
+        self._cells: List[np.ndarray] = [
+            np.empty(0, dtype=np.int64) for __ in self._groupings
+        ]
+        self._counts: List[np.ndarray] = [
+            np.empty(0, dtype=np.int64) for __ in self._groupings
+        ]
         self._total = 0
 
     # -- construction --------------------------------------------------------
@@ -67,33 +72,64 @@ class CountDataCube:
         cube.observe_counts(finest)
         return cube
 
-    def _group_id(self, key: GroupKey) -> int:
-        """The dense id of finest group ``key``, registering it if new."""
-        gid = self._ids.get(key)
-        if gid is None:
-            gid = self._ids[key] = len(self._keys)
-            self._keys.append(key)
-            for positions, cell_of, cells, counts in zip(
-                self._projections, self._cell_of, self._cells, self._counts
-            ):
-                projected = tuple(key[i] for i in positions)
-                cell = cell_of.get(projected)
-                if cell is None:
-                    cell = cell_of[projected] = len(counts)
-                    counts.append(0)
-                cells.append(cell)
-        return gid
+    def register(
+        self,
+        keys: Iterable[GroupKey],
+        normalize: Optional[Callable[[GroupKey], GroupKey]] = None,
+    ) -> np.ndarray:
+        """The dense id of each finest group in ``keys``, without counting
+        it; a key not seen before gets the next id, in ``keys``' order.
 
-    def _add(self, key: GroupKey, count: int) -> int:
-        gid = self._group_id(tuple(key))
-        self._total += count
-        for cells, counts in zip(self._cells, self._counts):
-            counts[cells[gid]] += count
-        return gid
+        ``normalize``, if given, maps a key the cube does not know as given
+        to the key it stands for, which is looked up (and registered) in
+        its place.
+        """
+        ids = self._ids
+        out, new = [], []
+        for key in keys:
+            gid = ids.get(key)
+            if gid is None and normalize is not None:
+                key = normalize(key)
+                gid = ids.get(key)
+            if gid is None:
+                gid = ids[key] = len(self._keys)
+                self._keys.append(key)
+                new.append(key)
+            out.append(gid)
+        if new:
+            for t, (positions, cell_of) in enumerate(
+                zip(self._projections, self._cell_of)
+            ):
+                cells = []
+                for key in new:
+                    projected = tuple(key[i] for i in positions)
+                    cell = cell_of.get(projected)
+                    if cell is None:
+                        cell = cell_of[projected] = len(cell_of)
+                    cells.append(cell)
+                self._cells[t] = np.concatenate(
+                    [self._cells[t], np.array(cells, dtype=np.int64)]
+                )
+                grown = len(cell_of) - len(self._counts[t])
+                if grown:
+                    self._counts[t] = np.concatenate(
+                        [self._counts[t], np.zeros(grown, dtype=np.int64)]
+                    )
+        return np.array(out, dtype=np.int64)
+
+    def add(self, gids: np.ndarray, counts: np.ndarray) -> None:
+        """Record ``counts[i]`` (>= 0) more tuples of the group with dense
+        id ``gids[i]`` (from :meth:`register`)."""
+        counts = np.asarray(counts, dtype=np.int64)
+        self._total += int(counts.sum())
+        for cells, cell_counts in zip(self._cells, self._counts):
+            np.add.at(cell_counts, cells[gids], counts)
 
     def observe(self, key: GroupKey) -> int:
         """Record one tuple of finest group ``key``; returns its dense id."""
-        return self._add(key, 1)
+        gid = self.register([tuple(key)])
+        self.add(gid, [1])
+        return int(gid[0])
 
     def observe_counts(self, finest_counts: Mapping[GroupKey, int]) -> List[int]:
         """Record many tuples at once from finest-group counts.
@@ -101,12 +137,12 @@ class CountDataCube:
         New groups get dense ids in the mapping's order; returns each
         group's id, in that order.
         """
-        ids = []
         for key, count in finest_counts.items():
             if count < 0:
                 raise ValueError(f"negative count for group {key}: {count}")
-            ids.append(self._add(key, count))
-        return ids
+        gids = self.register(map(tuple, finest_counts))
+        self.add(gids, list(finest_counts.values()))
+        return gids.tolist()
 
     # -- accessors -----------------------------------------------------------
 
@@ -130,18 +166,18 @@ class CountDataCube:
 
     def num_groups(self, target: Sequence[str]) -> int:
         """``m_T``: non-empty groups under grouping ``target``."""
-        return len(self._counts[self._slot[tuple(target)]])
+        return len(self._cell_of[self._slot[tuple(target)]])
 
     def count(self, target: Sequence[str], group: GroupKey) -> int:
         """``n_h`` for group ``h`` under grouping ``target`` (0 if unseen)."""
         t = self._slot[tuple(target)]
         cell = self._cell_of[t].get(tuple(group))
-        return 0 if cell is None else self._counts[t][cell]
+        return 0 if cell is None else int(self._counts[t][cell])
 
     def counts(self, target: Sequence[str]) -> Dict[GroupKey, int]:
         """All group counts under ``target`` (copy)."""
         t = self._slot[tuple(target)]
-        return dict(zip(self._cell_of[t], self._counts[t]))
+        return dict(zip(self._cell_of[t], self._counts[t].tolist()))
 
     def finest_counts(self) -> Dict[GroupKey, int]:
         """Counts at the finest partitioning (grouping = ``G``)."""
@@ -156,25 +192,14 @@ class CountDataCube:
         takes the maximum over the cells it would fall in that exist.
         """
         key = tuple(key)
-        gid = self._ids.get(key)
-        if gid is not None:
-            return self.group_probability(gid, budget)
-        cells = [
-            cell_of.get(tuple(key[i] for i in positions))
-            for positions, cell_of in zip(self._projections, self._cell_of)
-        ]
-        return self._probability(cells, budget)
-
-    def group_probability(self, gid: int, budget: float) -> float:
-        """:meth:`selection_probability` of the group with dense id ``gid``."""
-        return self._probability([cells[gid] for cells in self._cells], budget)
-
-    def _probability(self, cells: List[Optional[int]], budget: float) -> float:
-        """Eq. 8 over one cell per grouping (``None``: no such cell)."""
         best = 0.0
-        for cell, counts in zip(cells, self._counts):
-            if cell is not None and counts[cell]:
-                share = budget / (len(counts) * counts[cell])
+        for positions, cell_of, counts in zip(
+            self._projections, self._cell_of, self._counts
+        ):
+            cell = cell_of.get(tuple(key[i] for i in positions))
+            n_h = 0 if cell is None else int(counts[cell])
+            if n_h:
+                share = budget / (len(counts) * n_h)
                 if share > best:
                     best = share
         return min(1.0, best)
@@ -188,7 +213,7 @@ class CountDataCube:
         """
         best = np.zeros(len(self._keys))
         for cells, counts in zip(self._cells, self._counts):
-            n_h = np.array(counts, dtype=np.int64)[np.array(cells, np.int64)]
+            n_h = counts[cells]
             share = np.zeros(len(n_h))
             np.divide(budget, len(counts) * n_h, out=share, where=n_h > 0)
             best = np.maximum(best, share)

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "BernoulliSampler",
-    "thin_groups",
     "thin_to_probability",
     "subsample_exact",
 ]
@@ -75,33 +74,6 @@ def thin_to_probability(
     rng = rng if rng is not None else np.random.default_rng()
     keep_mask = rng.random(len(items)) < ratio
     return list(compress(items, keep_mask.tolist()))
-
-
-def thin_groups(
-    groups: Sequence[Sequence[T]],
-    old_probabilities: np.ndarray,
-    new_probabilities: np.ndarray,
-    rng: np.random.Generator,
-) -> List[List[T]]:
-    """:func:`thin_to_probability` for many groups from one draw.
-
-    Group ``i`` is thinned from ``old_probabilities[i] > 0`` down to
-    ``new_probabilities[i]``.  One ``rng.random(total)`` covers the groups
-    in order, each taking as many numbers as it has items (none when its
-    ratio rounds to 1), so it is the stream one :func:`thin_to_probability`
-    call per group would take, and the result is the same.
-    """
-    ratios = np.minimum(1.0, new_probabilities / old_probabilities)
-    sizes = np.fromiter(map(len, groups), np.int64, len(groups))
-    sizes[ratios >= 1.0] = 0
-    keep = (rng.random(int(sizes.sum())) < np.repeat(ratios, sizes)).tolist()
-    out, cursor = [], 0
-    for items, size in zip(groups, sizes.tolist()):
-        if size:
-            items = compress(items, keep[cursor : cursor + size])
-        out.append(list(items))
-        cursor += size
-    return out
 
 
 def subsample_exact(

@@ -61,13 +61,18 @@ class TestProbabilityInvariant:
         maintainer.settle_all()
         assert maintainer.snapshot().sample_sizes() == first
 
-    def test_periodic_settling_option(self, schema, rng):
-        maintainer = CongressMaintainer(
-            schema, ["a", "b"], 100, rng, settle_every=100
-        )
-        maintainer.insert_many(two_column_stream(rng, 1000))
+    def test_periodic_settling(self, schema, rng):
+        """``settle_all`` between single inserts loads the rows buffered so
+        far, and the loads add up to every row."""
+        maintainer = CongressMaintainer(schema, ["a", "b"], 100, rng)
+        for i, row in enumerate(two_column_stream(rng, 1000), 1):
+            maintainer.insert(row)
+            if i % 100 == 0:
+                maintainer.settle_all()
+                assert maintainer._cube.total == i
         snapshot = maintainer.snapshot()
         assert snapshot.total_sample_size > 0
+        assert sum(snapshot.populations.values()) == 1000
 
     def test_negative_budget_rejected(self, schema, rng):
         with pytest.raises(ValueError):

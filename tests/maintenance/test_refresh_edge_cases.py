@@ -1,6 +1,9 @@
 """Refresh/insert edge cases: maintained vs. rebuild paths, zero-budget
 strata, and groups born after the synopsis was built."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,66 @@ class TestMaintenanceAfterPendingInserts:
         assert set(answer.provenance_counts) == {"synopsis"}
         assert system.health("lineitem").issues == ()
         assert system.synopsis("lineitem").sample.total_population == 20_001
+
+
+class TestRefreshRace:
+    def test_an_insert_during_a_refresh_waits_for_the_install(self, system):
+        """An insert racing a maintained refresh lands before its snapshot
+        or after its install, never between them: the refreshed strata
+        cover the rows recorded as covered, and the insert stays counted
+        as one since the refresh."""
+        system.enable_maintenance("rel")
+        maintainer = system._state("rel").maintainer
+        snapshot = maintainer.snapshot
+        racer = threading.Thread(
+            target=system.insert, args=("rel", ("small", 9.0))
+        )
+
+        def racing_snapshot():
+            sample = snapshot()
+            racer.start()
+            racer.join(timeout=0.2)  # returns early unless the insert waits
+            return sample
+
+        maintainer.snapshot = racing_snapshot
+        try:
+            synopsis = system.refresh_synopsis("rel")
+        finally:
+            racer.join(timeout=10)
+            del maintainer.snapshot
+        assert not racer.is_alive()
+        state = system._state("rel")
+        assert state.inserts_since_refresh == 1
+        assert synopsis.sample.total_population == state.rows_at_refresh == 1000
+        assert system.health("rel").issues == ()
+        assert system.refresh_synopsis("rel").sample.total_population == 1001
+
+    def test_inserts_and_refreshes_from_many_threads_lose_no_row(self, system):
+        system.enable_maintenance("rel")
+        inserters = [
+            threading.Thread(
+                target=system.insert_many,
+                args=("rel", [("small", float(i))] * 200),
+            )
+            for i in range(4)
+        ]
+        refresher = threading.Thread(
+            target=lambda: [system.refresh_synopsis("rel") for __ in range(20)]
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in [*inserters, refresher]:
+                thread.start()
+            for thread in [*inserters, refresher]:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*inserters, refresher])
+        synopsis = system.refresh_synopsis("rel")
+        assert synopsis.sample.total_population == 1800
+        assert system._state("rel").maintainer.inserts_seen == 1800
+        assert system.health("rel").issues == ()
 
 
 class TestZeroBudgetStrata:

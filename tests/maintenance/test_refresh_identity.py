@@ -3,7 +3,8 @@
 The reference below is the row-tuple algorithm: a dict-of-dicts count
 cube, per-group member lists of row tuples settled one group at a time,
 ``thin_to_probability`` over lists, a table load that counts every row
-first and flips one coin per row at its group's final probability, a
+first and flips one coin per row at its group's final probability, single
+inserts buffered until the next read loads them as one table, a
 scale-down that draws one number per member and keeps each group's
 smallest, and ``to_stratified`` through ``Table.from_rows``.  The columnar
 maintainers must draw the same random numbers in the same order, so under
@@ -78,7 +79,7 @@ def reference_thin(items, old_probability, new_probability, rng):
 
 
 class ReferenceCongress:
-    def __init__(self, schema, grouping_columns, budget, rng, settle_every=0):
+    def __init__(self, schema, grouping_columns, budget, rng):
         self.schema = schema
         self.grouping_columns = tuple(grouping_columns)
         self._key_of = KeyExtractor(schema, grouping_columns)
@@ -87,8 +88,7 @@ class ReferenceCongress:
         self._cube = ReferenceCube(grouping_columns)
         self._members: Dict[tuple, List[Tuple]] = {}
         self._stored_p: Dict[tuple, float] = {}
-        self._settle_every = settle_every
-        self._since_settle = 0
+        self._pending: List[Tuple] = []
 
     def _settle(self, key):
         current = self._cube.selection_probability(tuple(key), self._budget)
@@ -105,17 +105,12 @@ class ReferenceCongress:
             self._stored_p[key] = current
         return self._stored_p[key]
 
-    def settle_all(self):
-        for key in list(self._stored_p):
-            self._settle(key)
-        self._since_settle = 0
-
-    def insert_table(self, table):
-        rows = [tuple(row) for row in table.iter_rows()]
+    def _load(self, rows):
         keys = [self._key_of(row) for row in rows]
         for key in keys:
             self._cube.observe(key)
-        self.settle_all()
+        for key in list(self._stored_p):
+            self._settle(key)
         for key in keys:
             if key not in self._stored_p:
                 self._settle(key)
@@ -132,19 +127,21 @@ class ReferenceCongress:
             if key in accepted:
                 self._members.setdefault(key, []).extend(accepted[key])
 
+    def drain(self):
+        """Load the buffered inserts as one table."""
+        rows, self._pending = self._pending, []
+        if rows:
+            self._load(rows)
+
+    def insert_table(self, table):
+        self.drain()
+        self._load([tuple(row) for row in table.iter_rows()])
+
     def insert(self, row):
-        row = tuple(row)
-        key = self._key_of(row)
-        self._cube.observe(key)
-        probability = self._settle(key)
-        if self._rng.random() < probability:
-            self._members.setdefault(key, []).append(row)
-        self._since_settle += 1
-        if self._settle_every and self._since_settle >= self._settle_every:
-            self.settle_all()
+        self._pending.append(tuple(row))
 
     def snapshot(self):
-        self.settle_all()
+        self.drain()
         rows_by_group = {
             key: list(members)
             for key, members in self._members.items()
@@ -220,15 +217,17 @@ def reference_refreshed(reference, budget, rng, drawn=None):
 
 
 def replay(schema, grouping, budget, initial, stream, *, seed=0,
-           settle_every=0, refresh_every=50, subsample_budget=None, head=()):
+           drain_every=0, refresh_every=50, subsample_budget=None, head=()):
     """Feed ``head`` (row tuples, one by one), ``initial`` (a Table, bulk)
     then ``stream`` (row tuples, one by one) to both implementations,
-    comparing every refresh.  Returns the reference and, per refresh, the
-    groups drawn from in draw order."""
+    comparing every refresh.  If ``drain_every`` > 0, every that many
+    inserts read the maintainer's ``current_probability`` of the row just
+    inserted, which loads the buffered rows.  Returns the reference and,
+    per refresh, the groups drawn from in draw order."""
     subsample_budget = subsample_budget or budget
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    maintainer = CongressMaintainer(schema, grouping, budget, rng, settle_every)
-    reference = ReferenceCongress(schema, grouping, budget, ref_rng, settle_every)
+    maintainer = CongressMaintainer(schema, grouping, budget, rng)
+    reference = ReferenceCongress(schema, grouping, budget, ref_rng)
     for row in head:
         maintainer.insert(row)
         reference.insert(row)
@@ -246,6 +245,9 @@ def replay(schema, grouping, budget, initial, stream, *, seed=0,
     for i, row in enumerate(stream, 1):
         maintainer.insert(row)
         reference.insert(row)
+        if drain_every and i % drain_every == 0:
+            maintainer.current_probability(reference._key_of(row))
+            reference.drain()
         if i % refresh_every == 0:
             compare()
     compare()
@@ -290,8 +292,8 @@ def str_rows(rng, count, regions):
 
 
 class TestCongressRefreshIdentity:
-    @pytest.mark.parametrize("settle_every", [0, 37])
-    def test_int_keys_with_new_groups(self, settle_every):
+    @pytest.mark.parametrize("drain_every", [0, 37])
+    def test_int_keys_with_new_groups(self, drain_every):
         table = lineitem(3000, 27, seed=3)
         # a second generator's rows: other key values, so groups keep arriving
         later = list(lineitem(800, 64, seed=4).iter_rows())
@@ -300,19 +302,19 @@ class TestCongressRefreshIdentity:
         ]
         __, draws = replay(
             table.schema, GROUPING_COLUMNS, 60, table.slice(0, 1500),
-            late_rows, settle_every=settle_every, refresh_every=97,
+            late_rows, drain_every=drain_every, refresh_every=97,
         )
         assert len(draws) > 5
 
-    @pytest.mark.parametrize("settle_every", [0, 25])
-    def test_str_keys(self, settle_every):
+    @pytest.mark.parametrize("drain_every", [0, 25])
+    def test_str_keys(self, drain_every):
         rng = np.random.default_rng(5)
         regions = ["n", "south", "east-by-east", "w"]
         initial = Table.from_rows(STR_SCHEMA, str_rows(rng, 700, regions))
         stream = str_rows(rng, 900, regions + ["far-north-west"])
         replay(
             STR_SCHEMA, ["region", "tier"], 40, initial, stream,
-            seed=11, settle_every=settle_every, refresh_every=40,
+            seed=11, drain_every=drain_every, refresh_every=40,
         )
 
     def test_refresh_after_every_insert(self):
@@ -343,18 +345,94 @@ class TestCongressRefreshIdentity:
 
 
 class TestInsertTableIdentity:
-    @pytest.mark.parametrize("settle_every", [0, 37])
-    def test_load_onto_held_rows(self, settle_every):
-        """A load onto rows inserted one at a time first thins the held
-        groups to their new probabilities, then flips its own coins; the
-        held rows' tail is in the row store before the loaded rows."""
+    @pytest.mark.parametrize("drain_every", [0, 37])
+    def test_load_onto_held_rows(self, drain_every):
+        """A load onto rows inserted one at a time first loads those rows
+        as their own table, then thins the held groups to their new
+        probabilities and flips its own coins; the buffered rows are in
+        the row store before the loaded rows."""
         table = lineitem(3000, 27, seed=12)
         head = list(lineitem(400, 64, seed=13).iter_rows())
         stream = list(lineitem(300, 64, seed=14).iter_rows())
         replay(
             table.schema, GROUPING_COLUMNS, 40, table, stream,
-            seed=1, settle_every=settle_every, head=head, refresh_every=60,
+            seed=1, drain_every=drain_every, head=head, refresh_every=60,
         )
+
+
+NAN_SCHEMA = Schema(
+    [
+        Column("g", ColumnType.FLOAT, "grouping"),
+        Column("h", ColumnType.INT, "grouping"),
+        Column("v", ColumnType.FLOAT, "aggregate"),
+    ]
+)
+
+
+def nan_rows(rng, count):
+    """Rows whose float key is NaN a tenth of the time; every NaN is its
+    own float object."""
+    g = rng.choice([0.5, 1.5, np.nan], size=count, p=[0.6, 0.3, 0.1])
+    h = rng.integers(0, 4, size=count)
+    return list(zip(g.tolist(), h.tolist(), rng.normal(size=count).tolist()))
+
+
+def int_case():
+    table = lineitem(2500, 27, seed=15)
+    later = [tuple(row) for row in lineitem(700, 64, seed=16).iter_rows()]
+    return table.schema, GROUPING_COLUMNS, 50, table.slice(0, 1200), later
+
+
+def str_case():
+    rng = np.random.default_rng(17)
+    regions = ["n", "south", "east-by-east", "w"]
+    initial = Table.from_rows(STR_SCHEMA, str_rows(rng, 600, regions))
+    later = str_rows(rng, 700, regions + ["far-north-west"])
+    return STR_SCHEMA, ("region", "tier"), 40, initial, later
+
+
+def nan_case():
+    rng = np.random.default_rng(18)
+    initial = Table.from_rows(NAN_SCHEMA, nan_rows(rng, 500))
+    return NAN_SCHEMA, ("g", "h"), 12, initial, nan_rows(rng, 600)
+
+
+class TestSingleInsertsAreOneLoad:
+    """Single inserts, read at some points, give the bytes of
+    ``insert_table`` over the rows between those points, at one seed."""
+
+    @pytest.mark.parametrize("case", [int_case, str_case, nan_case])
+    @pytest.mark.parametrize("drain_every", [0, 37])
+    def test_inserts_then_snapshot_equal_insert_table(self, case, drain_every):
+        schema, grouping, budget, initial, rows = case()
+        single = CongressMaintainer(
+            schema, grouping, budget, np.random.default_rng(9)
+        )
+        loaded = CongressMaintainer(
+            schema, grouping, budget, np.random.default_rng(9)
+        )
+        single.insert_table(initial)
+        loaded.insert_table(initial)
+        key_of, start = KeyExtractor(schema, grouping), 0
+        for i, row in enumerate(rows, 1):
+            single.insert(row)
+            if drain_every and i % drain_every == 0:
+                # alternate the two kinds of read that load buffered rows
+                if i // drain_every % 2:
+                    single.cube
+                else:
+                    single.current_probability(key_of(row))
+                loaded.insert_table(Table.from_rows(schema, rows[start:i]))
+                start = i
+        if start < len(rows):
+            loaded.insert_table(Table.from_rows(schema, rows[start:]))
+        mine, theirs = single.snapshot(), loaded.snapshot()
+        assert mine.keys == theirs.keys
+        assert mine.sizes.tolist() == theirs.sizes.tolist()
+        assert mine.members.tolist() == theirs.members.tolist()
+        assert list(mine.populations.items()) == list(theirs.populations.items())
+        assert_same_sample(mine.to_stratified(), theirs.to_stratified())
+        assert single._rng.random() == loaded._rng.random()
 
 
 def house_rows(m):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.sampling import BernoulliSampler, subsample_exact, thin_to_probability
-from repro.sampling.bernoulli import thin_groups
 
 
 class TestBernoulliSampler:
@@ -60,21 +59,6 @@ class TestThinToProbability:
     def test_order_preserved(self, rng):
         kept = thin_to_probability(list(range(100)), 1.0, 0.5, rng)
         assert kept == sorted(kept)
-
-
-class TestThinGroups:
-    def test_one_draw_equals_one_call_per_group(self):
-        groups = [list(range(7)), [], list(range(10, 15)), list(range(20, 23))]
-        old = np.array([0.9, 0.5, 0.6, 0.4])
-        new = np.array([0.3, 0.2, 0.6, 0.1])
-        one, each = np.random.default_rng(4), np.random.default_rng(4)
-        thinned = thin_groups(groups, old, new, one)
-        assert thinned == [
-            thin_to_probability(items, o, n, each)
-            for items, o, n in zip(groups, old.tolist(), new.tolist())
-        ]
-        assert thinned[2] == groups[2]  # ratio 1: kept, no numbers drawn
-        assert one.random() == each.random()
 
 
 class TestSubsampleExact:

@@ -517,20 +517,24 @@ def test_to_stratified_equals_split_plus_the_unsampled_groups(
 
 
 def test_congress_snapshot_equals_split():
+    """The snapshot cuts the maintainer's flat members into its held groups,
+    and every member is a row of its group."""
     rng = np.random.default_rng(3)
     maintainer = CongressMaintainer(STR_SCHEMA, ["region", "tier"], 30, rng)
     maintainer.insert_many(stream(rng, 500))
     snapshot = maintainer.snapshot()
-    groups = [(g, ids) for g, ids in maintainer._members.items() if ids]
+    held = maintainer._sizes > 0
     keys = maintainer.cube.group_keys
     expected = split(
-        np.fromiter(chain.from_iterable(ids for __, ids in groups), np.int64),
-        [keys[g] for g, __ in groups],
-        [len(ids) for __, ids in groups],
+        maintainer._members,
+        [keys[g] for g in maintainer._groups[held].tolist()],
+        maintainer._sizes[held].tolist(),
     )
     assert list(snapshot.positions) == list(expected)
+    region, tier = snapshot.rows.column("region"), snapshot.rows.column("tier")
     for key, at in expected.items():
         assert_same_array(snapshot.positions[key], at, key)
+        assert set(zip(region[at].tolist(), tier[at].tolist())) == {key}
 
 
 @settings(deadline=None, max_examples=200)
