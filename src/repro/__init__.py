@@ -73,11 +73,8 @@ from .engine import (
 )
 from .estimators import GroupEstimate, estimate, estimate_single
 from .maintenance import (
-    BasicCongressMaintainer,
     CongressMaintainer,
     CountDataCube,
-    HouseMaintainer,
-    SenateMaintainer,
     construct_from_cube,
     construct_one_pass,
     construct_congress_topup,
@@ -117,7 +114,6 @@ __all__ = [
     "AquaError",
     "AquaSystem",
     "BasicCongress",
-    "BasicCongressMaintainer",
     "Catalog",
     "CensusConfig",
     "ComparisonReport",
@@ -137,7 +133,6 @@ __all__ = [
     "GuardViolationError",
     "QueryTooDeepError",
     "House",
-    "HouseMaintainer",
     "Integrated",
     "KeyNormalized",
     "LineitemConfig",
@@ -152,7 +147,6 @@ __all__ = [
     "RefreshPolicy",
     "Schema",
     "Senate",
-    "SenateMaintainer",
     "Span",
     "StaleSynopsisError",
     "StarSchema",

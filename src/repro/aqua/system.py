@@ -9,8 +9,8 @@ Aqua sits atop a commercial DBMS:
 3. user SQL against the *base* table is rewritten to run against the
    synopsis relations, with aggregate scale-up and per-group error bounds
    (the ``sum_error`` column of Figure 2);
-4. synopses are kept up to date under inserts via the Section 6 maintainers,
-   without re-reading the base relation.
+4. synopses are kept up to date under inserts via the Section 6 (Eq. 8)
+   maintainer, without re-reading the base relation.
 
 On top of the paper's pipeline sits a *guarded answering* layer
 (:mod:`repro.aqua.guard`): :meth:`AquaSystem.answer` validates the synopsis,
@@ -66,7 +66,7 @@ from ..plan import (
 )
 from ..plan.canonical import predicate_conjuncts
 from ..sampling.groups import GroupKey, group_members
-from ..maintenance.base import SampleMaintainer
+from ..maintenance.congress import CongressMaintainer
 from ..maintenance.onepass import maintainer_for, subsample_to_budget
 from ..rewrite.base import RewriteStrategy, check_rewritable
 from ..rewrite.nested_integrated import NestedIntegrated
@@ -331,7 +331,7 @@ class _TableState:
     grouping_columns: Tuple[str, ...]
     synopsis: Optional[Synopsis] = None
     portfolio: Optional[SynopsisPortfolio] = None
-    maintainer: Optional[SampleMaintainer] = None
+    maintainer: Optional[CongressMaintainer] = None
     pending_rows: List[Tuple] = field(default_factory=list)
     inserts_since_refresh: int = 0
     rows_at_refresh: int = 0
@@ -627,16 +627,17 @@ class AquaSystem:
     def build_synopsis(self, name: str) -> Synopsis:
         """(Re)build the sample synopsis for a registered table.
 
-        Pending inserts are flushed into the base relation first, so the
-        sample covers every row the synopsis is recorded as covering.
+        Pending inserts are flushed into the base relation first.  The
+        synopsis is recorded as covering the rows the build read; a row
+        inserted while it builds counts in ``inserts_since_refresh``.
         """
         state = self._state(name)
         start = time.perf_counter()
         with self.telemetry.tracer.span("build_synopsis", table=name):
-            (sample,) = self._build_samples(
+            rows_read, (sample,) = self._build_samples(
                 name, [(state.grouping_columns, self._allocation, self._budget)]
             )
-            synopsis = self._install(name, sample)
+            synopsis = self._install(name, sample, rows_read)
         metrics = self.telemetry.metrics
         if metrics.enabled:
             metrics.histogram(
@@ -650,8 +651,9 @@ class AquaSystem:
         self,
         name: str,
         requests: Sequence[Tuple[Tuple[str, ...], AllocationStrategy, float]],
-    ) -> List[StratifiedSample]:
-        """Draw one sample per ``(grouping, strategy, budget)``, in order.
+    ) -> Tuple[int, List[StratifiedSample]]:
+        """Draw one sample per ``(grouping, strategy, budget)``, in order;
+        returns the number of base rows read and the samples.
 
         Pending inserts are flushed first.  Each distinct grouping's
         members are listed by one pass over the base relation, run
@@ -681,7 +683,7 @@ class AquaSystem:
                     members=members[grouping],
                 )
             )
-        return samples
+        return table.num_rows, samples
 
     def _synopsis(
         self,
@@ -710,17 +712,22 @@ class AquaSystem:
             installed=dataclass_replace(installed, base_name=name),
         )
 
-    def _install(self, name: str, sample: StratifiedSample) -> Synopsis:
+    def _install(
+        self, name: str, sample: StratifiedSample, covered: Optional[int] = None
+    ) -> Synopsis:
+        """Install ``sample`` as the table's synopsis, recorded as covering
+        ``covered`` rows (default: every row present now); the rows present
+        beyond those count as inserts since the refresh."""
         synopsis = self._synopsis(
             name, name, sample, self._allocation, self._budget
         )
         state = self._state(name)
         with state.lock:
+            present = state.table.num_rows + len(state.pending_rows)
+            covered = present if covered is None else covered
             state.synopsis = synopsis
-            state.inserts_since_refresh = 0
-            state.rows_at_refresh = state.table.num_rows + len(
-                state.pending_rows
-            )
+            state.inserts_since_refresh = present - covered
+            state.rows_at_refresh = covered
             self._bump_version(name, state)
         return synopsis
 
@@ -841,7 +848,7 @@ class AquaSystem:
         with self.telemetry.tracer.span(
             "build_portfolio", table=name, members=len(specs)
         ):
-            samples = self._build_samples(
+            rows_at_build, samples = self._build_samples(
                 name,
                 [
                     (
@@ -852,7 +859,6 @@ class AquaSystem:
                     for spec in specs
                 ],
             )
-            rows_at_build = state.table.num_rows + len(state.pending_rows)
             for spec, sample in zip(specs, samples):
                 synopsis = self._synopsis(
                     name,
@@ -973,7 +979,7 @@ class AquaSystem:
         synopsis = state.synopsis
         maintained = state.maintainer is not None
         maintainer_inserts = (
-            getattr(state.maintainer, "inserts_seen", 0) if maintained else 0
+            state.maintainer.inserts_seen if maintained else 0
         )
         if synopsis is None:
             return SynopsisHealth(
@@ -2647,21 +2653,25 @@ class AquaSystem:
 
         Pending inserts are flushed first, so the maintainer counts every
         row a later refresh records as covered.  The base rows are then
-        loaded into the strategy's maintainer once.  The Eq. 8 Congress
-        maintainer counts the groups with one ``factorize``, flips one coin
-        per row at its group's final probability (the distribution
-        streaming the rows one at a time gives, from other random numbers)
-        and gathers the rows it accepts with one ``take``.  After that each
-        :meth:`insert` reaches the maintainer alone, without touching the
-        base relation; the Congress maintainer only buffers the row, and
-        the next :meth:`refresh_synopsis` loads the buffered rows as one
-        table, in the same way.
+        loaded once into the Eq. 8 maintainer over the allocation's own
+        groupings (``groupings(G)``: ``{∅}`` for House, ``{G}`` for Senate,
+        ``{∅, G}`` for Basic Congress, every ``T ⊆ G`` for Congress).  It
+        counts the groups with one ``factorize``, flips one coin per row at
+        its group's final probability (the distribution streaming the rows
+        one at a time gives, from other random numbers) and gathers the
+        rows it accepts with one ``take``.  After that each :meth:`insert`
+        only buffers its row in the maintainer, without touching the base
+        relation, and the next :meth:`refresh_synopsis` loads the buffered
+        rows as one table, in the same way.
+
+        Raises:
+            ValueError: the allocation names no groupings (say, a
+                ``MultiCriteriaCongress``), so no maintainer runs it.
         """
         self._flush_pending(name)
         state = self._state(name)
-        strategy_name = getattr(self._allocation, "name", "congress")
         maintainer = maintainer_for(
-            strategy_name,
+            self._allocation,
             state.table.schema,
             state.grouping_columns,
             self._budget,
@@ -2680,7 +2690,6 @@ class AquaSystem:
             self._bump_version(name, state)
             if state.maintainer is not None:
                 state.maintainer.insert(row)
-                state.maintainer.inserts_seen += 1
         metrics = self.telemetry.metrics
         if metrics.enabled:
             metrics.counter(

@@ -38,6 +38,12 @@ class BasicCongress:
             return "basic_congress"
         return "basic_congress[" + ",".join(self._target) + "]"
 
+    def groupings(
+        self, grouping_columns: Sequence[str]
+    ) -> Tuple[Tuple[str, ...], ...]:
+        """Eq. 8's groupings ``𝒯 = {∅, T}``: House's and Senate's."""
+        return ((),) + Senate(self._target).groupings(grouping_columns)
+
     def allocate(
         self,
         counts: Mapping[GroupKey, int],

@@ -87,6 +87,26 @@ class Congress:
             counts, grouping_columns, budget, self._groupings
         )
 
+    def groupings(
+        self, grouping_columns: Sequence[str]
+    ) -> Tuple[Tuple[str, ...], ...]:
+        """Eq. 8's groupings ``𝒯``: the power set of ``G`` in
+        :func:`all_groupings` order, or the restriction given."""
+        if self._groupings is None:
+            return tuple(all_groupings(grouping_columns))
+        unknown = {
+            column
+            for target in self._groupings
+            for column in target
+            if column not in grouping_columns
+        }
+        if unknown:
+            raise ValueError(
+                f"grouping columns {sorted(unknown)} not in "
+                f"{list(grouping_columns)}"
+            )
+        return tuple(self._groupings)
+
     def allocate(
         self,
         counts: Mapping[GroupKey, int],
@@ -94,19 +114,9 @@ class Congress:
         budget: float,
     ) -> Allocation:
         _validate(counts, budget)
-        if self._groupings is not None:
-            unknown = {
-                column
-                for target in self._groupings
-                for column in target
-                if column not in grouping_columns
-            }
-            if unknown:
-                raise ValueError(
-                    f"grouping columns {sorted(unknown)} not in "
-                    f"{list(grouping_columns)}"
-                )
-        shares = self.share_table(counts, grouping_columns, budget)
+        shares = congress_share_table(
+            counts, grouping_columns, budget, self.groupings(grouping_columns)
+        )
         pre_scaling = {
             key: max(shares[target][key] for target in shares)
             for key in counts

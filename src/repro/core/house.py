@@ -15,7 +15,7 @@ groups in skewed group-by queries.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Tuple
 
 from ..sampling.groups import GroupKey
 from .allocation import Allocation, _validate
@@ -27,6 +27,12 @@ class House:
     """Uniform (proportional) allocation -- the paper's *House*."""
 
     name = "house"
+
+    def groupings(
+        self, grouping_columns: Sequence[str]
+    ) -> Tuple[Tuple[str, ...], ...]:
+        """Eq. 8's groupings ``𝒯 = {∅}``: ``p = Y / |R|`` for every row."""
+        return ((),)
 
     def allocate(
         self,

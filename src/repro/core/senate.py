@@ -63,13 +63,10 @@ class Senate:
             return "senate"
         return "senate[" + ",".join(self._target) + "]"
 
-    def allocate(
-        self,
-        counts: Mapping[GroupKey, int],
-        grouping_columns: Sequence[str],
-        budget: float,
-    ) -> Allocation:
-        _validate(counts, budget)
+    def groupings(
+        self, grouping_columns: Sequence[str]
+    ) -> Tuple[Tuple[str, ...], ...]:
+        """Eq. 8's groupings ``𝒯 = {T}``: ``p = Y / (m_T * n_h)``."""
         target = (
             tuple(grouping_columns) if self._target is None else self._target
         )
@@ -79,6 +76,16 @@ class Senate:
                 f"senate target columns {sorted(unknown)} not in grouping "
                 f"columns {list(grouping_columns)}"
             )
+        return (target,)
+
+    def allocate(
+        self,
+        counts: Mapping[GroupKey, int],
+        grouping_columns: Sequence[str],
+        budget: float,
+    ) -> Allocation:
+        _validate(counts, budget)
+        (target,) = self.groupings(grouping_columns)
         fractional = senate_share(counts, grouping_columns, target, budget)
         return Allocation(
             strategy=self.name,

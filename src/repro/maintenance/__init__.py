@@ -1,10 +1,8 @@
 """One-pass construction and incremental maintenance (Section 6)."""
 
-from .base import KeyExtractor, MaintainedSample, SampleMaintainer
-from .basic_congress import BasicCongressMaintainer
+from .base import MaintainedSample
 from .congress import CongressMaintainer
 from .datacube import CountDataCube
-from .house_senate import HouseMaintainer, SenateMaintainer
 from .onepass import (
     construct_from_cube,
     construct_one_pass,
@@ -14,14 +12,9 @@ from .onepass import (
 from .topup import construct_congress_topup
 
 __all__ = [
-    "BasicCongressMaintainer",
     "CongressMaintainer",
     "CountDataCube",
-    "HouseMaintainer",
-    "KeyExtractor",
     "MaintainedSample",
-    "SampleMaintainer",
-    "SenateMaintainer",
     "construct_congress_topup",
     "construct_from_cube",
     "construct_one_pass",

@@ -1,11 +1,9 @@
-"""Shared machinery for the streaming sample maintainers of Section 6.
+"""The sample a Section 6 maintainer hands over.
 
-All maintainers consume a stream of row tuples (values in schema order) via
-:meth:`SampleMaintainer.insert` and can, at any point, produce a
+:meth:`~repro.maintenance.congress.CongressMaintainer.snapshot` produces a
 :class:`MaintainedSample`: the sampled rows as columns, each finest group's
 row positions in them as one array, and the true group populations seen so
-far.
-``MaintainedSample.to_stratified()`` converts to the standard
+far.  ``MaintainedSample.to_stratified()`` converts to the standard
 :class:`~repro.sampling.stratified.StratifiedSample` container (the base
 table being the sampled rows themselves, with populations carried from the
 stream counters), so estimators and rewrite strategies work unchanged on
@@ -14,33 +12,20 @@ maintained samples.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from ..engine.schema import Schema
 from ..engine.table import Table
-from ..sampling.groups import GroupKey, make_key
+from ..sampling.groups import GroupKey
 from ..sampling.stratified import StratifiedSample, segment_positions
 
-__all__ = ["MaintainedSample", "SampleMaintainer", "KeyExtractor"]
-
-
-class KeyExtractor:
-    """Extract the finest-partition group key from a row tuple."""
-
-    def __init__(self, schema: Schema, grouping_columns: Sequence[str]):
-        self._positions = tuple(
-            schema.position(name) for name in grouping_columns
-        )
-
-    def __call__(self, row: Sequence) -> GroupKey:
-        return make_key(tuple(row[i] for i in self._positions))
+__all__ = ["MaintainedSample"]
 
 
 def _narrowest(table: Table) -> Table:
@@ -72,27 +57,6 @@ class MaintainedSample:
     members: np.ndarray
     sizes: np.ndarray
     populations: Dict[GroupKey, int]
-
-    @classmethod
-    def from_groups(
-        cls,
-        schema: Schema,
-        grouping_columns: Sequence[str],
-        rows_by_group: Mapping[GroupKey, Sequence[Tuple]],
-        populations: Mapping[GroupKey, int],
-    ) -> "MaintainedSample":
-        """Pack per-group row tuples into columns, group after group."""
-        rows = Table.from_rows(schema, chain.from_iterable(rows_by_group.values()))
-        return cls(
-            tuple(grouping_columns),
-            rows,
-            tuple(rows_by_group),
-            np.arange(len(rows), dtype=np.int64),
-            np.fromiter(
-                map(len, rows_by_group.values()), np.int64, len(rows_by_group)
-            ),
-            dict(populations),
-        )
 
     @property
     def schema(self) -> Schema:
@@ -163,33 +127,3 @@ class MaintainedSample:
             np.arange(len(base), dtype=np.int64),
         )
 
-
-class SampleMaintainer(ABC):
-    """Interface for the incremental maintenance algorithms of Section 6."""
-
-    def __init__(self, schema: Schema, grouping_columns: Sequence[str]):
-        for name in grouping_columns:
-            schema.column(name)
-        self.schema = schema
-        self.grouping_columns = tuple(grouping_columns)
-        self._key_of = KeyExtractor(schema, grouping_columns)
-        #: Rows consumed so far; :class:`~repro.aqua.guard.SynopsisHealth`
-        #: reports it to show how far the maintainer tracks the stream.
-        self.inserts_seen = 0
-
-    @abstractmethod
-    def insert(self, row: Sequence) -> None:
-        """Process one newly-inserted relation tuple."""
-
-    def insert_many(self, rows: Iterable[Sequence]) -> None:
-        for row in rows:
-            self.insert(row)
-            self.inserts_seen += 1
-
-    def insert_table(self, table: Table) -> None:
-        """Stream an entire table through the maintainer."""
-        self.insert_many(table.iter_rows())
-
-    @abstractmethod
-    def snapshot(self) -> MaintainedSample:
-        """Produce the current sample (without disturbing internal state)."""

@@ -1,8 +1,12 @@
-"""Incremental maintenance of Congress samples via Equation 8 (Section 6).
+"""Incremental maintenance of every allocation via Equation 8 (Section 6).
 
 Invariant: every tuple ``τ`` of the relation is in the sample with
-probability ``p(τ) = min(1, max_{T ⊆ G} Y / (m_T * n_{g(τ,T)}))``, where the
-``m_T`` and ``n_h`` counters live in a :class:`CountDataCube`.
+probability ``p(τ) = min(1, max_{T ∈ 𝒯} Y / (m_T * n_{g(τ,T)}))``, where the
+``m_T`` and ``n_h`` counters live in a :class:`CountDataCube`.  The set of
+groupings ``𝒯`` picks the allocation: ``{∅}`` is House (``p = Y/|R|``),
+``{G}`` Senate (``Y/m`` per group, capped at ``n_g``), ``{∅, G}`` Basic
+Congress before its scale-down and every ``T ⊆ G`` Congress; each
+allocation in :mod:`repro.core` names its own through ``groupings(G)``.
 
 Because both ``m_T`` and ``n_h`` only grow under insertions, ``p(τ)`` only
 *decreases* over time, so the invariant can be restored without touching the
@@ -35,7 +39,7 @@ when it is compacted.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,14 +47,14 @@ from ..engine.schema import Schema
 from ..engine.table import Table
 from ..sampling.groups import GroupKey, finest_group_ids, make_key
 from ..sampling.stratified import segment_positions
-from .base import MaintainedSample, SampleMaintainer
+from .base import MaintainedSample
 from .datacube import CountDataCube
 
 __all__ = ["CongressMaintainer"]
 
 
-class CongressMaintainer(SampleMaintainer):
-    """Probability-based Congress maintenance (Equation 8)."""
+class CongressMaintainer:
+    """Probability-based maintenance (Equation 8) over groupings ``𝒯``."""
 
     def __init__(
         self,
@@ -58,19 +62,28 @@ class CongressMaintainer(SampleMaintainer):
         grouping_columns: Sequence[str],
         budget: float,
         rng: Optional[np.random.Generator] = None,
+        groupings: Optional[Iterable[Sequence[str]]] = None,
     ):
         """Args:
         schema: relation schema.
         grouping_columns: the stratification columns ``G``.
         budget: the paper's ``Y`` -- the target (pre-scale-down) size knob.
         rng: numpy generator.
+        groupings: Eq. 8's ``𝒯`` (every ``T ⊆ G`` by default, which is
+            Congress).
         """
-        super().__init__(schema, grouping_columns)
+        for name in grouping_columns:
+            schema.column(name)
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
+        self.schema = schema
+        self.grouping_columns = tuple(grouping_columns)
+        #: Rows consumed so far; :class:`~repro.aqua.guard.SynopsisHealth`
+        #: reports it to show how far the maintainer tracks the stream.
+        self.inserts_seen = 0
         self._budget = float(budget)
         self._rng = rng if rng is not None else np.random.default_rng()
-        self._cube = CountDataCube(grouping_columns)
+        self._cube = CountDataCube(grouping_columns, groupings)
         #: probability each group's members were kept at, by dense group id
         self._stored_p = np.empty(0)
         # The groups that have held members, as dense ids in first-accepted
@@ -119,6 +132,15 @@ class CongressMaintainer(SampleMaintainer):
     def insert(self, row: Sequence) -> None:
         """Buffer one tuple; the next reader loads it."""
         self._pending.append(tuple(row))
+        self.inserts_seen += 1
+
+    def insert_many(self, rows: Iterable[Sequence]) -> None:
+        """Buffer tuples in order; the next reader loads them with the
+        rest."""
+        pending = self._pending
+        before = len(pending)
+        pending.extend(map(tuple, rows))
+        self.inserts_seen += len(pending) - before
 
     def insert_table(self, table: Table) -> None:
         """Load a whole table at once: count it, then flip one coin per row.

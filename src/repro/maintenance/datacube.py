@@ -1,12 +1,16 @@
-"""Count data cube over all groupings of the grouping attributes.
+"""Count data cube over the groupings of the grouping attributes.
 
 Section 6 of the paper: "Given a data cube of the counts of each group in
 all possible groupings, the target sizes are known, and any of our biased
 samples can be constructed in one pass."  This module provides that cube --
-for every grouping ``T ⊆ G`` it tracks ``m_T`` (the number of non-empty
-groups under ``T``) and ``n_h`` for each group ``h`` -- maintained
-incrementally at O(2^|G|) counter updates per inserted tuple, which is also
-exactly the bookkeeping the Eq. 8 Congress maintainer needs.
+for every grouping ``T`` in a set ``𝒯`` it tracks ``m_T`` (the number of
+non-empty groups under ``T``) and ``n_h`` for each group ``h`` --
+maintained incrementally, which is exactly the bookkeeping the Eq. 8
+maintainer needs.  ``𝒯`` is the allocation's: ``{∅}`` for House, ``{G}``
+for Senate, ``{∅, G}`` for Basic Congress and every ``T ⊆ G`` (the
+default) for Congress.  ``G`` itself is always counted, since the finest
+groups' populations come from it, so a tuple costs ``|𝒯|`` counter updates,
+or ``|𝒯| + 1`` when ``G`` is not in ``𝒯``.
 
 Each finest group gets a dense id the first time it is seen.  Per grouping
 ``T`` the cube keeps the ``T``-groups (its *cells*) in first-seen order, the
@@ -31,12 +35,30 @@ __all__ = ["CountDataCube"]
 
 
 class CountDataCube:
-    """Group counts for every grouping ``T ⊆ G``, incrementally updated."""
+    """Group counts for every grouping ``T`` in ``𝒯``, incrementally updated.
 
-    def __init__(self, grouping_columns: Sequence[str]):
+    Args:
+        grouping_columns: the grouping attributes ``G``.
+        groupings: Eq. 8's ``𝒯``, each a tuple of columns of ``G``; every
+            ``T ⊆ G``, in :func:`all_groupings` order, by default.
+    """
+
+    def __init__(
+        self,
+        grouping_columns: Sequence[str],
+        groupings: Optional[Iterable[Sequence[str]]] = None,
+    ):
         self._grouping_columns = tuple(grouping_columns)
-        self._groupings: Tuple[Tuple[str, ...], ...] = tuple(
-            all_groupings(self._grouping_columns)
+        if groupings is None:
+            groupings = all_groupings(self._grouping_columns)
+        targets = tuple(dict.fromkeys(map(tuple, groupings)))
+        #: 𝒯 is the first ``_num_targets`` counted groupings; G follows
+        #: when it is not one of them
+        self._num_targets = len(targets)
+        self._groupings: Tuple[Tuple[str, ...], ...] = (
+            targets
+            if self._grouping_columns in targets
+            else targets + (self._grouping_columns,)
         )
         positions = {name: i for i, name in enumerate(self._grouping_columns)}
         self._projections: Tuple[Tuple[int, ...], ...] = tuple(
@@ -152,7 +174,8 @@ class CountDataCube:
 
     @property
     def groupings(self) -> Tuple[Tuple[str, ...], ...]:
-        return self._groupings
+        """Eq. 8's ``𝒯``, deduplicated, in the order given."""
+        return self._groupings[: self._num_targets]
 
     @property
     def total(self) -> int:
@@ -165,7 +188,8 @@ class CountDataCube:
         return tuple(self._keys)
 
     def num_groups(self, target: Sequence[str]) -> int:
-        """``m_T``: non-empty groups under grouping ``target``."""
+        """``m_T``: non-empty groups under grouping ``target`` (one of
+        :attr:`groupings`, or ``G``)."""
         return len(self._cell_of[self._slot[tuple(target)]])
 
     def count(self, target: Sequence[str], group: GroupKey) -> int:
@@ -186,15 +210,16 @@ class CountDataCube:
     def selection_probability(self, key: GroupKey, budget: float) -> float:
         """Equation 8's (un-normalized) per-tuple selection probability.
 
-        ``max_{T ⊆ G} budget / (m_T * n_{g(τ,T)})`` for a tuple in finest
-        group ``key``, clamped to 1.  This is what the Eq. 8 Congress
-        maintainer keeps as its acceptance probability.  An unseen ``key``
-        takes the maximum over the cells it would fall in that exist.
+        ``max_{T ∈ 𝒯} budget / (m_T * n_{g(τ,T)})`` for a tuple in finest
+        group ``key``, clamped to 1.  This is what the Eq. 8 maintainer
+        keeps as its acceptance probability.  An unseen ``key`` takes the
+        maximum over the cells it would fall in that exist.
         """
         key = tuple(key)
         best = 0.0
+        k = self._num_targets
         for positions, cell_of, counts in zip(
-            self._projections, self._cell_of, self._counts
+            self._projections[:k], self._cell_of[:k], self._counts[:k]
         ):
             cell = cell_of.get(tuple(key[i] for i in positions))
             n_h = 0 if cell is None else int(counts[cell])
@@ -208,11 +233,12 @@ class CountDataCube:
         """:meth:`selection_probability` of every finest group, by dense id.
 
         The same IEEE operations as the per-group form: ``budget / (m_T *
-        n_h)`` per grouping (a zero count contributes nothing), the maximum
-        over groupings, then the clamp to 1.
+        n_h)`` per grouping of ``𝒯`` (a zero count contributes nothing),
+        the maximum over them, then the clamp to 1.
         """
         best = np.zeros(len(self._keys))
-        for cells, counts in zip(self._cells, self._counts):
+        k = self._num_targets
+        for cells, counts in zip(self._cells[:k], self._counts[:k]):
             n_h = counts[cells]
             share = np.zeros(len(n_h))
             np.divide(budget, len(counts) * n_h, out=share, where=n_h > 0)

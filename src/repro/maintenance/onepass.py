@@ -2,13 +2,20 @@
 
 Two routes to a congressional sample without a precomputed data cube:
 
-* run the corresponding incremental maintainer over the stream with
-  ``Y = X``, then *subsample* the floating-size result down to the fixed
-  budget ``X`` (``run the algorithm with Y = X, computing the scale down
-  factor, and then subsampling the sample to achieve the desired size X``);
+* run the allocation's Eq. 8 maintainer over the stream with ``Y = X``,
+  then *subsample* the floating-size result down to the fixed budget ``X``
+  (``run the algorithm with Y = X, computing the scale down factor, and
+  then subsampling the sample to achieve the desired size X``);
 * or, when a :class:`~repro.maintenance.datacube.CountDataCube` *is*
-  available, compute exact target sizes and reservoir-sample each group in
+  available, compute exact target sizes and draw each group's sample in
   one pass (:func:`construct_from_cube`).
+
+Every allocation is maintained the same way: :func:`maintainer_for` hands
+the strategy's groupings ``𝒯`` to a
+:class:`~repro.maintenance.congress.CongressMaintainer`, so House, Senate,
+Basic Congress and Congress samples all keep each row with its Eq. 8
+probability and come out with Bernoulli sizes, trimmed to ``X`` by
+:func:`subsample_to_budget`.
 """
 
 from __future__ import annotations
@@ -20,16 +27,18 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from ..core.allocation import AllocationStrategy
+from ..core.basic_congress import BasicCongress
+from ..core.congress import Congress
+from ..core.house import House
+from ..core.senate import Senate
 from ..engine.schema import Schema
 from ..engine.table import Table
 from ..obs import Telemetry
 from ..sampling.rounding import largest_remainder_array
 from ..sampling.stratified import StratifiedSample
-from .base import MaintainedSample, SampleMaintainer
-from .basic_congress import BasicCongressMaintainer
+from .base import MaintainedSample
 from .congress import CongressMaintainer
 from .datacube import CountDataCube
-from .house_senate import HouseMaintainer, SenateMaintainer
 
 __all__ = [
     "subsample_to_budget",
@@ -94,26 +103,39 @@ def _by_group_then_draw(group: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return by_draw[np.argsort(group[by_draw], kind="stable")]
 
 
+#: the allocation each strategy name stands for
+_BY_NAME = {
+    "house": House,
+    "senate": Senate,
+    "basic_congress": BasicCongress,
+    "congress": Congress,
+}
+
+
 def maintainer_for(
-    strategy_name: str,
+    strategy: Union[str, AllocationStrategy],
     schema: Schema,
     grouping_columns: Sequence[str],
     budget: int,
     rng: Optional[np.random.Generator] = None,
-) -> SampleMaintainer:
-    """Instantiate the Section 6 maintainer for an allocation strategy name."""
-    name = strategy_name.lower()
-    if name == "house":
-        return HouseMaintainer(schema, grouping_columns, budget, rng)
-    if name == "senate":
-        return SenateMaintainer(schema, grouping_columns, budget, rng)
-    if name == "basic_congress":
-        return BasicCongressMaintainer(schema, grouping_columns, budget, rng)
-    if name == "congress":
-        return CongressMaintainer(schema, grouping_columns, budget, rng)
-    raise ValueError(
-        f"no maintainer for strategy {strategy_name!r}; choose from "
-        "house, senate, basic_congress, congress"
+) -> CongressMaintainer:
+    """The Section 6 maintainer for an allocation: Eq. 8 over its groupings.
+
+    ``strategy`` is an allocation object with a ``groupings(G)`` method or
+    one of the names ``house``, ``senate``, ``basic_congress`` and
+    ``congress``, which stand for the default instances.
+    """
+    if isinstance(strategy, str):
+        strategy = _BY_NAME.get(strategy.lower(), lambda: strategy)()
+    groupings = getattr(strategy, "groupings", None)
+    if groupings is None:
+        raise ValueError(
+            f"no maintainer for strategy {getattr(strategy, 'name', strategy)!r}"
+            "; choose from house, senate, basic_congress, congress or an "
+            "allocation with groupings"
+        )
+    return CongressMaintainer(
+        schema, grouping_columns, budget, rng, groupings(grouping_columns)
     )
 
 
@@ -128,8 +150,9 @@ def construct_one_pass(
 ) -> StratifiedSample:
     """Build a sample in one pass over ``source`` without a data cube.
 
-    Runs the strategy's maintainer with ``Y = budget`` and subsamples the
-    result to exactly ``budget`` tuples (when it overshoots).
+    Runs the strategy's maintainer (:func:`maintainer_for`) with
+    ``Y = budget`` and subsamples the result to exactly ``budget`` tuples
+    (when it overshoots).
 
     Args:
         telemetry: optional :class:`~repro.obs.Telemetry`; when enabled,
@@ -176,9 +199,8 @@ def construct_from_cube(
 ) -> StratifiedSample:
     """Build a sample in one pass given a precomputed count data cube.
 
-    With the cube the exact per-group targets are known up front, so a
-    single pass of independent per-group reservoirs (here: vectorized
-    choice without replacement) materializes the sample.
+    With the cube the exact per-group targets are known up front, so one
+    draw without replacement per group materializes the sample.
     """
     counts = cube.finest_counts()
     allocation = strategy.allocate(counts, cube.grouping_columns, budget)

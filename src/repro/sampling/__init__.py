@@ -1,4 +1,4 @@
-"""Sampling primitives: reservoirs, Bernoulli helpers, strata, rounding."""
+"""Sampling primitives: Bernoulli helpers, strata, rounding."""
 
 from .bernoulli import BernoulliSampler, subsample_exact, thin_to_probability
 from .groups import (
@@ -11,7 +11,6 @@ from .groups import (
     project_key,
     projected_counts,
 )
-from .reservoir import ReservoirSampler, SkipReservoirSampler, reservoir_sample
 from .rounding import floor_round, largest_remainder_round, randomized_round
 from .stratified import GID_COLUMN, SF_COLUMN, StratifiedSample, Stratum
 
@@ -19,9 +18,7 @@ __all__ = [
     "BernoulliSampler",
     "GID_COLUMN",
     "GroupKey",
-    "ReservoirSampler",
     "SF_COLUMN",
-    "SkipReservoirSampler",
     "StratifiedSample",
     "Stratum",
     "all_groupings",
@@ -34,7 +31,6 @@ __all__ = [
     "project_key",
     "projected_counts",
     "randomized_round",
-    "reservoir_sample",
     "subsample_exact",
     "thin_to_probability",
 ]

@@ -1,10 +1,14 @@
-"""Unit tests for maintainer plumbing: KeyExtractor and MaintainedSample."""
+"""Unit tests for maintainer plumbing: KeyExtractor and MaintainedSample.
+
+``KeyExtractor`` and ``MaintainedSample.from_groups`` are the reservoir
+maintainers' row-tuple plumbing, kept in ``reservoir_reference.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.engine import ColumnType, Schema, SchemaError
-from repro.maintenance import KeyExtractor, MaintainedSample
+from tests.maintenance.reservoir_reference import KeyExtractor, MaintainedSample
 
 
 @pytest.fixture

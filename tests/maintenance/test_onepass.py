@@ -5,13 +5,14 @@ import pytest
 
 from repro.core import Congress, House, Senate, allocate_from_table
 from repro.maintenance import (
+    CongressMaintainer,
     CountDataCube,
     construct_from_cube,
     construct_one_pass,
     maintainer_for,
     subsample_to_budget,
 )
-from repro.maintenance.base import MaintainedSample
+from tests.maintenance.reservoir_reference import MaintainedSample
 
 
 class TestSubsampleToBudget:
@@ -109,8 +110,11 @@ class TestConstructOnePass:
             )
 
     def test_accepts_row_iterable(self, skewed_table, rng):
+        # Congress's Eq. 8 sample overshoots the budget (its expected size,
+        # the capped pre-scaling total, is well above X here), so the
+        # scale-down fills it exactly
         sample = construct_one_pass(
-            "house",
+            "congress",
             skewed_table.iter_rows(),
             skewed_table.schema,
             ["a", "b"],
@@ -138,25 +142,15 @@ class TestConstructFromCube:
 
 class TestMaintainerFactory:
     def test_factory_names(self, skewed_table, rng):
-        from repro.maintenance import (
-            BasicCongressMaintainer,
-            CongressMaintainer,
-            HouseMaintainer,
-            SenateMaintainer,
-        )
-
+        """Each name is the Eq. 8 maintainer over its allocation's 𝒯."""
         schema = skewed_table.schema
-        assert isinstance(
-            maintainer_for("house", schema, ["a"], 10, rng), HouseMaintainer
-        )
-        assert isinstance(
-            maintainer_for("senate", schema, ["a"], 10, rng), SenateMaintainer
-        )
-        assert isinstance(
-            maintainer_for("basic_congress", schema, ["a"], 10, rng),
-            BasicCongressMaintainer,
-        )
-        assert isinstance(
-            maintainer_for("congress", schema, ["a"], 10, rng),
-            CongressMaintainer,
-        )
+        expected = {
+            "house": ((),),
+            "senate": (("a", "b"),),
+            "basic_congress": ((), ("a", "b")),
+            "congress": ((), ("a",), ("b",), ("a", "b")),
+        }
+        for name, groupings in expected.items():
+            maintainer = maintainer_for(name, schema, ["a", "b"], 10, rng)
+            assert isinstance(maintainer, CongressMaintainer)
+            assert maintainer.cube.groupings == groupings

@@ -159,6 +159,34 @@ class TestRefreshRace:
         assert system.health("rel").issues == ()
         assert system.refresh_synopsis("rel").sample.total_population == 1001
 
+    def test_an_insert_during_a_rebuild_counts_since_the_refresh(self, system):
+        """An insert between an unmaintained refresh's flush and its install
+        is not in the rebuilt sample: the synopsis is recorded as covering
+        the rows the build read, and the insert stays counted as one since
+        the refresh."""
+        build = system._build_samples
+        racer = threading.Thread(
+            target=system.insert, args=("rel", ("small", 9.0))
+        )
+
+        def racing_build(*args):
+            built = build(*args)
+            racer.start()
+            racer.join(timeout=10)
+            return built
+
+        system._build_samples = racing_build
+        try:
+            synopsis = system.refresh_synopsis("rel")
+        finally:
+            racer.join(timeout=10)
+            del system._build_samples
+        state = system._state("rel")
+        assert state.inserts_since_refresh == 1
+        assert synopsis.sample.total_population == state.rows_at_refresh == 1000
+        assert system.health("rel").issues == ()
+        assert system.refresh_synopsis("rel").sample.total_population == 1001
+
     def test_inserts_and_refreshes_from_many_threads_lose_no_row(self, system):
         system.enable_maintenance("rel")
         inserters = [

@@ -18,18 +18,17 @@ import numpy as np
 import pytest
 
 from repro.engine import Column, ColumnType, Schema, Table
-from repro.maintenance import (
-    BasicCongressMaintainer,
-    CongressMaintainer,
-    HouseMaintainer,
-    SenateMaintainer,
-    subsample_to_budget,
-)
-from repro.maintenance.base import KeyExtractor
+from repro.maintenance import CongressMaintainer, subsample_to_budget
 from repro.sampling.groups import all_groupings
 from repro.sampling.rounding import largest_remainder_round
 from repro.sampling.stratified import StratifiedSample, Stratum
 from repro.synthetic import GROUPING_COLUMNS, LineitemConfig, generate_lineitem
+from tests.maintenance.reservoir_reference import (
+    BasicCongressMaintainer,
+    HouseMaintainer,
+    KeyExtractor,
+    SenateMaintainer,
+)
 
 # -- the reference: the row-tuple algorithm ------------------------------------
 

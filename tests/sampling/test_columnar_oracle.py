@@ -23,11 +23,7 @@ from hypothesis import strategies as st
 
 from repro import AquaSystem
 from repro.engine import Column, ColumnType, Schema, Table
-from repro.maintenance import (
-    CongressMaintainer,
-    HouseMaintainer,
-    SenateMaintainer,
-)
+from repro.maintenance import CongressMaintainer, maintainer_for
 from repro.maintenance.base import _narrowest
 from repro.maintenance.onepass import _by_group_then_draw
 from repro.sampling.groups import GroupKey, group_members, make_key, project_key
@@ -489,14 +485,19 @@ def stream(rng, count):
 
 
 @pytest.mark.parametrize(
-    "maintainer_class", [CongressMaintainer, HouseMaintainer, SenateMaintainer]
+    "strategy",
+    [
+        pytest.param("congress", id="Congress"),
+        pytest.param("house", id="House"),
+        pytest.param("senate", id="Senate"),
+    ],
 )
 @pytest.mark.parametrize("budget", [12, 80])
-def test_to_stratified_equals_split_plus_the_unsampled_groups(
-    maintainer_class, budget
-):
+def test_to_stratified_equals_split_plus_the_unsampled_groups(strategy, budget):
     rng = np.random.default_rng(budget)
-    maintainer = maintainer_class(STR_SCHEMA, ["region", "tier"], budget, rng)
+    maintainer = maintainer_for(
+        strategy, STR_SCHEMA, ["region", "tier"], budget, rng
+    )
     maintainer.insert_many(stream(rng, 600))
     maintained = maintainer.snapshot()
     base, held = head_to_stratified(maintained)

@@ -1,9 +1,14 @@
-"""Unit and statistical tests for reservoir sampling."""
+"""Unit and statistical tests for reservoir sampling (the Section 6
+reproduction in ``tests/maintenance/reservoir_reference.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.sampling import ReservoirSampler, SkipReservoirSampler, reservoir_sample
+from tests.maintenance.reservoir_reference import (
+    ReservoirSampler,
+    SkipReservoirSampler,
+    reservoir_sample,
+)
 
 
 @pytest.mark.parametrize("cls", [ReservoirSampler, SkipReservoirSampler])
