@@ -204,10 +204,10 @@ class GuardReport:
             out[tag] = out.get(tag, 0) + 1
         return out
 
-    @property
-    def degraded(self) -> bool:
-        """True when anything other than the plain synopsis answer served."""
-        return bool(
+    def __post_init__(self) -> None:
+        # The verdict, worked out once where the guard makes the report: a
+        # report is not changed afterwards (a re-tagged one is a new report).
+        self._degraded = bool(
             self.fallback_reason
             or self.dropped
             or any(
@@ -215,6 +215,11 @@ class GuardReport:
                 for tag in self.provenance.values()
             )
         )
+
+    @property
+    def degraded(self) -> bool:
+        """True when anything other than the plain synopsis answer served."""
+        return self._degraded
 
     def describe(self) -> str:
         parts = ", ".join(

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +49,8 @@ from ..engine.predicates import Predicate
 from ..engine.query import Query
 from ..engine.schema import Column, ColumnType, Schema
 from ..engine.table import Table
-from ..engine.render import render_predicate
 from ..estimators.moments import SampleMoments
-from ..plan.canonical import canonicalize_predicate
-from ..plan.optimizer import _conjoin, _split_and
+from ..plan.optimizer import _conjoin
 from .cache import LRUCache
 
 __all__ = [
@@ -99,6 +97,8 @@ def lay_out(
             columns[error_name] = halfwidths[aggregate.alias]
     result = Table.from_columns(Schema(schema_columns), **columns)
     order = np.arange(result.num_rows)
+    if query.having is None and not query.order_by and query.limit is None:
+        return result, order
     if query.having is not None:
         order = np.flatnonzero(query.having.evaluate(result))
     if query.order_by:
@@ -116,12 +116,13 @@ class ReuseSnapshot:
     moments are finer-grained than any probe the index matches: they are
     masked by the entry query's WHERE only (not by its GROUP BY), so one
     snapshot serves every coarser grouping and every whole-strata slice.
+    ``conjuncts`` is the rendered text of that WHERE's canonical conjuncts.
     """
 
     base_name: str
     version: int
     synopsis_signature: Tuple
-    conjuncts: Tuple[str, ...]
+    conjuncts: FrozenSet[str]
     confidence: float
     describe_source: str
     moments: SampleMoments
@@ -193,7 +194,7 @@ class RollupIndex:
         base_name: str,
         version: int,
         synopsis_signature: Tuple,
-        where: Optional[Predicate],
+        conjuncts: Sequence[Tuple[Predicate, str]],
         group_by: Sequence[str],
         aggregates: Sequence[Aggregate],
         confidence: float,
@@ -201,36 +202,28 @@ class RollupIndex:
     ) -> Optional[_Match]:
         """Find a snapshot that subsumes the probe, or ``None``.
 
-        Prefers the candidate with the fewest extra conjuncts (an exact
-        predicate match beats one that needs slicing).  ``count=False``
-        probes without touching the hit/miss counters or LRU order (used
-        by ``explain``).
+        ``conjuncts`` are the probe WHERE's canonical conjuncts with their
+        texts (:func:`~repro.plan.canonical.split_conjuncts`).  Prefers the
+        candidate with the fewest extra conjuncts (an exact predicate match
+        beats one that needs slicing), then the first in LRU order.
+        ``count=False`` probes without touching the hit/miss counters or
+        LRU order (used by ``explain``).
         """
-        if where is not None:
-            canonical = canonicalize_predicate(where)
-            parts = _split_and(canonical)
-            texts = [render_predicate(part) for part in parts]
-        else:
-            parts, texts = [], []
-        probe_set = set(texts)
-
+        probe = {text for _, text in conjuncts}
         best: Optional[_Match] = None
-        candidates = [
-            snapshot
-            for snapshot in self._entries.values()
-            if snapshot.base_name == base_name
-            and snapshot.version == version
-            and snapshot.synopsis_signature == synopsis_signature
-            and snapshot.confidence == confidence
-        ]
-        for snapshot in candidates:
-            entry_set = set(snapshot.conjuncts)
-            if not entry_set <= probe_set:
+        for snapshot in self._entries.values():
+            if not (
+                snapshot.conjuncts <= probe  # the most selective test first
+                and snapshot.base_name == base_name
+                and snapshot.version == version
+                and snapshot.synopsis_signature == synopsis_signature
+                and snapshot.confidence == confidence
+            ):
                 continue
             extra = [
                 (part, text)
-                for part, text in zip(parts, texts)
-                if text not in entry_set
+                for part, text in conjuncts
+                if text not in snapshot.conjuncts
             ]
             grouping = set(snapshot.moments.frame.grouping_columns)
             if any(

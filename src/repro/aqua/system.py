@@ -64,7 +64,7 @@ from ..plan import (
     optimize as optimize_plan,
     render_plan,
 )
-from ..plan.canonical import predicate_conjuncts
+from ..plan.canonical import split_conjuncts
 from ..sampling.groups import GroupKey, group_members
 from ..maintenance.congress import CongressMaintainer
 from ..maintenance.onepass import maintainer_for, subsample_to_budget
@@ -1521,13 +1521,16 @@ class AquaSystem:
         # The tier probes and the store get spans of their own: next to a
         # few-millisecond miss they are no longer too small to name.
         with tracer.span("cache_probe"):
-            canonical = (
-                canonicalize_query(query) if self._cache is not None else None
-            )
+            canonical = canonicalize_query(query)
             key = self._cache_key(
                 query, base_name, policy, state.version, budget, canonical
             )
             entry = self._cache.get(key) if key is not None else None
+            # a miss's WHERE conjunct texts, for the roll-up probe and the
+            # snapshot the miss registers
+            conjuncts = (
+                split_conjuncts(canonical.query.where) if entry is None else ()
+            )
         if key is not None:
             if entry is not None:
                 # Shallow copy: the caller attaches this call's trace and
@@ -1546,6 +1549,7 @@ class AquaSystem:
             base_name,
             state,
             tracer,
+            conjuncts,
             choice=choice,
             budgets=(max_rel_error, max_ms),
         )
@@ -1641,16 +1645,17 @@ class AquaSystem:
 
     def _rollup_match(
         self, query: Query, base_name: str, synopsis: Synopsis, version: int,
-        count=True,
+        conjuncts: Tuple[Tuple[Predicate, str], ...], count=True,
     ):
         """The roll-up index's snapshot of ``version`` subsuming ``query``,
-        or ``None`` (``count=False`` leaves the index's counters and LRU
-        order alone)."""
+        whose WHERE has the canonical ``conjuncts``
+        (:func:`~repro.plan.canonical.split_conjuncts`), or ``None``
+        (``count=False`` leaves the index's counters and LRU order alone)."""
         return self._reuse.lookup(
             base_name=base_name,
             version=version,
             synopsis_signature=self._synopsis_signature(synopsis),
-            where=query.where,
+            conjuncts=conjuncts,
             group_by=query.group_by,
             aggregates=query.aggregates(),
             confidence=self._confidence,
@@ -1776,6 +1781,7 @@ class AquaSystem:
         base_name: str,
         state: _TableState,
         tracer: Tracer,
+        conjuncts: Tuple[Tuple[Predicate, str], ...],
         choice: Optional[PortfolioChoice] = None,
         budgets: Tuple[Optional[float], Optional[float]] = (None, None),
     ) -> ApproximateAnswer:
@@ -1888,7 +1894,9 @@ class AquaSystem:
         check_rewritable(query, base_name)
         if choice is None and self._reuse is not None:
             with tracer.span("rollup_probe"):
-                match = self._rollup_match(query, base_name, synopsis, version)
+                match = self._rollup_match(
+                    query, base_name, synopsis, version, conjuncts
+                )
             if match is not None:
                 answer = self._serve_moments(
                     query,
@@ -1904,7 +1912,9 @@ class AquaSystem:
         check_deadline("moments")
         started = time.perf_counter()
         with tracer.span("moments"):
-            snapshot = self._moments(query, state, synopsis, version)
+            snapshot = self._moments(
+                query, state, synopsis, version, conjuncts
+            )
         answer = self._serve_moments(
             query, state, synopsis, snapshot, policy, stale, version,
             started=started,
@@ -1949,7 +1959,7 @@ class AquaSystem:
             answer = self._guard_answer(
                 query, synopsis, answer, policy, stale, support
             )
-            if answer.guard is not None:
+            if answer.guard is not None and guard_span.is_recording:
                 guard_span.set(**answer.guard.counts)
         return answer
 
@@ -2434,8 +2444,11 @@ class AquaSystem:
             return "disabled"
         policy = self._resolve_guard(None)
         state = self._state(base_name)
+        canonical = canonicalize_query(query)
         if self._cache is not None:
-            key = self._cache_key(query, base_name, policy, state.version, budget)
+            key = self._cache_key(
+                query, base_name, policy, state.version, budget, canonical
+            )
             entry = self._cache.peek(key)
             if entry is not None:
                 if entry.sql == render_query(query):
@@ -2458,7 +2471,12 @@ class AquaSystem:
         ):
             return "miss"
         match = self._rollup_match(
-            query, base_name, synopsis, state.version, count=False
+            query,
+            base_name,
+            synopsis,
+            state.version,
+            split_conjuncts(canonical.query.where),
+            count=False,
         )
         if match is None:
             return "miss"
@@ -2620,10 +2638,12 @@ class AquaSystem:
         state: _TableState,
         synopsis: Synopsis,
         version: int,
+        conjuncts: Tuple[Tuple[Predicate, str], ...],
     ) -> ReuseSnapshot:
         """One pass over the sample: the query's per-cell moments at data
-        ``version``, masked by its WHERE (see :meth:`_serve_moments`).
-        Hoeffding bounds read their value ranges from the base table."""
+        ``version``, masked by its WHERE, whose canonical ``conjuncts`` the
+        snapshot keeps (see :meth:`_serve_moments`).  Hoeffding bounds read
+        their value ranges from the base table."""
         group_text = ", ".join(query.group_by) if query.group_by else "()"
         source = (
             f"{synopsis.base_name}@v{version} "
@@ -2634,7 +2654,7 @@ class AquaSystem:
             base_name=synopsis.base_name,
             version=version,
             synopsis_signature=self._synopsis_signature(synopsis),
-            conjuncts=predicate_conjuncts(query.where),
+            conjuncts=frozenset(text for _, text in conjuncts),
             confidence=self._confidence,
             describe_source=source,
             moments=SampleMoments.build(

@@ -91,9 +91,20 @@ class Congress:
         self, grouping_columns: Sequence[str]
     ) -> Tuple[Tuple[str, ...], ...]:
         """Eq. 8's groupings ``𝒯``: the power set of ``G`` in
-        :func:`all_groupings` order, or the restriction given."""
+        :func:`all_groupings` order, or the restriction given.
+
+        Raises:
+            ValueError: the restriction is empty (no grouping to size
+                groups for), or names a column outside ``G``.
+        """
         if self._groupings is None:
             return tuple(all_groupings(grouping_columns))
+        if not self._groupings:
+            raise ValueError(
+                "Congress([]) has an empty grouping restriction: give it "
+                "at least one grouping, or None for every subset of "
+                f"{list(grouping_columns)}"
+            )
         unknown = {
             column
             for target in self._groupings

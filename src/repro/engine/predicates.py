@@ -12,7 +12,7 @@ from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expressions import Expression, ExpressionLike, _wrap
+from .expressions import Expression, ExpressionLike, Lit, _wrap
 from .table import Table
 
 __all__ = [
@@ -57,6 +57,19 @@ _COMPARATORS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 }
 
 
+def _operand(expr: Expression, table: Table) -> np.ndarray:
+    """``expr`` over ``table``; a literal as one 0-d value of the dtype its
+    full column would have, which compares the same without the copy."""
+    if isinstance(expr, Lit):
+        return np.asarray(expr.value)
+    return expr.evaluate(table)
+
+
+def _per_row(mask: np.ndarray, table: Table) -> np.ndarray:
+    """``mask`` with one entry per row, also when only literals compared."""
+    return mask if mask.ndim else np.full(table.num_rows, mask)
+
+
 @dataclass(frozen=True)
 class Comparison(Predicate):
     """``left <op> right`` for op in =, !=, <, <=, >, >=."""
@@ -74,8 +87,11 @@ class Comparison(Predicate):
         return cls(op, _wrap(left), _wrap(right))
 
     def evaluate(self, table: Table) -> np.ndarray:
-        return _COMPARATORS[self.op](
-            self.left.evaluate(table), self.right.evaluate(table)
+        return _per_row(
+            _COMPARATORS[self.op](
+                _operand(self.left, table), _operand(self.right, table)
+            ),
+            table,
         )
 
     def referenced_columns(self) -> Tuple[str, ...]:
@@ -100,9 +116,11 @@ class Between(Predicate):
         return cls(_wrap(expr), _wrap(low), _wrap(high))
 
     def evaluate(self, table: Table) -> np.ndarray:
-        values = self.expr.evaluate(table)
-        return (values >= self.low.evaluate(table)) & (
-            values <= self.high.evaluate(table)
+        values = _operand(self.expr, table)
+        return _per_row(
+            (values >= _operand(self.low, table))
+            & (values <= _operand(self.high, table)),
+            table,
         )
 
     def referenced_columns(self) -> Tuple[str, ...]:

@@ -30,8 +30,7 @@ function whitelist.  ``count(*)`` is supported.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .aggregates import Aggregate, _SUPPORTED as _AGG_NAMES
 from .expressions import BinaryOp, Col, Expression, Func, Lit, UnaryOp
@@ -82,8 +81,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "number" | "string" | "ident" | "keyword" | "op" | "eof"
     text: str
     position: int

@@ -1,9 +1,9 @@
 """Per-cell expansion moments: the one estimator kernel.
 
-:meth:`SampleMoments.build` makes one pass over a sample's
-:class:`~repro.sampling.stratified.SampleFrame`, masked by the query's
-WHERE, and keeps per-*cell* moments: the qualifying tuples (the guard's
-support); per SUM/COUNT/AVG input the scaled sum (the Section 5.1
+:meth:`SampleMoments.build` evaluates the query's WHERE over a sample's
+:class:`~repro.sampling.stratified.SampleFrame`, gathers the rows it keeps
+and reduces only those to per-*cell* moments: the qualifying tuples (the
+guard's support); per SUM/COUNT/AVG input the scaled sum (the Section 5.1
 expansion estimator's numerator), the :func:`expansion_variance` terms and,
 with a base relation, the Hoeffding terms ``N^2 range^2 / n``; per MIN/MAX
 input the unscaled sample extremum (the estimator the rewrites return).
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,14 +172,21 @@ def finalize_moments(
     }
 
 
-class _Sums(NamedTuple):
+class _Sums:
     """Per-cell moments of one SUM/COUNT/AVG input, each summing up to any
-    coarser grouping: the scaled masked sum, the variance term, and the
-    Hoeffding term (``None`` without a base relation)."""
+    coarser grouping: the scaled masked sum, the variance term (``ONES_KEY``'s
+    on first read, by COUNT or AVG) and the Hoeffding term (or ``None``)."""
 
-    scaled: np.ndarray
-    var_contrib: np.ndarray
-    range_terms: Optional[np.ndarray]
+    def __init__(self, scaled, var_contrib, range_terms):
+        self.scaled: np.ndarray = scaled
+        self.range_terms: Optional[np.ndarray] = range_terms
+        self._var_contrib = var_contrib  # the terms, or what works them out
+
+    @property
+    def var_contrib(self) -> np.ndarray:
+        if callable(self._var_contrib):
+            self._var_contrib = self._var_contrib()
+        return self._var_contrib
 
 
 @dataclass(frozen=True)
@@ -229,45 +236,42 @@ class SampleMoments:
         group_by: Sequence[str] = (),
         base: Optional[Table] = None,
     ) -> "SampleMoments":
-        """Scan the sample once and record per-cell moments.
+        """Reduce the qualifying sample rows to per-cell moments.
 
-        Over strata the only per-query work is the predicate, the
-        aggregate inputs and the per-stratum bincounts; otherwise each
-        qualifying row is also assigned its answer group.  ``base`` gives
-        strata cells Hoeffding terms from each stratum's value range over
-        that relation, widened to contain zero, for the SUM and COUNT
-        inputs.
+        One kernel for both kinds of cell: the rows the WHERE keeps are
+        gathered (cell id, ``sf``, each input) and reduced by unweighted
+        ``np.bincount`` for the support and the all-ones column, by x, x^2
+        and x*sf for any other input.  ``np.bincount`` adds in row order,
+        so this is byte for byte the masked reduction over every row (a
+        masked row added only a zero).  Outside the strata each qualifying
+        row is also assigned its answer group.  ``base`` gives strata cells
+        Hoeffding terms from each stratum's value range over that relation,
+        widened to contain zero, for the SUM and COUNT inputs.
         """
         frame = sample.frame
         rows = frame.rows
-        qualifies = frame.qualifies(predicate)
+        select = np.flatnonzero(frame.qualifies(predicate))
+        stratum_ids = frame.stratum_ids[select]
         if set(group_by) <= set(frame.grouping_columns):
-            # every row, the non-qualifying ones masked to zero
-            select = slice(None)
-            cell_ids, sf = frame.stratum_ids, frame.sf
-            num_cells = frame.num_strata
+            cell_ids, num_cells = stratum_ids, frame.num_strata
             populations, sizes = frame.populations, frame.sizes
             cell_groups, key_arrays, own_group_by = None, (), None
         else:
-            select = np.flatnonzero(qualifies)
             answer_ids, key_list = factorize(
                 [rows.column(name)[select] for name in group_by]
             )
             cells, cell_ids = np.unique(
-                answer_ids * frame.num_strata + frame.stratum_ids[select],
+                answer_ids * frame.num_strata + stratum_ids,
                 return_inverse=True,
             )
             cell_groups, cell_strata = np.divmod(cells, frame.num_strata)
             num_cells = len(cells)
             populations = frame.populations[cell_strata]
             sizes = frame.sizes[cell_strata]
-            sf = frame.sf[select]
-            qualifies = qualifies[select]
             key_arrays, own_group_by = tuple(key_list), tuple(group_by)
             base = None  # Hoeffding terms are per stratum
-        support = np.bincount(
-            cell_ids[qualifies], minlength=num_cells
-        ).astype(np.int64)
+        sf = frame.sf[select]
+        support = np.bincount(cell_ids, minlength=num_cells).astype(np.int64)
         ranged = {
             moment_keys(a)[0]
             for a in aggregates
@@ -295,20 +299,29 @@ class SampleMoments:
             if aggregate.func in EXTREME_AGGREGATES:
                 if (aggregate.func, key) not in extremes:
                     extremes[aggregate.func, key] = partial_reduce(
-                        aggregate.func,
-                        inputs(expr)[qualifies],
-                        cell_ids[qualifies],
-                        num_cells,
+                        aggregate.func, inputs(expr), cell_ids, num_cells
                     )
             else:
                 needed.setdefault(key, expr)
 
+        def reduce(weights: np.ndarray) -> np.ndarray:  # float for no row too
+            return np.bincount(
+                cell_ids, weights=weights, minlength=num_cells
+            ).astype(np.float64, copy=False)
+
         sums: Dict[str, _Sums] = {}
         for key, expr in needed.items():
-            values = (
-                np.ones(len(qualifies)) if key == ONES_KEY else inputs(expr)
-            )
-            masked = np.where(qualifies, values, 0.0)
+            if key == ONES_KEY:  # its sums and sums of squares: the support
+                scaled = reduce(sf)
+                variance = lambda: expansion_variance(
+                    populations, sizes, support, support
+                )
+            else:
+                values = inputs(expr)
+                scaled = reduce(values * sf)
+                variance = expansion_variance(
+                    populations, sizes, reduce(values), reduce(values * values)
+                )
             range_terms = None
             if key in ranged:
                 ranges = zero_extended_ranges(
@@ -316,20 +329,7 @@ class SampleMoments:
                 )
                 ranges = np.where(stratum_at >= 0, ranges[stratum_at], 0.0)
                 range_terms = populations * populations * ranges * ranges / sizes
-            sums[key] = _Sums(
-                scaled=np.bincount(
-                    cell_ids, weights=masked * sf, minlength=num_cells
-                ),
-                var_contrib=expansion_variance(
-                    populations,
-                    sizes,
-                    np.bincount(cell_ids, weights=masked, minlength=num_cells),
-                    np.bincount(
-                        cell_ids, weights=masked * masked, minlength=num_cells
-                    ),
-                ),
-                range_terms=range_terms,
-            )
+            sums[key] = _Sums(scaled, variance, range_terms)
         return cls(
             frame=frame,
             hoeffding=base is not None,
@@ -401,30 +401,30 @@ class SampleMoments:
         else:
             all_targets, all_key_arrays = self.cell_groups, self.key_arrays
             num_keys = len(all_key_arrays[0])
-        idx = np.arange(len(self.support))
+        # targets are dense and sorted: np.unique would leave them unchanged
+        pick, present, targets = slice(None), np.arange(num_keys), all_targets
         if extra_predicate is not None:
-            idx = np.flatnonzero(
+            pick = np.flatnonzero(
                 np.asarray(
                     extra_predicate.evaluate(self.frame.key_table), dtype=bool
                 )
             )
-        if group_by:
-            # The answer groups of the included cells, renumbered densely
-            # (a slice may leave some of the projection's groups empty).
-            present, targets = np.unique(
-                all_targets[idx], return_inverse=True
-            )
-        else:
-            present = np.zeros(1, dtype=np.int64)
-            targets = np.zeros(len(idx), dtype=np.int64)
+            if group_by:
+                # renumbered: a slice may leave some groups empty
+                present, targets = np.unique(
+                    all_targets[pick], return_inverse=True
+                )
+            else:
+                targets = np.zeros(len(pick), dtype=np.int64)
         num_groups = len(present)
-        support = np.zeros(num_groups, dtype=np.int64)
-        np.add.at(support, targets, self.support[idx])
+        support = np.bincount(
+            targets, weights=self.support[pick], minlength=num_groups
+        ).astype(np.int64)
         keep = support > 0 if group_by else np.ones(num_groups, dtype=bool)
 
         def rolled(terms: np.ndarray) -> np.ndarray:
             return np.bincount(
-                targets, weights=terms[idx], minlength=num_groups
+                targets, weights=terms[pick], minlength=num_groups
             )[keep]
 
         estimable = [a for a in aggregates if a.func in ESTIMABLE_AGGREGATES]
@@ -464,9 +464,9 @@ class SampleMoments:
                 ]
                 sliced = AggregateState(
                     state.func,
-                    state.count[idx],
-                    low=None if state.low is None else state.low[idx],
-                    high=None if state.high is None else state.high[idx],
+                    state.count[pick],
+                    low=None if state.low is None else state.low[pick],
+                    high=None if state.high is None else state.high[pick],
                 )
                 values[aggregate.alias] = finalize_state(
                     rollup_state(sliced, targets, num_groups)

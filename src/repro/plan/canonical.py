@@ -70,6 +70,7 @@ __all__ = [
     "canonicalize_query",
     "predicate_conjuncts",
     "predicate_fingerprint",
+    "split_conjuncts",
 ]
 
 # Mirror table for orienting ``literal <op> column`` comparisons
@@ -142,6 +143,17 @@ def canonicalize_predicate(predicate: Predicate) -> Predicate:
     return _normalize(_fold_predicate(predicate))
 
 
+def split_conjuncts(
+    canonical: Optional[Predicate],
+) -> Tuple[Tuple[Predicate, str], ...]:
+    """The conjuncts of an already canonical predicate, each with its
+    rendered text, in canonical order (none for ``None`` or
+    ``TruePredicate``)."""
+    if canonical is None or isinstance(canonical, TruePredicate):
+        return ()
+    return tuple((part, render_predicate(part)) for part in _split_and(canonical))
+
+
 def predicate_conjuncts(predicate: Optional[Predicate]) -> Tuple[str, ...]:
     """The canonical conjunct set of ``predicate`` as sorted rendered text.
 
@@ -152,10 +164,8 @@ def predicate_conjuncts(predicate: Optional[Predicate]) -> Tuple[str, ...]:
     """
     if predicate is None:
         return ()
-    canonical = canonicalize_predicate(predicate)
-    if isinstance(canonical, TruePredicate):
-        return ()
-    return tuple(render_predicate(part) for part in _split_and(canonical))
+    parts = split_conjuncts(canonicalize_predicate(predicate))
+    return tuple(text for _, text in parts)
 
 
 def predicate_fingerprint(predicate: Optional[Predicate]) -> str:

@@ -1,5 +1,6 @@
 """Unit tests for Basic Congress and Congress (Equations 4-6)."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -10,6 +11,8 @@ from repro.core import (
     congress_share_table,
     senate_share,
 )
+from repro.engine import Column, ColumnType, Schema
+from repro.maintenance import maintainer_for
 from repro.sampling import all_groupings
 
 
@@ -127,6 +130,24 @@ class TestCongress:
     def test_unknown_grouping_column_rejected(self):
         with pytest.raises(ValueError):
             Congress(groupings=[("Z",)]).allocate(COUNTS, G, X)
+
+    def test_empty_restriction_rejected_by_allocate_and_maintainer(self):
+        """``Congress([])`` sizes no grouping: both users of its 𝒯 say so,
+        not a bare "max() arg is an empty sequence" or an always-empty
+        maintained sample."""
+        schema = Schema(
+            [
+                Column("g", ColumnType.STR, "grouping"),
+                Column("v", ColumnType.FLOAT, "aggregate"),
+            ]
+        )
+        counts = {("g1",): 90, ("g2",): 10}
+        with pytest.raises(ValueError, match="empty grouping restriction"):
+            Congress([]).allocate(counts, ("g",), 20)
+        with pytest.raises(ValueError, match="empty grouping restriction"):
+            maintainer_for(
+                Congress([]), schema, ("g",), 20, np.random.default_rng(0)
+            )
 
     def test_name_variants(self):
         assert Congress().name == "congress"
