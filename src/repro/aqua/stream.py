@@ -354,10 +354,9 @@ def stream_answers(
         return dataclass_replace(answer, result=present(answer.result))
 
     base_name = query.base_table_name()
-    state = system._state(base_name)
-    system._flush_pending(base_name)
-    with state.lock:
-        base, version = state.table, state.version
+    system._state(base_name)  # typed error for an unregistered table
+    record = system._flush_pending(base_name)
+    base, version = record.table, record.version
 
     # The ambient (or explicit) deadline is captured once and checked
     # between chunks; deadline_scope is entered per resumption only, so the

@@ -25,8 +25,9 @@ import functools
 import math
 import threading
 import time
-from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace as dataclass_replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -323,32 +324,79 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-@dataclass
-class _TableState:
-    # One registered table.  Re-registration replaces the whole state, so
-    # the replaced synopsis and portfolio go with the data they came from.
+class TableVersion(NamedTuple):
+    """One published version of a registered table, never changed in place.
+
+    Every change makes the next record, one version on, and
+    :meth:`AquaSystem._publish` puts it in place with one assignment: a
+    reader takes one reference and no lock.  ``pending`` is the append-only
+    list of buffered inserts that the records since the last flush share;
+    this record's are its first ``pending_count``, so an insert copies no
+    rows.  Every cache key embeds ``version``.
+    """
+
     table: Table
     grouping_columns: Tuple[str, ...]
+    pending: List[Tuple]
     synopsis: Optional[Synopsis] = None
     portfolio: Optional[SynopsisPortfolio] = None
     maintainer: Optional[CongressMaintainer] = None
-    pending_rows: List[Tuple] = field(default_factory=list)
+    refresh_policy: Optional[RefreshPolicy] = None
+    pending_count: int = 0
     inserts_since_refresh: int = 0
     rows_at_refresh: int = 0
-    refresh_policy: Optional[RefreshPolicy] = None
-    # Monotonic data version: advanced only by AquaSystem._bump_version,
-    # on every insert, flush, synopsis or portfolio (re)build and
-    # re-registration.  Every cache key embeds it, so nothing built for
-    # replaced data is served; the bump also drops the entries stored since
-    # the last one, so nothing is kept alive after a mutation.
     version: int = 0
-    # Whether AquaSystem._store_if_current has stored an entry for this
-    # table since the last bump; the bump walks the stores only if so.
-    stored: bool = False
-    # Serializes mutation (insert, pending-row flush, synopsis install)
-    # against concurrent serving workers; reentrant because a flush can
-    # happen inside a locked refresh.
-    lock: threading.RLock = field(default_factory=threading.RLock)
+
+    @property
+    def pending_rows(self) -> List[Tuple]:
+        return self.pending[: self.pending_count]
+
+    @property
+    def rows(self) -> int:
+        """Rows present: the base relation's and the buffered ones."""
+        return self.table.num_rows + self.pending_count
+
+    def next(self, **changes) -> "TableVersion":
+        """The successor record: ``changes`` made, one version on."""
+        return self._replace(version=self.version + 1, **changes)
+
+    def inserted(self, row: Tuple) -> "TableVersion":
+        """The successor with ``row`` buffered and fed to the maintainer;
+        only the current record may be extended.  One is made per insert,
+        so it is made from one unpacking, with no Python-level call."""
+        (table, grouping, pending, synopsis, portfolio, maintainer, policy,
+         count, since, covered, version) = self
+        if maintainer is not None:
+            maintainer.insert(row)
+        pending.append(row)
+        return tuple.__new__(TableVersion, (
+            table, grouping, pending, synopsis, portfolio, maintainer, policy,
+            count + 1, since + 1, covered, version + 1))
+
+    @property
+    def refresh_due(self) -> bool:
+        """Whether the refresh policy asks for a refresh now."""
+        policy = self.refresh_policy
+        return (
+            policy is not None
+            and self.synopsis is not None
+            and policy.should_refresh(
+                self.inserts_since_refresh, self.rows_at_refresh
+            )
+        )
+
+    def with_synopsis(
+        self, synopsis: Synopsis, covered: Optional[int] = None
+    ) -> "TableVersion":
+        """The successor serving ``synopsis``, recorded as covering
+        ``covered`` rows (default: all present); the rest count as inserts
+        since the refresh."""
+        covered = self.rows if covered is None else covered
+        return self.next(
+            synopsis=synopsis,
+            inserts_since_refresh=self.rows - covered,
+            rows_at_refresh=covered,
+        )
 
 
 class AquaSystem:
@@ -423,7 +471,12 @@ class AquaSystem:
         self._confidence = confidence
         self._bound_method = bound_method
         self._rng = rng if rng is not None else np.random.default_rng()
-        self._tables: Dict[str, _TableState] = {}
+        # The current record per table, replaced only by _publish, under
+        # the writer lock, which _store_if_current also holds; _stored
+        # names the tables it has stored for since their last publish.
+        self._tables: Dict[str, TableVersion] = {}
+        self._writer = threading.Lock()
+        self._stored: Set[str] = set()
         self._query_logs: Dict[str, QueryLog] = {}
         if telemetry is None or telemetry is False:
             self.telemetry = Telemetry.disabled()
@@ -606,20 +659,13 @@ class AquaSystem:
             )
         for column in grouping_columns:
             table.schema.column(column)
-        self.catalog.register(name, table, replace=True)
-        previous = self._tables.get(name)
-        state = _TableState(table, tuple(grouping_columns))
-        if previous is None:
-            self._tables[name] = state
-        else:
-            # A fresh state drops the replaced synopsis and portfolio; the
-            # version sequence continues, under the old state's lock, so
-            # nothing computed from the replaced data is stored after this.
-            with previous.lock:
-                state.version = previous.version
-                state.stored = previous.stored
-                self._bump_version(name, state)
-                self._tables[name] = state
+        grouping_columns = tuple(grouping_columns)
+        # A fresh record drops the replaced synopsis and portfolio; the
+        # version sequence continues, so nothing computed from the
+        # replaced data is stored after this.
+        self._publish(name, lambda current: TableVersion(
+            table, grouping_columns, [],
+            version=0 if current is None else current.version + 1))
         if build:
             return self.build_synopsis(name)
         return None
@@ -631,13 +677,13 @@ class AquaSystem:
         synopsis is recorded as covering the rows the build read; a row
         inserted while it builds counts in ``inserts_since_refresh``.
         """
-        state = self._state(name)
+        grouping = self._state(name).grouping_columns
         start = time.perf_counter()
         with self.telemetry.tracer.span("build_synopsis", table=name):
-            rows_read, (sample,) = self._build_samples(
-                name, [(state.grouping_columns, self._allocation, self._budget)]
+            source, (sample,) = self._build_samples(
+                name, [(grouping, self._allocation, self._budget)]
             )
-            synopsis = self._install(name, sample, rows_read)
+            synopsis = self._install(name, sample, source.table.num_rows)
         metrics = self.telemetry.metrics
         if metrics.enabled:
             metrics.histogram(
@@ -651,9 +697,10 @@ class AquaSystem:
         self,
         name: str,
         requests: Sequence[Tuple[Tuple[str, ...], AllocationStrategy, float]],
-    ) -> Tuple[int, List[StratifiedSample]]:
+    ) -> Tuple[TableVersion, List[StratifiedSample]]:
         """Draw one sample per ``(grouping, strategy, budget)``, in order;
-        returns the number of base rows read and the samples.
+        returns the record whose base relation they were drawn from, and
+        the samples.
 
         Pending inserts are flushed first.  Each distinct grouping's
         members are listed by one pass over the base relation, run
@@ -662,8 +709,8 @@ class AquaSystem:
         The merged lists equal a serial pass's, so the drawn samples are
         bit-for-bit the same either way.
         """
-        self._flush_pending(name)
-        table = self._state(name).table
+        source = self._flush_pending(name)
+        table = source.table
         members: Dict[Tuple[str, ...], Dict[GroupKey, np.ndarray]] = {}
         samples = []
         for grouping, strategy, budget in requests:
@@ -683,7 +730,7 @@ class AquaSystem:
                     members=members[grouping],
                 )
             )
-        return table.num_rows, samples
+        return source, samples
 
     def _synopsis(
         self,
@@ -721,64 +768,66 @@ class AquaSystem:
         synopsis = self._synopsis(
             name, name, sample, self._allocation, self._budget
         )
-        state = self._state(name)
-        with state.lock:
-            present = state.table.num_rows + len(state.pending_rows)
-            covered = present if covered is None else covered
-            state.synopsis = synopsis
-            state.inserts_since_refresh = present - covered
-            state.rows_at_refresh = covered
-            self._bump_version(name, state)
+        self._publish(name, lambda current: current.with_synopsis(synopsis, covered))
         return synopsis
 
-    def _bump_version(self, name: str, state: _TableState) -> None:
-        """Advance the table's data version: the one invalidation hook.
+    def _publish(
+        self, name: str, step: Callable[..., Optional[TableVersion]], change=None
+    ) -> Optional[TableVersion]:
+        """Publish the table's next record: the one way a table changes.
 
-        Drops the table's entries from all four version-keyed stores --
-        the answer cache, the plan cache, the roll-up index and the
-        portfolio's budget resolutions -- so nothing the system holds
-        references a replaced sample.  The first three are filled only
-        through :meth:`_store_if_current`, so they are walked only when it
-        has stored something for the table since the last bump: a run of
-        inserts with no answer between them walks nothing.  Keys keep the
-        version, so correctness does not rest on the walk, not even
-        against a concurrent writer.
+        ``step(current)`` (``step(current, change)`` given a ``change``)
+        runs under the writer lock and returns the next record, or ``None``
+        to change nothing; ``current`` is ``None`` only on a first
+        registration.  Publishing registers a new base relation in the
+        catalog and invalidates the table's entries in the four
+        version-keyed stores (answer cache, plan cache, roll-up index,
+        portfolio resolutions), so nothing held references a replaced
+        sample; the first three are walked only if :meth:`_store_if_current`
+        stored for the table since the last publish.  Keys keep the
+        version, so correctness does not rest on the walk.  Returns the
+        record now current.
         """
-        with state.lock:
-            state.version += 1
-            if state.stored:
-                state.stored = False
-                if self._cache is not None:
-                    self._cache.invalidate(name)
+        with self._writer:
+            current = self._tables.get(name)
+            record = step(current) if change is None else step(current, change)
+            if record is None:
+                return current
+            if name in self._stored:
+                self._stored.discard(name)
                 self._plan_cache.invalidate(name)
-                if self._reuse is not None:
+                if self._cache is not None:  # and the roll-up index
+                    self._cache.invalidate(name)
                     self._reuse.invalidate(name)
-            if state.portfolio is not None:
-                state.portfolio.invalidate_resolutions()
+            if record.portfolio is not None:
+                record.portfolio.invalidate_resolutions()
+            if current is None or record.table is not current.table:
+                self.catalog.register(name, record.table, replace=True)
+            self._tables[name] = record
+            return record
 
     def _store_if_current(
         self, name: str, version: int, store: Callable[[], None]
     ) -> None:
-        """Run ``store`` unless the table has moved past ``version``.
-
-        The check and the store run under the state lock, which every bump
-        holds, so nothing is stored for data a bump has already dropped.
-        """
-        state = self._tables.get(name)
-        if state is None:
-            return
-        with state.lock:
-            if self._tables.get(name) is state and state.version == version:
+        """Run ``store`` under the writer lock unless the table has moved
+        past ``version``: nothing is stored for data a publish dropped."""
+        with self._writer:
+            record = self._tables.get(name)
+            if record is not None and record.version == version:
                 store()
-                state.stored = True
+                self._stored.add(name)
 
     def synopsis(self, name: str) -> Synopsis:
-        synopsis = self._state(name).synopsis
-        if synopsis is None:
-            raise SynopsisMissingError(f"no synopsis built for table {name!r}")
-        return synopsis
+        return self._synopsis_of(self._state(name), name)
 
-    def _state(self, name: str) -> _TableState:
+    @staticmethod
+    def _synopsis_of(record: TableVersion, name: str) -> Synopsis:
+        if record.synopsis is None:
+            raise SynopsisMissingError(f"no synopsis built for table {name!r}")
+        return record.synopsis
+
+    def _state(self, name: str) -> TableVersion:
+        """The table's current record."""
         try:
             return self._tables[name]
         except KeyError:
@@ -800,8 +849,8 @@ class AquaSystem:
         return portfolio
 
     def has_portfolio(self, name: str) -> bool:
-        state = self._tables.get(name)
-        return state is not None and state.portfolio is not None
+        record = self._tables.get(name)
+        return record is not None and record.portfolio is not None
 
     def build_portfolio(
         self,
@@ -824,18 +873,18 @@ class AquaSystem:
         cached answers and cached budget resolutions from before the build
         can never be served again.
         """
-        state = self._state(name)
+        record = self._state(name)
         workload = self.query_log(name)
         if specs is None:
             specs = default_portfolio_specs(
-                self._budget, state.grouping_columns, workload
+                self._budget, record.grouping_columns, workload
             )
         if len(specs) < 1:
             raise AquaError("build_portfolio needs at least one spec")
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise AquaError(f"duplicate portfolio member names: {names}")
-        existing = state.portfolio
+        existing = record.portfolio
         model = (
             existing.model
             if existing is not None
@@ -848,11 +897,11 @@ class AquaSystem:
         with self.telemetry.tracer.span(
             "build_portfolio", table=name, members=len(specs)
         ):
-            rows_at_build, samples = self._build_samples(
+            source, samples = self._build_samples(
                 name,
                 [
                     (
-                        tuple(spec.grouping_columns or state.grouping_columns),
+                        tuple(spec.grouping_columns or record.grouping_columns),
                         spec.allocation,
                         spec.budget,
                     )
@@ -868,11 +917,9 @@ class AquaSystem:
                     spec.budget,
                 )
                 portfolio.add_member(
-                    spec, synopsis, rows_at_build=rows_at_build
+                    spec, synopsis, rows_at_build=source.table.num_rows
                 )
-        with state.lock:
-            state.portfolio = portfolio
-            self._bump_version(name, state)
+        self._publish(name, lambda current: current.next(portfolio=portfolio))
         metrics = self.telemetry.metrics
         if metrics.enabled:
             metrics.gauge(
@@ -967,61 +1014,48 @@ class AquaSystem:
         self, name: str, policy: Optional[RefreshPolicy]
     ) -> None:
         """Attach (or clear) an auto-refresh drift policy for a table."""
-        state = self._state(name)
-        state.refresh_policy = policy
+        self._state(name)
+        self._publish(name, lambda current: current.next(refresh_policy=policy))
         self._maybe_auto_refresh(name)
 
     def health(
         self, name: str, stale_after_fraction: float = 0.1
     ) -> SynopsisHealth:
         """Health report: sample ratio, strata coverage, drift, validity."""
-        state = self._state(name)
-        synopsis = state.synopsis
-        maintained = state.maintainer is not None
-        maintainer_inserts = (
-            state.maintainer.inserts_seen if maintained else 0
-        )
+        record = self._state(name)
+        synopsis = record.synopsis
+        maintainer = record.maintainer
         if synopsis is None:
-            return SynopsisHealth(
-                table=name,
-                built=False,
-                base_rows=state.table.num_rows,
-                pending_rows=len(state.pending_rows),
-                sample_size=0,
-                budget=self._budget,
-                strata_total=0,
-                strata_covered=0,
-                inserts_since_refresh=state.inserts_since_refresh,
-                rows_at_refresh=state.rows_at_refresh,
-                maintained=maintained,
-                maintainer_inserts=maintainer_inserts,
-                issues=("no synopsis built",),
-                stale_after_fraction=stale_after_fraction,
+            sample_size = strata_total = strata_covered = 0
+            issues: Tuple[str, ...] = ("no synopsis built",)
+        else:
+            frame = synopsis.sample.frame
+            populated = frame.all_populations > 0
+            sample_size = synopsis.sample_size
+            strata_total = int(populated.sum())
+            strata_covered = int((populated & (frame.all_sizes > 0)).sum())
+            issues = tuple(
+                self._synopsis_issues(synopsis, record.rows_at_refresh)
             )
-        frame = synopsis.sample.frame
-        populated = frame.all_populations > 0
         return SynopsisHealth(
             table=name,
-            built=True,
-            base_rows=state.table.num_rows,
-            pending_rows=len(state.pending_rows),
-            sample_size=synopsis.sample_size,
+            built=synopsis is not None,
+            base_rows=record.table.num_rows,
+            pending_rows=record.pending_count,
+            sample_size=sample_size,
             budget=self._budget,
-            strata_total=int(populated.sum()),
-            strata_covered=int((populated & (frame.all_sizes > 0)).sum()),
-            inserts_since_refresh=state.inserts_since_refresh,
-            rows_at_refresh=state.rows_at_refresh,
-            maintained=maintained,
-            maintainer_inserts=maintainer_inserts,
-            issues=tuple(self._synopsis_issues(state, synopsis)),
+            strata_total=strata_total,
+            strata_covered=strata_covered,
+            inserts_since_refresh=record.inserts_since_refresh,
+            rows_at_refresh=record.rows_at_refresh,
+            maintained=maintainer is not None,
+            maintainer_inserts=getattr(maintainer, "inserts_seen", 0),
+            issues=issues,
             stale_after_fraction=stale_after_fraction,
         )
 
     def _synopsis_issues(
-        self,
-        state: _TableState,
-        synopsis: Synopsis,
-        expected_rows: Optional[int] = None,
+        self, synopsis: Synopsis, expected_rows: int
     ) -> List[str]:
         """Structural validation plus base-coverage bookkeeping.
 
@@ -1029,14 +1063,12 @@ class AquaSystem:
         list each call); the coverage line is worked out per call, since
         the rows it is measured against move.  ``expected_rows`` is the
         base row count this synopsis is supposed to cover: the table's
-        ``rows_at_refresh`` for the primary synopsis (the default), a
-        member's ``rows_at_build`` for portfolio members (which may
-        legitimately differ from the primary's bookkeeping).
+        ``rows_at_refresh`` for the primary synopsis, a member's
+        ``rows_at_build`` for portfolio members (which may legitimately
+        differ from the primary's bookkeeping).
         """
         issues = validate_sample(synopsis.sample)
         covered = synopsis.sample.total_population
-        if expected_rows is None:
-            expected_rows = state.rows_at_refresh
         if expected_rows and covered != expected_rows:
             issues.append(
                 f"synopsis strata cover {covered} rows but "
@@ -1044,20 +1076,8 @@ class AquaSystem:
             )
         return issues
 
-    def _refresh_due(self, name: str) -> bool:
-        """Whether the table's refresh policy asks for a refresh now."""
-        state = self._tables.get(name)
-        return (
-            state is not None
-            and state.refresh_policy is not None
-            and state.synopsis is not None
-            and state.refresh_policy.should_refresh(
-                state.inserts_since_refresh, state.rows_at_refresh
-            )
-        )
-
     def _maybe_auto_refresh(self, name: str) -> None:
-        if self._refresh_due(name):
+        if self._state(name).refresh_due:
             self.refresh_synopsis(name, trigger="auto")
 
     @staticmethod
@@ -1089,10 +1109,10 @@ class AquaSystem:
         :meth:`~repro.aqua.workload_log.QueryLog.to_preferences` can mine
         grouping preferences without any manual logging.
         """
-        state = self._state(name)
+        grouping = self._state(name).grouping_columns
         log = self._query_logs.get(name)
         if log is None:
-            log = QueryLog(name, state.grouping_columns)
+            log = QueryLog(name, grouping)
             self._query_logs[name] = log
         return log
 
@@ -1364,15 +1384,15 @@ class AquaSystem:
 
     def _cache_key(
         self,
-        query: Query,
         base_name: str,
         policy: Optional[GuardPolicy],
         version: int,
-        budget: Tuple = (),
-        canonical=None,
+        budget: Tuple,
+        canonical,
     ):
         """The answer-cache key for this (stage query, serving
-        configuration).
+        configuration), given the query's ``canonical``
+        (:class:`~repro.plan.CanonicalQuery`).
 
         ``None`` when caching is disabled.  The key embeds the data
         ``version`` -- lookups pass the table's current one, stores the
@@ -1383,14 +1403,9 @@ class AquaSystem:
         answer (guard policy -- hashable because it is frozen --
         confidence, bound method, and the budget tuple ``(max_rel_error,
         max_ms, chosen member)`` for portfolio-resolved answers).
-
-        Pass a precomputed ``canonical`` (:class:`~repro.plan.CanonicalQuery`)
-        to avoid re-canonicalizing between the lookup and the store.
         """
         if self._cache is None:
             return None
-        if canonical is None:
-            canonical = canonicalize_query(query)
         return (
             base_name,
             version,
@@ -1472,7 +1487,7 @@ class AquaSystem:
             query, present = user.bind()
             policy = self._resolve_guard(guard)
             base_name = query.base_table_name()
-            state = self._state(base_name)
+            version = self._state(base_name).version
             self.query_log(base_name).record(user)
         root.set(table=base_name, guarded=policy is not None)
 
@@ -1492,7 +1507,7 @@ class AquaSystem:
                         query,
                         max_rel_error=max_rel_error,
                         max_ms=max_ms,
-                        version=state.version,
+                        version=version,
                     )
                 resolve_span.set(
                     synopsis=choice.member, reason=choice.reason
@@ -1522,9 +1537,7 @@ class AquaSystem:
         # few-millisecond miss they are no longer too small to name.
         with tracer.span("cache_probe"):
             canonical = canonicalize_query(query)
-            key = self._cache_key(
-                query, base_name, policy, state.version, budget, canonical
-            )
+            key = self._cache_key(base_name, policy, version, budget, canonical)
             entry = self._cache.get(key) if key is not None else None
             # a miss's WHERE conjunct texts, for the roll-up probe and the
             # snapshot the miss registers
@@ -1543,11 +1556,10 @@ class AquaSystem:
                 return query, answer, present
             root.set(cache="miss")
 
-        answer = self._answer_stages(
+        answer, snapshot = self._answer_stages(
             query,
             policy,
             base_name,
-            state,
             tracer,
             conjuncts,
             choice=choice,
@@ -1565,7 +1577,7 @@ class AquaSystem:
             )
         if key is not None:
             self._store_answer(
-                answer, query, base_name, policy, budget, canonical
+                answer, query, base_name, policy, budget, canonical, snapshot
             )
         return query, answer, present
 
@@ -1577,23 +1589,30 @@ class AquaSystem:
         policy: Optional[GuardPolicy],
         budget: Tuple,
         canonical,
+        snapshot: Optional[ReuseSnapshot],
     ) -> None:
-        """Cache a clean answer under the version that produced it, unless
-        a mutation has moved the table past that version meanwhile."""
+        """Cache a clean answer, and register the moments ``snapshot`` it
+        was finalized from (if any) with the roll-up index, in one store
+        under the version that produced them, unless a mutation has moved
+        the table past that version meanwhile."""
         if answer.guard is not None and answer.guard.degraded:
             return
         with self.telemetry.tracer.span("cache_store"):
             key = self._cache_key(
-                query, base_name, policy, answer.version, budget, canonical
+                base_name, policy, answer.version, budget, canonical
             )
             entry = _CacheEntry(
                 answer=dataclass_replace(answer, trace=None),
                 sql=render_query(query),
                 group_by=query.group_by,
             )
-            self._store_if_current(
-                base_name, answer.version, lambda: self._cache.put(key, entry)
-            )
+
+            def store() -> None:
+                self._cache.put(key, entry)
+                if snapshot is not None:
+                    self._reuse.register(snapshot)
+
+            self._store_if_current(base_name, answer.version, store)
 
     def _reconcile_cached(
         self, entry: _CacheEntry, query: Query
@@ -1665,16 +1684,16 @@ class AquaSystem:
     def _serve_moments(
         self,
         query: Query,
-        state: _TableState,
+        record: TableVersion,
         synopsis: Synopsis,
         snapshot: ReuseSnapshot,
         policy: Optional[GuardPolicy],
         stale: int,
-        version: int,
         extra_predicate: Optional[Predicate] = None,
         started: Optional[float] = None,
     ) -> ApproximateAnswer:
-        """Answer a query from the sample's moments.
+        """Answer a query from the sample's moments, at ``record``'s
+        version.
 
         The one serving step of the miss path and the roll-up tier:
         ``snapshot`` is finalized to the query's GROUP BY (on a roll-up
@@ -1693,7 +1712,7 @@ class AquaSystem:
                 extra_predicate,
             )
             result, order = lay_out(
-                query, state.table.schema, rollup.key_arrays, rollup.values,
+                query, record.table.schema, rollup.key_arrays, rollup.values,
                 rollup.halfwidths,
             )
             support = rollup.support[order]
@@ -1705,7 +1724,7 @@ class AquaSystem:
             time.perf_counter() - started,
             policy,
             stale,
-            version,
+            record.version,
             support,
         )
 
@@ -1760,46 +1779,41 @@ class AquaSystem:
         return answer
 
     def _serving_view(
-        self, state: _TableState, base_name: str, choice
-    ) -> Tuple[Synopsis, int, int]:
-        """``(synopsis, version, stale inserts)`` for one answer, read
-        together under the state lock."""
-        with state.lock:
-            if choice is None:
-                synopsis = self.synopsis(base_name)
-                stale = state.inserts_since_refresh
-            else:
-                rows = state.table.num_rows + len(state.pending_rows)
-                synopsis = choice.synopsis
-                stale = max(rows - choice.rows_at_build, 0)
-            return synopsis, state.version, stale
+        self, base_name: str, choice
+    ) -> Tuple[TableVersion, Synopsis, int]:
+        """``(record, synopsis, stale inserts)`` for one answer, all from
+        the table's current record."""
+        record = self._state(base_name)
+        if choice is not None:
+            stale = max(record.rows - choice.rows_at_build, 0)
+            return record, choice.synopsis, stale
+        return record, self._synopsis_of(record, base_name), record.inserts_since_refresh
 
     def _answer_stages(
         self,
         query: Query,
         policy: Optional[GuardPolicy],
         base_name: str,
-        state: _TableState,
         tracer: Tracer,
         conjuncts: Tuple[Tuple[Predicate, str], ...],
         choice: Optional[PortfolioChoice] = None,
         budgets: Tuple[Optional[float], Optional[float]] = (None, None),
-    ) -> ApproximateAnswer:
+    ) -> Tuple[ApproximateAnswer, Optional[ReuseSnapshot]]:
         """The staged answer pipeline for a stage query, one span per stage.
 
         ``validate`` is the one gate every answer passes: auto-refresh,
-        staleness and the sample's (remembered) structural verdict.  It
-        ends holding the answer's one :meth:`_serving_view`, whose version
-        feeds the roll-up lookup, the moments and the answer itself.
-        After it, a query the rewrites accept
-        (:func:`~repro.rewrite.base.check_rewritable`) is answered from the
-        sample's moments (:meth:`_serve_moments`): a roll-up hit's when the
-        index holds a subsuming snapshot (``rollup_probe``), else its own
-        (``moments``).  Each stage starts with an ambient-deadline check,
-        so an expired query dies at the next stage boundary with the stage
-        name on the typed error; the plan/parallel executors check at
-        finer grain (per operator, per partition) inside the guard's base
-        scans.
+        staleness, the sample's (remembered) structural verdict and, last,
+        :func:`~repro.rewrite.base.check_rewritable`.  It ends holding the
+        answer's one :meth:`_serving_view`, whose record feeds the roll-up
+        lookup, the moments and the answer itself.  After it, the query is
+        answered from the sample's moments (:meth:`_serve_moments`): a
+        roll-up hit's when the index holds a subsuming snapshot
+        (``rollup_probe``), else its own (``moments``), returned with the
+        answer for :meth:`_store_answer` to register if it has strata cells.
+        Each stage starts with an ambient-deadline check, so an expired
+        query dies at the next stage boundary with the stage name on the
+        typed error; the plan/parallel executors check at finer grain (per
+        operator, per partition) inside the guard's base scans.
 
         With a portfolio ``choice`` the chosen member replaces the primary
         synopsis throughout: its sample answers the query, its build-time
@@ -1810,9 +1824,7 @@ class AquaSystem:
         check_deadline("validate")
         with tracer.span("validate") as validate_span:
             self._maybe_auto_refresh(base_name)
-            synopsis, version, stale = self._serving_view(
-                state, base_name, choice
-            )
+            record, synopsis, stale = self._serving_view(base_name, choice)
             validate_span.set(stale_inserts=stale)
             if self._over_staleness_limit(policy, stale):
                 if policy.on_stale == "refresh":
@@ -1826,7 +1838,7 @@ class AquaSystem:
                                 query,
                                 max_rel_error=max_rel_error,
                                 max_ms=max_ms,
-                                version=state.version,
+                                version=self._state(base_name).version,
                             )
                         else:
                             choice = portfolio.forced_choice(
@@ -1834,8 +1846,8 @@ class AquaSystem:
                             )
                     else:
                         self.refresh_synopsis(base_name, trigger="guard")
-                    synopsis, version, stale = self._serving_view(
-                        state, base_name, choice
+                    record, synopsis, stale = self._serving_view(
+                        base_name, choice
                     )
                 elif policy.on_stale == "raise":
                     raise StaleSynopsisError(
@@ -1852,8 +1864,8 @@ class AquaSystem:
                         reason=f"stale synopsis ({stale} inserts over the "
                         f"limit of {policy.staleness_limit})",
                         stale=stale,
-                        version=version,
-                    )
+                        version=record.version,
+                    ), None
                 # "serve": accept the staleness and continue.
 
             if policy is not None:
@@ -1865,11 +1877,10 @@ class AquaSystem:
                     )
                 )
                 issues = self._synopsis_issues(
-                    state,
                     synopsis,
-                    expected_rows=(
-                        choice.rows_at_build if choice is not None else None
-                    ),
+                    choice.rows_at_build
+                    if choice is not None
+                    else record.rows_at_refresh,
                 )
                 if issues:
                     detail = "; ".join(issues)
@@ -1887,47 +1898,35 @@ class AquaSystem:
                         policy,
                         reason=f"corrupt synopsis: {detail}",
                         stale=stale,
-                        version=version,
+                        version=record.version,
                         issues=tuple(issues),
-                    )
+                    ), None
+            check_rewritable(query, base_name)
 
-        check_rewritable(query, base_name)
         if choice is None and self._reuse is not None:
             with tracer.span("rollup_probe"):
                 match = self._rollup_match(
-                    query, base_name, synopsis, version, conjuncts
+                    query, base_name, synopsis, record.version, conjuncts
                 )
             if match is not None:
                 answer = self._serve_moments(
                     query,
-                    state,
+                    record,
                     synopsis,
                     match.snapshot,
                     policy,
                     stale,
-                    version,
                     extra_predicate=match.extra_predicate,
                 )
-                return self._tag_rollup(answer, policy, match)
+                return self._tag_rollup(answer, policy, match), None
         check_deadline("moments")
         started = time.perf_counter()
         with tracer.span("moments"):
-            snapshot = self._moments(
-                query, state, synopsis, version, conjuncts
-            )
+            snapshot = self._moments(query, record, synopsis, conjuncts)
         answer = self._serve_moments(
-            query, state, synopsis, snapshot, policy, stale, version,
-            started=started,
+            query, record, synopsis, snapshot, policy, stale, started=started
         )
-        if (
-            self._reuse is not None
-            and snapshot.moments.strata_cells
-            and (answer.guard is None or not answer.guard.degraded)
-        ):
-            self._store_if_current(
-                base_name, version, lambda: self._reuse.register(snapshot)
-            )
-        return answer
+        return answer, (snapshot if snapshot.moments.strata_cells else None)
 
     def _bounded_answer(
         self,
@@ -2304,11 +2303,10 @@ class AquaSystem:
         user = parse_query(sql) if isinstance(sql, str) else sql
         query, present = user.bind()
         base_name = query.base_table_name()
-        state = self._state(base_name)
         self._flush_pending(base_name)
         answer = self.answer(query, guard=guard)
         # Read staleness after answering: a guard-triggered refresh clears it.
-        stale_inserts = state.inserts_since_refresh
+        stale_inserts = self._state(base_name).inserts_since_refresh
         start = time.perf_counter()
         exact = self.exact(query)
         exact_elapsed = time.perf_counter() - start
@@ -2440,41 +2438,32 @@ class AquaSystem:
         and, under the policy, neither stale past its limit (short of
         ``on_stale="serve"``) nor structurally damaged.
         """
-        if self._cache is None and self._reuse is None:
+        if self._cache is None:  # the roll-up index is off with it
             return "disabled"
         policy = self._resolve_guard(None)
-        state = self._state(base_name)
+        record = self._state(base_name)
         canonical = canonicalize_query(query)
-        if self._cache is not None:
-            key = self._cache_key(
-                query, base_name, policy, state.version, budget, canonical
-            )
-            entry = self._cache.peek(key)
-            if entry is not None:
-                if entry.sql == render_query(query):
-                    return "exact"
-                return "canonical"
-        synopsis = state.synopsis
-        if (
-            self._reuse is None
-            or budget
-            or synopsis is None
-            or self._refresh_due(base_name)
-        ):
+        entry = self._cache.peek(
+            self._cache_key(base_name, policy, record.version, budget, canonical)
+        )
+        if entry is not None:
+            return "exact" if entry.sql == render_query(query) else "canonical"
+        synopsis = record.synopsis
+        if budget or synopsis is None or record.refresh_due:
             return "miss"
         if policy is not None and (
             (
-                self._over_staleness_limit(policy, state.inserts_since_refresh)
+                self._over_staleness_limit(policy, record.inserts_since_refresh)
                 and policy.on_stale != "serve"
             )
-            or self._synopsis_issues(state, synopsis)
+            or self._synopsis_issues(synopsis, record.rows_at_refresh)
         ):
             return "miss"
         match = self._rollup_match(
             query,
             base_name,
             synopsis,
-            state.version,
+            record.version,
             split_conjuncts(canonical.query.where),
             count=False,
         )
@@ -2635,15 +2624,16 @@ class AquaSystem:
     def _moments(
         self,
         query: Query,
-        state: _TableState,
+        record: TableVersion,
         synopsis: Synopsis,
-        version: int,
         conjuncts: Tuple[Tuple[Predicate, str], ...],
     ) -> ReuseSnapshot:
-        """One pass over the sample: the query's per-cell moments at data
-        ``version``, masked by its WHERE, whose canonical ``conjuncts`` the
-        snapshot keeps (see :meth:`_serve_moments`).  Hoeffding bounds read
-        their value ranges from the base table."""
+        """One pass over the sample: the query's per-cell moments at
+        ``record``'s version, masked by its WHERE, whose canonical
+        ``conjuncts`` the snapshot keeps (see :meth:`_serve_moments`).
+        Hoeffding bounds read their value ranges from the record's base
+        table."""
+        version = record.version
         group_text = ", ".join(query.group_by) if query.group_by else "()"
         source = (
             f"{synopsis.base_name}@v{version} "
@@ -2662,7 +2652,7 @@ class AquaSystem:
                 query.where,
                 query.aggregates(),
                 query.group_by,
-                state.table if self._bound_method == "hoeffding" else None,
+                record.table if self._bound_method == "hoeffding" else None,
             ),
         )
 
@@ -2682,34 +2672,33 @@ class AquaSystem:
         rows it accepts with one ``take``.  After that each :meth:`insert`
         only buffers its row in the maintainer, without touching the base
         relation, and the next :meth:`refresh_synopsis` loads the buffered
-        rows as one table, in the same way.
+        rows as one table, in the same way.  The load and the attachment
+        are one publish, so no insert falls between them unseen.
 
         Raises:
             ValueError: the allocation names no groupings (say, a
                 ``MultiCriteriaCongress``), so no maintainer runs it.
         """
+        self._state(name)
         self._flush_pending(name)
-        state = self._state(name)
-        maintainer = maintainer_for(
-            self._allocation,
-            state.table.schema,
-            state.grouping_columns,
-            self._budget,
-            self._rng,
-        )
-        maintainer.insert_table(state.table)
-        state.maintainer = maintainer
+
+        def maintained(current: TableVersion) -> TableVersion:
+            maintainer = maintainer_for(
+                self._allocation, current.table.schema,
+                current.grouping_columns, self._budget, self._rng,
+            )
+            maintainer.insert_table(current.table)
+            for row in current.pending_rows:  # inserted since the flush
+                maintainer.insert(row)
+            return current.next(maintainer=maintainer)
+
+        self._publish(name, maintained)
 
     def insert(self, name: str, row: Sequence) -> None:
         """Insert one tuple into a table (buffered) and its maintainer."""
-        state = self._state(name)
-        row = tuple(row)
-        with state.lock:
-            state.pending_rows.append(row)
-            state.inserts_since_refresh += 1
-            self._bump_version(name, state)
-            if state.maintainer is not None:
-                state.maintainer.insert(row)
+        if name not in self._tables:
+            self._state(name)  # the typed error
+        record = self._publish(name, TableVersion.inserted, tuple(row))
         metrics = self.telemetry.metrics
         if metrics.enabled:
             metrics.counter(
@@ -2722,8 +2711,9 @@ class AquaSystem:
                 "Inserted rows buffered but not yet flushed to the base "
                 "relation.",
                 ("table",),
-            ).set(len(state.pending_rows), table=name)
-        self._maybe_auto_refresh(name)
+            ).set(record.pending_count, table=name)
+        if record.refresh_policy is not None and record.refresh_due:
+            self.refresh_synopsis(name, trigger="auto")
 
     def insert_many(self, name: str, rows: Sequence[Sequence]) -> None:
         for row in rows:
@@ -2738,24 +2728,26 @@ class AquaSystem:
                 (API call), ``"auto"`` (drift policy), or ``"guard"``
                 (stale-synopsis escalation).
         """
-        state = self._state(name)
+        maintained = self._state(name).maintainer is not None
         metrics = self.telemetry.metrics
         start = time.perf_counter()
         with self.telemetry.tracer.span(
             "refresh_synopsis", table=name, trigger=trigger
         ):
-            if state.maintainer is None:
+            if not maintained:
                 # No maintainer: fall back to a full rebuild from base data.
                 synopsis = self.build_synopsis(name)
             else:
-                # One lock from the snapshot to the install: an insert
+                # One publish from the snapshot to the install: an insert
                 # between them would be counted as covered but not sampled.
-                with state.lock:
-                    maintained = state.maintainer.snapshot()
-                    maintained = subsample_to_budget(
-                        maintained, self._budget, self._rng
-                    )
-                    synopsis = self._install(name, maintained.to_stratified())
+                def refreshed(current: TableVersion) -> TableVersion:
+                    sample = subsample_to_budget(
+                        current.maintainer.snapshot(), self._budget, self._rng
+                    ).to_stratified()
+                    return current.with_synopsis(self._synopsis(
+                        name, name, sample, self._allocation, self._budget))
+
+                synopsis = self._publish(name, refreshed).synopsis
         if metrics.enabled:
             metrics.counter(
                 "aqua_refreshes_total",
@@ -2770,39 +2762,45 @@ class AquaSystem:
             ).observe(time.perf_counter() - start, table=name)
         return synopsis
 
-    def _flush_pending(self, name: str) -> None:
-        state = self._tables.get(name)
-        if state is None:
-            return
-        with state.lock:
-            if not state.pending_rows:
-                return
-            flushed = len(state.pending_rows)
-            with self.telemetry.tracer.span(
-                "flush", table=name, rows=flushed
-            ):
+    def _flush_pending(self, name: str) -> Optional[TableVersion]:
+        """Move the buffered inserts into the base relation; returns the
+        record now current (``None`` for an unregistered table)."""
+
+        def flush(current: TableVersion) -> Optional[TableVersion]:
+            rows = current.pending_count
+            if not rows:
+                return None
+            with self.telemetry.tracer.span("flush", table=name, rows=rows):
                 appended = Table.from_rows(
-                    state.table.schema, state.pending_rows
+                    current.table.schema, current.pending_rows
                 )
-                state.table = state.table.concat(appended)
-                state.pending_rows.clear()
-                self._bump_version(name, state)
-                self.catalog.register(name, state.table, replace=True)
-        metrics = self.telemetry.metrics
-        if metrics.enabled:
-            metrics.counter(
-                "aqua_flushes_total",
-                "Pending-row flushes into the base relation, per table.",
-                ("table",),
-            ).inc(table=name)
-            metrics.counter(
-                "aqua_flushed_rows_total",
-                "Rows moved from the pending buffer to the base relation.",
-                ("table",),
-            ).inc(flushed, table=name)
-            metrics.gauge(
-                "aqua_pending_rows",
-                "Inserted rows buffered but not yet flushed to the base "
-                "relation.",
-                ("table",),
-            ).set(0, table=name)
+                flushed = current.next(
+                    table=current.table.concat(appended),
+                    pending=[],
+                    pending_count=0,
+                )
+            metrics = self.telemetry.metrics
+            if metrics.enabled:
+                metrics.counter(
+                    "aqua_flushes_total",
+                    "Pending-row flushes into the base relation, per table.",
+                    ("table",),
+                ).inc(table=name)
+                metrics.counter(
+                    "aqua_flushed_rows_total",
+                    "Rows moved from the pending buffer to the base "
+                    "relation.",
+                    ("table",),
+                ).inc(rows, table=name)
+                metrics.gauge(
+                    "aqua_pending_rows",
+                    "Inserted rows buffered but not yet flushed to the base "
+                    "relation.",
+                    ("table",),
+                ).set(0, table=name)
+            return flushed
+
+        record = self._tables.get(name)
+        if record is None or not record.pending_count:
+            return record
+        return self._publish(name, flush)

@@ -100,6 +100,25 @@ class Lit(Expression):
         return f"Lit({self.value!r})"
 
 
+def operand(expr: Expression, table: Table) -> np.ndarray:
+    """``expr`` over ``table``; a literal as one 0-d value of the dtype its
+    full column would have, which computes and compares the same without
+    the copy."""
+    if isinstance(expr, Lit):
+        return np.asarray(expr.value)
+    return expr.evaluate(table)
+
+
+def per_row(values: np.ndarray, table: Table) -> np.ndarray:
+    """``values`` with one entry per row, also when only literals met."""
+    return values if values.ndim else np.full(table.num_rows, values)
+
+
+def merge_columns(*groups: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The column names in ``groups``, each once, in first-use order."""
+    return tuple(dict.fromkeys(name for group in groups for name in group))
+
+
 _BINARY_OPS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "+": np.add,
     "-": np.subtract,
@@ -121,21 +140,18 @@ class BinaryOp(Expression):
             raise ValueError(f"unsupported binary operator {self.op!r}")
 
     def evaluate(self, table: Table) -> np.ndarray:
-        lhs = self.left.evaluate(table)
-        rhs = self.right.evaluate(table)
+        lhs = operand(self.left, table)
+        rhs = operand(self.right, table)
         if self.op == "/":
             lhs = np.asarray(lhs, dtype=np.float64)
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.divide(lhs, rhs)
-            return out
-        return _BINARY_OPS[self.op](lhs, rhs)
+                return per_row(np.divide(lhs, rhs), table)
+        return per_row(_BINARY_OPS[self.op](lhs, rhs), table)
 
     def referenced_columns(self) -> Tuple[str, ...]:
-        seen = []
-        for name in self.left.referenced_columns() + self.right.referenced_columns():
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+        return merge_columns(
+            self.left.referenced_columns(), self.right.referenced_columns()
+        )
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expressions import Expression, ExpressionLike, Lit, _wrap
+from .expressions import Expression, ExpressionLike, _wrap, merge_columns, operand, per_row
 from .table import Table
 
 __all__ = [
@@ -57,19 +57,6 @@ _COMPARATORS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 }
 
 
-def _operand(expr: Expression, table: Table) -> np.ndarray:
-    """``expr`` over ``table``; a literal as one 0-d value of the dtype its
-    full column would have, which compares the same without the copy."""
-    if isinstance(expr, Lit):
-        return np.asarray(expr.value)
-    return expr.evaluate(table)
-
-
-def _per_row(mask: np.ndarray, table: Table) -> np.ndarray:
-    """``mask`` with one entry per row, also when only literals compared."""
-    return mask if mask.ndim else np.full(table.num_rows, mask)
-
-
 @dataclass(frozen=True)
 class Comparison(Predicate):
     """``left <op> right`` for op in =, !=, <, <=, >, >=."""
@@ -87,15 +74,15 @@ class Comparison(Predicate):
         return cls(op, _wrap(left), _wrap(right))
 
     def evaluate(self, table: Table) -> np.ndarray:
-        return _per_row(
+        return per_row(
             _COMPARATORS[self.op](
-                _operand(self.left, table), _operand(self.right, table)
+                operand(self.left, table), operand(self.right, table)
             ),
             table,
         )
 
     def referenced_columns(self) -> Tuple[str, ...]:
-        return _merge(self.left.referenced_columns(), self.right.referenced_columns())
+        return merge_columns(self.left.referenced_columns(), self.right.referenced_columns())
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
@@ -116,15 +103,15 @@ class Between(Predicate):
         return cls(_wrap(expr), _wrap(low), _wrap(high))
 
     def evaluate(self, table: Table) -> np.ndarray:
-        values = _operand(self.expr, table)
-        return _per_row(
-            (values >= _operand(self.low, table))
-            & (values <= _operand(self.high, table)),
+        values = operand(self.expr, table)
+        return per_row(
+            (values >= operand(self.low, table))
+            & (values <= operand(self.high, table)),
             table,
         )
 
     def referenced_columns(self) -> Tuple[str, ...]:
-        return _merge(
+        return merge_columns(
             self.expr.referenced_columns(),
             self.low.referenced_columns(),
             self.high.referenced_columns(),
@@ -159,7 +146,7 @@ class And(Predicate):
         return self.left.evaluate(table) & self.right.evaluate(table)
 
     def referenced_columns(self) -> Tuple[str, ...]:
-        return _merge(self.left.referenced_columns(), self.right.referenced_columns())
+        return merge_columns(self.left.referenced_columns(), self.right.referenced_columns())
 
     def __repr__(self) -> str:
         return f"({self.left!r} AND {self.right!r})"
@@ -174,7 +161,7 @@ class Or(Predicate):
         return self.left.evaluate(table) | self.right.evaluate(table)
 
     def referenced_columns(self) -> Tuple[str, ...]:
-        return _merge(self.left.referenced_columns(), self.right.referenced_columns())
+        return merge_columns(self.left.referenced_columns(), self.right.referenced_columns())
 
     def __repr__(self) -> str:
         return f"({self.left!r} OR {self.right!r})"
@@ -200,12 +187,3 @@ class TruePredicate(Predicate):
 
     def referenced_columns(self) -> Tuple[str, ...]:
         return ()
-
-
-def _merge(*groups: Tuple[str, ...]) -> Tuple[str, ...]:
-    seen = []
-    for group in groups:
-        for name in group:
-            if name not in seen:
-                seen.append(name)
-    return tuple(seen)

@@ -197,8 +197,7 @@ class FaultInjector:
 
     def make_stale(self, name: str, rows: int = 25) -> InjectedFault:
         """Insert ``rows`` duplicates of the first base row, no refresh."""
-        state = self.system._state(name)
-        first = next(iter(state.table.iter_rows()))
+        first = next(iter(self.system._state(name).table.iter_rows()))
         for __ in range(rows):
             self.system.insert(name, first)
         return InjectedFault(
@@ -400,11 +399,9 @@ class ServiceFaultInjector:
         slow the base: each chunk cut then advances ``clock`` by
         ``cost_seconds`` and checks the active deadline.
         """
-        state = self.system._state(name)
-        original = state.table
+        original = self.system._state(name).table
         slow = SlowScanTable(original, clock, cost_seconds, stage)
-        state.table = slow
-        self.system.catalog.register(name, slow, replace=True)
+        self._replace_base(name, slow)
         self._slow_bases.setdefault(name, original)
         return slow
 
@@ -424,8 +421,7 @@ class ServiceFaultInjector:
             frame.__dict__["rows"] = original
         self._slow_frames.clear()
         for name, original in self._slow_bases.items():
-            self.system._state(name).table = original
-            self.system.catalog.register(name, original, replace=True)
+            self._replace_base(name, original)
         self._slow_bases.clear()
 
     def __enter__(self) -> "ServiceFaultInjector":
@@ -436,6 +432,10 @@ class ServiceFaultInjector:
         return False
 
     # -- plumbing ------------------------------------------------------------
+
+    def _replace_base(self, name: str, table: Table) -> None:
+        """Publish ``table`` as ``name``'s base relation (and the catalog's)."""
+        self.system._publish(name, lambda current: current.next(table=table))
 
     def _wrap_answer(self) -> None:
         """Shadow ``system.answer`` with the gate/burst front door (once)."""

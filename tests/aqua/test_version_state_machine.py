@@ -1,15 +1,18 @@
 """Stateful property: every stored entry belongs to its table's version.
 
 A Hypothesis state machine drives one small table through inserts,
-flushes, refreshes, portfolio builds and answers -- including answers a
-refresh lands inside of -- and after every step checks:
+flushes, refreshes (maintained once maintenance is on), portfolio builds,
+streams run to completion and answers -- including answers a refresh
+lands inside of -- and after every step checks:
 
 * no entry in any of the four version-keyed stores (answer cache, plan
   cache, roll-up index, portfolio resolutions) carries a version other
   than the table's current one;
 * every cache- or roll-up-served answer equals the same SQL answered
   again after ``answer_cache.invalidate()`` + ``rollup_index.clear()``
-  (numeric columns; the provenance tag names the tier).
+  (numeric columns; the provenance tag names the tier);
+* every row present is either covered by the synopsis or counted as
+  inserted since its refresh.
 """
 
 import numpy as np
@@ -86,6 +89,15 @@ class VersionedStores(RuleBasedStateMachine):
     def build_portfolio(self):
         self.system.build_portfolio("t")
 
+    @rule()
+    def enable_maintenance(self):
+        self.system.enable_maintenance("t")
+
+    @rule(sql=st.sampled_from(QUERIES))
+    def stream_to_completion(self, sql):
+        *__, last = self.system.sql_stream(sql, chunk_rows=256)
+        assert last.final
+
     @rule(sql=st.sampled_from(QUERIES))
     def answer(self, sql):
         self._check_served(sql, self.system.answer(sql))
@@ -135,6 +147,15 @@ class VersionedStores(RuleBasedStateMachine):
         if system.has_portfolio("t"):
             held += [key[0] for key in system.portfolio("t")._resolutions._entries]
         assert set(held) <= {system.table_version("t")}
+
+    @invariant()
+    def every_row_is_covered_or_counted_since_the_refresh(self):
+        health = self.system.health("t")
+        if health.built:
+            assert (
+                health.rows_at_refresh + health.inserts_since_refresh
+                == health.base_rows + health.pending_rows
+            )
 
 
 TestVersionedStores = VersionedStores.TestCase

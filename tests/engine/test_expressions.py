@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    Between,
     BinaryOp,
     Col,
     ColumnType,
+    Comparison,
     Func,
     Lit,
     Schema,
@@ -15,6 +17,7 @@ from repro.engine import (
     col,
     lit,
 )
+from repro.engine.predicates import _COMPARATORS
 
 
 @pytest.fixture
@@ -91,3 +94,66 @@ class TestFunc:
 
     def test_func_referenced_columns(self):
         assert Func("abs", col("z")).referenced_columns() == ("z",)
+
+
+class TestLiteralOperands:
+    """A literal operand is one 0-d value, not a table-length column: every
+    result is byte for byte, dtype included, the ``np.full`` column's."""
+
+    CASES = [("i", 2), ("f", 1.5), ("s", "bb")]
+
+    @pytest.fixture
+    def typed(self):
+        schema = Schema.of(
+            ("i", ColumnType.INT), ("f", ColumnType.FLOAT), ("s", ColumnType.STR)
+        )
+        return Table.from_columns(
+            schema, i=[3, -1, 7], f=[0.5, 2.0, -4.25], s=["a", "bb", "c"]
+        )
+
+    @staticmethod
+    def _same(got, want):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("column, value", CASES)
+    def test_arithmetic_matches_the_full_column(self, typed, column, value):
+        values = typed.column(column)
+        full = np.full(typed.num_rows, value)
+        ops = {"+": np.add}
+        if column != "s":
+            ops.update({"-": np.subtract, "*": np.multiply})
+        for op, ufunc in ops.items():
+            for left, right, want in (
+                (Col(column), Lit(value), ufunc(values, full)),
+                (Lit(value), Col(column), ufunc(full, values)),
+                (Lit(value), Lit(value), ufunc(full, full)),
+            ):
+                self._same(BinaryOp(op, left, right).evaluate(typed), want)
+        if column != "s":
+            self._same(
+                BinaryOp("/", Col(column), Lit(value)).evaluate(typed),
+                np.divide(np.asarray(values, dtype=np.float64), full),
+            )
+            self._same(
+                BinaryOp("/", Lit(value), Lit(value)).evaluate(typed),
+                np.divide(np.asarray(full, dtype=np.float64), full),
+            )
+
+    @pytest.mark.parametrize("column, value", CASES)
+    def test_comparisons_match_the_full_column(self, typed, column, value):
+        values = typed.column(column)
+        full = np.full(typed.num_rows, value)
+        shifted = BinaryOp("+", Col(column), Lit(value))
+        for op, ufunc in _COMPARATORS.items():
+            for left, right, want in (
+                (Col(column), Lit(value), ufunc(values, full)),
+                (Lit(value), Lit(value), ufunc(full, full)),
+                (shifted, Col(column), ufunc(np.add(values, full), values)),
+            ):
+                self._same(Comparison(op, left, right).evaluate(typed), want)
+        self._same(
+            Between(Col(column), Lit(value), Lit(value)).evaluate(typed),
+            (values >= full) & (values <= full),
+        )

@@ -9,6 +9,7 @@ import pytest
 
 from repro import AquaSystem, GuardPolicy, House
 from repro.engine import Column, ColumnType, Schema, Table
+from repro.maintenance.congress import CongressMaintainer
 from repro.synthetic import GROUPING_COLUMNS, LineitemConfig, generate_lineitem
 
 
@@ -186,6 +187,40 @@ class TestRefreshRace:
         assert synopsis.sample.total_population == state.rows_at_refresh == 1000
         assert system.health("rel").issues == ()
         assert system.refresh_synopsis("rel").sample.total_population == 1001
+
+    def test_an_insert_during_enable_maintenance_reaches_the_maintainer(
+        self, system, monkeypatch
+    ):
+        """An insert racing enable_maintenance's load lands before the load
+        or after the maintainer is attached, never between them: every
+        refresh covers the rows recorded as covered, and the guard serves
+        the synopsis."""
+        load = CongressMaintainer.insert_table
+        racer = threading.Thread(
+            target=system.insert, args=("rel", ("small", 9.0))
+        )
+
+        def racing_load(maintainer, table):
+            load(maintainer, table)
+            racer.start()
+            racer.join(timeout=0.2)  # returns early unless the insert waits
+
+        monkeypatch.setattr(CongressMaintainer, "insert_table", racing_load)
+        try:
+            system.enable_maintenance("rel")
+        finally:
+            racer.join(timeout=10)
+            monkeypatch.undo()
+        assert not racer.is_alive()
+        synopsis = system.refresh_synopsis("rel")
+        assert system.health("rel").issues == ()
+        assert (
+            synopsis.sample.total_population
+            == system._state("rel").rows_at_refresh
+        )
+        assert system.refresh_synopsis("rel").sample.total_population == 1001
+        answer = system.answer(SQL)
+        assert set(answer.provenance_counts) == {"synopsis"}
 
     def test_inserts_and_refreshes_from_many_threads_lose_no_row(self, system):
         system.enable_maintenance("rel")
