@@ -1,11 +1,13 @@
 """Progressive streaming answers: online aggregation over chunked scans.
 
 :func:`stream_answers` is the driver behind
-:meth:`~repro.aqua.system.AquaSystem.sql_stream`.  It permutes the base
-relation once, cuts the permutation into fixed-size chunks, restricts
-each chunk to the columns the query reads and filters it by the WHERE
-predicate, and folds its :func:`~repro.engine.groupby.partial_group_by`
-into a running :class:`~repro.engine.groupby.GroupByPartial` with
+:meth:`~repro.aqua.system.AquaSystem.sql_stream`.  It permutes the rows
+of the table's current record (``TableVersion.relation()``: the base
+relation and its pending inserts) once, cuts the permutation into
+fixed-size chunks, restricts each chunk to the columns the query reads
+and filters it by the WHERE predicate, and folds its
+:func:`~repro.engine.groupby.partial_group_by` into a running
+:class:`~repro.engine.groupby.GroupByPartial` with
 :func:`~repro.engine.groupby.merge_group_partials`.  Because the row
 order is a uniform random permutation, the first ``m`` rows are a simple
 random sample without replacement: the batch expansion estimator applies
@@ -26,10 +28,12 @@ The emission contract (see ``docs/STREAMING.md``):
 * every intermediate answer has ``provenance="stream"`` and half-widths
   from the system's bound family at its confidence level;
 * the terminal answer of a run-to-completion stream is
-  :meth:`AquaSystem.exact`'s answer -- the "exact landing" -- with
-  ``provenance="exact"``, ``final=True`` and zero half-widths (chunk-
-  merged float sums differ from whole-table sums in ULPs; running
-  ``exact()`` once the prefix is the whole table removes that gap);
+  :meth:`AquaSystem.exact`'s answer over the table record the stream
+  scanned -- the "exact landing" -- with ``provenance="exact"``,
+  ``final=True`` and zero half-widths (chunk-merged float sums differ from
+  whole-table sums in ULPs; running ``exact()`` once the prefix is the
+  whole table removes that gap), so an insert that arrives mid-stream
+  reaches neither the chunks nor the landing;
 * ``support`` counts the qualifying rows seen per group, so it is non-
   decreasing across emissions and, on the landing, counts the whole
   relation;
@@ -108,7 +112,7 @@ class StreamingAnswer:
         chunk_index: 0-based index of the chunk that produced this answer.
         chunks_total: chunks the full stream would take.
         rows_seen: permuted prefix rows consumed (pre-WHERE).
-        rows_total: base relation rows.
+        rows_total: rows of the table record the stream scans.
         support: qualifying rows seen per group key tuple -- non-
             decreasing across emissions.
         provenance: ``"stream"`` / ``"partial"`` / ``"exact"``.
@@ -354,9 +358,8 @@ def stream_answers(
         return dataclass_replace(answer, result=present(answer.result))
 
     base_name = query.base_table_name()
-    system._state(base_name)  # typed error for an unregistered table
-    record = system._flush_pending(base_name)
-    base, version = record.table, record.version
+    record = system._state(base_name)  # the rows every emission reads
+    base, version = record.relation(), record.version
 
     # The ambient (or explicit) deadline is captured once and checked
     # between chunks; deadline_scope is entered per resumption only, so the
@@ -430,8 +433,18 @@ def stream_answers(
                         bound_method=system._bound_method,
                     )
                     if index == len(bounds) - 1:
-                        answer = _exact_landing(
-                            system, query, until_rel_error, started, common
+                        # The landing: exact() over the record scanned, as
+                        # the guard's exact fallback runs it.
+                        answer = StreamingAnswer(
+                            result=system._exact_with_zero_errors(
+                                query, record
+                            ),
+                            provenance=PROVENANCE_FINAL,
+                            final=True,
+                            converged=until_rel_error is not None,
+                            max_rel_halfwidth=0.0,
+                            elapsed_seconds=time.perf_counter() - started,
+                            **common,
                         )
                     else:
                         answer = _stream_emission(
@@ -514,27 +527,6 @@ def _stream_emission(
         max_rel_halfwidth=max(
             (r for r in relative if math.isfinite(r)), default=float("nan")
         ),
-        elapsed_seconds=time.perf_counter() - started,
-        **common,
-    )
-
-
-def _exact_landing(
-    system,
-    query: Query,
-    until_rel_error: Optional[float],
-    started: float,
-    common: Dict,
-) -> StreamingAnswer:
-    """The terminal emission: :meth:`AquaSystem.exact` over the relation,
-    as the guard's exact fallback runs it (zero half-widths), so it is
-    bit-identical to ``exact()``."""
-    return StreamingAnswer(
-        result=system._exact_with_zero_errors(query),
-        provenance=PROVENANCE_FINAL,
-        final=True,
-        converged=until_rel_error is not None,
-        max_rel_halfwidth=0.0,
         elapsed_seconds=time.perf_counter() - started,
         **common,
     )

@@ -324,6 +324,13 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
+class PendingRows(list):
+    """The buffered inserts the records since a flush share; ``memo`` holds
+    the last relation built over them, ``(table, count, relation)``."""
+
+    memo = None
+
+
 class TableVersion(NamedTuple):
     """One published version of a registered table, never changed in place.
 
@@ -332,12 +339,13 @@ class TableVersion(NamedTuple):
     reader takes one reference and no lock.  ``pending`` is the append-only
     list of buffered inserts that the records since the last flush share;
     this record's are its first ``pending_count``, so an insert copies no
-    rows.  Every cache key embeds ``version``.
+    rows.  A record's rows are its :meth:`relation`.  Every cache key
+    embeds ``version``.
     """
 
     table: Table
     grouping_columns: Tuple[str, ...]
-    pending: List[Tuple]
+    pending: PendingRows
     synopsis: Optional[Synopsis] = None
     portfolio: Optional[SynopsisPortfolio] = None
     maintainer: Optional[CongressMaintainer] = None
@@ -355,6 +363,25 @@ class TableVersion(NamedTuple):
     def rows(self) -> int:
         """Rows present: the base relation's and the buffered ones."""
         return self.table.num_rows + self.pending_count
+
+    def relation(self) -> Table:
+        """This record's rows: ``table``, then its pending rows.  Built
+        when a reader first needs it, by appending to the buffer's last
+        relation when that one holds a prefix of them, and kept on the
+        buffer until another record's is built; the one place rows are
+        concatenated."""
+        count = self.pending_count
+        if not count:
+            return self.table
+        memo = self.pending.memo
+        if memo is None or memo[0] is not self.table or memo[1] != count:
+            base, start = self.table, 0
+            if memo is not None and memo[0] is self.table and memo[1] < count:
+                base, start = memo[2], memo[1]
+            appended = Table.from_rows(self.table.schema, self.pending[start:count])
+            memo = (self.table, count, base.concat(appended))
+            self.pending.memo = memo
+        return memo[2]
 
     def next(self, **changes) -> "TableVersion":
         """The successor record: ``changes`` made, one version on."""
@@ -396,6 +423,29 @@ class TableVersion(NamedTuple):
             synopsis=synopsis,
             inserts_since_refresh=self.rows - covered,
             rows_at_refresh=covered,
+        )
+
+
+class ServingView(NamedTuple):
+    """What one answer reads: the table ``record`` it took (every base read
+    is ``record.relation()``), its ``synopsis`` and ``stale`` inserts."""
+
+    record: TableVersion
+    synopsis: Synopsis
+    stale: int
+
+    @property
+    def version(self) -> int:
+        return self.record.version
+
+    def answer(
+        self, result: Table, confidence: float, elapsed: float,
+        guard: Optional[GuardReport] = None,
+    ) -> ApproximateAnswer:
+        """An answer computed from this view, labelled with its version."""
+        return ApproximateAnswer(
+            result=result, confidence=confidence, synopsis=self.synopsis,
+            elapsed_seconds=elapsed, version=self.version, guard=guard,
         )
 
 
@@ -664,7 +714,7 @@ class AquaSystem:
         # version sequence continues, so nothing computed from the
         # replaced data is stored after this.
         self._publish(name, lambda current: TableVersion(
-            table, grouping_columns, [],
+            table, grouping_columns, PendingRows(),
             version=0 if current is None else current.version + 1))
         if build:
             return self.build_synopsis(name)
@@ -1416,17 +1466,6 @@ class AquaSystem:
             budget,
         )
 
-    def _cost_model(self) -> CostModel:
-        """A plan cost model seeded from the live catalog's cardinalities.
-
-        Synopsis relations are registered in the catalog, so the model
-        sees the *actual* sample sizes -- the portfolio's finest member
-        costs more than its coarsest -- and the optimizer's rule gate
-        (:func:`repro.plan.optimize` with ``cost_model``) never keeps a
-        rewrite predicted to slow the plan.
-        """
-        return CostModel.from_catalog(self.catalog)
-
     def _optimized_plan(
         self, lowered, base_name: str, version: int, strategy: str, relation
     ):
@@ -1443,14 +1482,18 @@ class AquaSystem:
         current.  ``relation`` is the sample relation the rewrite reads
         (portfolio members of one table plan the same query differently);
         ``strategy`` is the rewrite strategy's name.  Optimization is
-        cost-gated against catalog cardinalities (see :meth:`_cost_model`).
+        cost-gated against the catalog's cardinalities: synopsis relations
+        are registered there, so the model sees the *actual* sample sizes
+        and never keeps a rewrite predicted to slow the plan.
         """
         lowered, fingerprint = canonicalize(lowered)
         key = (base_name, version, strategy, relation, fingerprint)
         cached = self._plan_cache.get(key)
         if cached is not None:
             return cached
-        logical = optimize_plan(lowered, cost_model=self._cost_model())
+        logical = optimize_plan(
+            lowered, cost_model=CostModel.from_catalog(self.catalog)
+        )
         self._store_if_current(
             base_name, version, lambda: self._plan_cache.put(key, logical)
         )
@@ -1663,17 +1706,18 @@ class AquaSystem:
         )
 
     def _rollup_match(
-        self, query: Query, base_name: str, synopsis: Synopsis, version: int,
+        self, query: Query, view: ServingView,
         conjuncts: Tuple[Tuple[Predicate, str], ...], count=True,
     ):
-        """The roll-up index's snapshot of ``version`` subsuming ``query``,
-        whose WHERE has the canonical ``conjuncts``
-        (:func:`~repro.plan.canonical.split_conjuncts`), or ``None``
-        (``count=False`` leaves the index's counters and LRU order alone)."""
+        """The roll-up index's snapshot of the ``view``'s version and
+        synopsis subsuming ``query``, whose WHERE has the canonical
+        ``conjuncts`` (:func:`~repro.plan.canonical.split_conjuncts`), or
+        ``None`` (``count=False`` leaves the index's counters and LRU order
+        alone)."""
         return self._reuse.lookup(
-            base_name=base_name,
-            version=version,
-            synopsis_signature=self._synopsis_signature(synopsis),
+            base_name=view.synopsis.base_name,
+            version=view.version,
+            synopsis_signature=self._synopsis_signature(view.synopsis),
             conjuncts=conjuncts,
             group_by=query.group_by,
             aggregates=query.aggregates(),
@@ -1684,15 +1728,13 @@ class AquaSystem:
     def _serve_moments(
         self,
         query: Query,
-        record: TableVersion,
-        synopsis: Synopsis,
+        view: ServingView,
         snapshot: ReuseSnapshot,
         policy: Optional[GuardPolicy],
-        stale: int,
         extra_predicate: Optional[Predicate] = None,
         started: Optional[float] = None,
     ) -> ApproximateAnswer:
-        """Answer a query from the sample's moments, at ``record``'s
+        """Answer a query from the sample's moments, at the ``view``'s
         version.
 
         The one serving step of the miss path and the roll-up tier:
@@ -1712,20 +1754,13 @@ class AquaSystem:
                 extra_predicate,
             )
             result, order = lay_out(
-                query, record.table.schema, rollup.key_arrays, rollup.values,
-                rollup.halfwidths,
+                query, view.record.table.schema, rollup.key_arrays,
+                rollup.values, rollup.halfwidths,
             )
             support = rollup.support[order]
             self._observe_halfwidths(query, result)
         return self._bounded_answer(
-            query,
-            synopsis,
-            result,
-            time.perf_counter() - started,
-            policy,
-            stale,
-            record.version,
-            support,
+            query, view, result, time.perf_counter() - started, policy, support
         )
 
     def _tag_rollup(
@@ -1778,16 +1813,14 @@ class AquaSystem:
             answer.result = Table(answer.result.schema, data)
         return answer
 
-    def _serving_view(
-        self, base_name: str, choice
-    ) -> Tuple[TableVersion, Synopsis, int]:
-        """``(record, synopsis, stale inserts)`` for one answer, all from
-        the table's current record."""
+    def _serving_view(self, base_name: str, choice) -> ServingView:
+        """One answer's view, all from the table's current record."""
         record = self._state(base_name)
         if choice is not None:
             stale = max(record.rows - choice.rows_at_build, 0)
-            return record, choice.synopsis, stale
-        return record, self._synopsis_of(record, base_name), record.inserts_since_refresh
+            return ServingView(record, choice.synopsis, stale)
+        synopsis = self._synopsis_of(record, base_name)
+        return ServingView(record, synopsis, record.inserts_since_refresh)
 
     def _answer_stages(
         self,
@@ -1824,9 +1857,9 @@ class AquaSystem:
         check_deadline("validate")
         with tracer.span("validate") as validate_span:
             self._maybe_auto_refresh(base_name)
-            record, synopsis, stale = self._serving_view(base_name, choice)
-            validate_span.set(stale_inserts=stale)
-            if self._over_staleness_limit(policy, stale):
+            view = self._serving_view(base_name, choice)
+            validate_span.set(stale_inserts=view.stale)
+            if self._over_staleness_limit(policy, view.stale):
                 if policy.on_stale == "refresh":
                     if choice is not None:
                         portfolio = self.refresh_portfolio(
@@ -1846,12 +1879,10 @@ class AquaSystem:
                             )
                     else:
                         self.refresh_synopsis(base_name, trigger="guard")
-                    record, synopsis, stale = self._serving_view(
-                        base_name, choice
-                    )
+                    view = self._serving_view(base_name, choice)
                 elif policy.on_stale == "raise":
                     raise StaleSynopsisError(
-                        f"synopsis for {base_name!r} is stale: {stale} "
+                        f"synopsis for {base_name!r} is stale: {view.stale} "
                         f"inserts since the last refresh exceed the limit "
                         f"of {policy.staleness_limit}; call "
                         "refresh_synopsis() or relax the guard policy"
@@ -1859,12 +1890,10 @@ class AquaSystem:
                 elif policy.on_stale == "exact":
                     return self._exact_answer(
                         query,
-                        synopsis,
+                        view,
                         policy,
-                        reason=f"stale synopsis ({stale} inserts over the "
-                        f"limit of {policy.staleness_limit})",
-                        stale=stale,
-                        version=record.version,
+                        reason=f"stale synopsis ({view.stale} inserts over "
+                        f"the limit of {policy.staleness_limit})",
                     ), None
                 # "serve": accept the staleness and continue.
 
@@ -1872,15 +1901,15 @@ class AquaSystem:
                 validate_span.set(
                     structural=(
                         "remembered"
-                        if synopsis.sample.frame.judged
+                        if view.synopsis.sample.frame.judged
                         else "walked"
                     )
                 )
                 issues = self._synopsis_issues(
-                    synopsis,
+                    view.synopsis,
                     choice.rows_at_build
                     if choice is not None
-                    else record.rows_at_refresh,
+                    else view.record.rows_at_refresh,
                 )
                 if issues:
                     detail = "; ".join(issues)
@@ -1894,49 +1923,41 @@ class AquaSystem:
                         )
                     return self._exact_answer(
                         query,
-                        synopsis,
+                        view,
                         policy,
                         reason=f"corrupt synopsis: {detail}",
-                        stale=stale,
-                        version=record.version,
                         issues=tuple(issues),
                     ), None
             check_rewritable(query, base_name)
 
         if choice is None and self._reuse is not None:
             with tracer.span("rollup_probe"):
-                match = self._rollup_match(
-                    query, base_name, synopsis, record.version, conjuncts
-                )
+                match = self._rollup_match(query, view, conjuncts)
             if match is not None:
                 answer = self._serve_moments(
                     query,
-                    record,
-                    synopsis,
+                    view,
                     match.snapshot,
                     policy,
-                    stale,
                     extra_predicate=match.extra_predicate,
                 )
                 return self._tag_rollup(answer, policy, match), None
         check_deadline("moments")
         started = time.perf_counter()
         with tracer.span("moments"):
-            snapshot = self._moments(query, record, synopsis, conjuncts)
+            snapshot = self._moments(query, view, conjuncts)
         answer = self._serve_moments(
-            query, record, synopsis, snapshot, policy, stale, started=started
+            query, view, snapshot, policy, started=started
         )
         return answer, (snapshot if snapshot.moments.strata_cells else None)
 
     def _bounded_answer(
         self,
         query: Query,
-        synopsis: Synopsis,
+        view: ServingView,
         result: Table,
         elapsed: float,
         policy: Optional[GuardPolicy],
-        stale: int,
-        version: int,
         support: np.ndarray,
     ) -> ApproximateAnswer:
         """A freshly computed result with its ``_error`` columns, guarded.
@@ -1944,20 +1965,12 @@ class AquaSystem:
         With a policy the guard judges every group by its ``support``, the
         row's qualifying sample tuples.
         """
-        answer = ApproximateAnswer(
-            result=result,
-            confidence=self._confidence,
-            synopsis=synopsis,
-            elapsed_seconds=elapsed,
-            version=version,
-        )
+        answer = view.answer(result, self._confidence, elapsed)
         if policy is None:
             return answer
         check_deadline("guard")
         with self.telemetry.tracer.span("guard") as guard_span:
-            answer = self._guard_answer(
-                query, synopsis, answer, policy, stale, support
-            )
+            answer = self._guard_answer(query, view, answer, policy, support)
             if answer.guard is not None and guard_span.is_recording:
                 guard_span.set(**answer.guard.counts)
         return answer
@@ -2065,10 +2078,9 @@ class AquaSystem:
     def _guard_answer(
         self,
         query: Query,
-        synopsis: Synopsis,
+        view: ServingView,
         answer: ApproximateAnswer,
         policy: GuardPolicy,
-        stale: int,
         support: np.ndarray,
     ) -> ApproximateAnswer:
         """Check every answer group and escalate the ones that fail.
@@ -2090,7 +2102,7 @@ class AquaSystem:
         failing, flagged = self._flag_groups(
             query, result, keys, support, policy
         )
-        missing = self._missing_groups(query, synopsis, group_by, keys)
+        missing = self._missing_groups(query, view.synopsis, group_by, keys)
 
         needy = len(flagged) + len(missing)
         if needy == 0:
@@ -2100,15 +2112,10 @@ class AquaSystem:
             report = GuardReport(
                 policy=policy,
                 provenance=dict.fromkeys(keys, PROVENANCE_SYNOPSIS),
-                stale_inserts=stale,
+                stale_inserts=view.stale,
             )
-            return ApproximateAnswer(
-                result=tagged,
-                confidence=answer.confidence,
-                synopsis=synopsis,
-                elapsed_seconds=answer.elapsed_seconds,
-                version=answer.version,
-                guard=report,
+            return view.answer(
+                tagged, answer.confidence, answer.elapsed_seconds, report
             )
 
         total = len(keys) + len(missing)
@@ -2130,30 +2137,29 @@ class AquaSystem:
                     "exact fallback is disabled by the guard policy"
                 )
             return self._exact_answer(
-                query, synopsis, policy, reason=reason, stale=stale,
-                version=answer.version, flagged=flagged,
+                query, view, policy, reason=reason, flagged=flagged
             )
         return self._repair_answer(
-            query, answer, policy, stale, keys, failing, flagged, missing
+            query, view, answer, policy, keys, failing, flagged, missing
         )
 
     def _repair_answer(
         self,
         query: Query,
+        view: ServingView,
         answer: ApproximateAnswer,
         policy: GuardPolicy,
-        stale: int,
         keys: List[GroupKey],
         failing: np.ndarray,
         flagged: Dict[GroupKey, str],
         missing: List[GroupKey],
     ) -> ApproximateAnswer:
-        """Patch only the failing groups from the base table.
+        """Patch only the failing groups from the view's record.
 
         This is the paper's small-group problem handled at serve time: the
         synopsis answer is kept for well-supported groups (``~failing``),
         while flagged and missing groups are recomputed exactly over just
-        their base rows.  The merge is in ``GROUP BY`` key order, as every
+        their rows.  The merge is in ``GROUP BY`` key order, as every
         other answer is, before the query's ORDER BY applies.
         """
         result = answer.result
@@ -2165,9 +2171,9 @@ class AquaSystem:
         with self.telemetry.tracer.span(
             "repair", groups=len(repair_keys)
         ) as span:
-            rows = self._group_rows(query, repair_keys)
+            rows = self._group_rows(query, view.record, repair_keys)
             span.set(rows=rows.num_rows)
-            repair = self._exact_with_zero_errors(query, rows)
+            repair = self._exact_with_zero_errors(query, view.record, rows)
         repair_elapsed = time.perf_counter() - start
 
         # The result's schema coerces each repaired column to its type.
@@ -2207,7 +2213,7 @@ class AquaSystem:
             provenance=provenance,
             flagged=dict(flagged),
             dropped=dropped,
-            stale_inserts=stale,
+            stale_inserts=view.stale,
         )
         return dataclass_replace(
             answer,
@@ -2216,15 +2222,14 @@ class AquaSystem:
             guard=report,
         )
 
-    def _group_rows(self, query: Query, keys: Sequence[GroupKey]) -> Table:
-        """The base rows that pass the query's WHERE and whose ``GROUP BY``
-        key is one of ``keys``, in base order: the rows a restricted
-        :meth:`exact` would aggregate.  Pending inserts are flushed first,
-        as :meth:`exact` does.
+    def _group_rows(
+        self, query: Query, record: TableVersion, keys: Sequence[GroupKey]
+    ) -> Table:
+        """The rows of ``record`` that pass the query's WHERE and whose
+        ``GROUP BY`` key is one of ``keys``, in base order: the rows a
+        restricted :meth:`exact` over ``record`` would aggregate.
         """
-        name = query.base_table_name()
-        self._flush_pending(name)
-        table = self.catalog.get(name)
+        table = record.relation()
         rows = rows_in_groups(
             [table.column(c) for c in query.group_by],
             keys,
@@ -2243,22 +2248,20 @@ class AquaSystem:
     def _exact_answer(
         self,
         query: Query,
-        synopsis: Synopsis,
+        view: ServingView,
         policy: GuardPolicy,
         reason: str,
-        stale: int,
-        version: int,
         issues: Tuple[str, ...] = (),
         flagged: Optional[Dict[GroupKey, str]] = None,
     ) -> ApproximateAnswer:
-        """Full exact fallback, shaped like an approximate answer.
+        """Full exact fallback over the view's record, shaped like an answer.
 
         Error columns are attached as zeros (an exact answer has no
         sampling error) and every group is tagged ``exact``.
         """
         start = time.perf_counter()
         with self.telemetry.tracer.span("exact_fallback", reason=reason):
-            result = self._exact_with_zero_errors(query)
+            result = self._exact_with_zero_errors(query, view.record)
         elapsed = time.perf_counter() - start
         keys = self._result_keys(result, query.group_by)
         result = self._attach_provenance(
@@ -2269,17 +2272,10 @@ class AquaSystem:
             provenance={key: PROVENANCE_EXACT for key in keys},
             flagged=dict(flagged or {}),
             issues=issues,
-            stale_inserts=stale,
+            stale_inserts=view.stale,
             fallback_reason=reason,
         )
-        return ApproximateAnswer(
-            result=result,
-            confidence=self._confidence,
-            synopsis=synopsis,
-            elapsed_seconds=elapsed,
-            version=version,
-            guard=report,
-        )
+        return view.answer(result, self._confidence, elapsed, report)
 
     # -- calibration & ground truth -----------------------------------------
 
@@ -2292,23 +2288,21 @@ class AquaSystem:
 
         Intended for calibration sessions: the administrator samples a few
         representative queries to decide whether the space budget is
-        adequate (the paper's Section 7 protocol, as an API).  Pending
-        inserts are flushed first so the approximate and exact answers are
-        scored against the same relation; any synopsis staleness at answer
-        time is recorded honestly in the report instead of silently skewing
-        the error metrics.  Both answers are scored in stage layout
+        adequate (the paper's Section 7 protocol, as an API).  The exact
+        side reads the table's record after the answer (a guard-triggered
+        refresh moves it on) and publishes nothing, so without a concurrent
+        writer both sides read the answer's version; any synopsis staleness
+        is recorded honestly in the report instead of silently skewing the
+        error metrics.  Both answers are scored in stage layout
         (:meth:`~repro.engine.query.Query.bind`), keyed by ``GROUP BY``
         name, and reported in the query's own columns.
         """
         user = parse_query(sql) if isinstance(sql, str) else sql
         query, present = user.bind()
-        base_name = query.base_table_name()
-        self._flush_pending(base_name)
         answer = self.answer(query, guard=guard)
-        # Read staleness after answering: a guard-triggered refresh clears it.
-        stale_inserts = self._state(base_name).inserts_since_refresh
+        record = self._state(query.base_table_name())
         start = time.perf_counter()
-        exact = self.exact(query)
+        exact = self._exact_stage(query, record)
         exact_elapsed = time.perf_counter() - start
 
         from ..metrics.groupby_error import GroupByError, groupby_error
@@ -2326,7 +2320,7 @@ class AquaSystem:
             exact=exact,
             exact_elapsed_seconds=exact_elapsed,
             errors=per_aggregate,
-            stale_inserts=stale_inserts,
+            stale_inserts=record.inserts_since_refresh,
         )
 
     def explain(
@@ -2448,24 +2442,19 @@ class AquaSystem:
         )
         if entry is not None:
             return "exact" if entry.sql == render_query(query) else "canonical"
-        synopsis = record.synopsis
-        if budget or synopsis is None or record.refresh_due:
+        if budget or record.synopsis is None or record.refresh_due:
             return "miss"
+        view = ServingView(record, record.synopsis, record.inserts_since_refresh)
         if policy is not None and (
             (
-                self._over_staleness_limit(policy, record.inserts_since_refresh)
+                self._over_staleness_limit(policy, view.stale)
                 and policy.on_stale != "serve"
             )
-            or self._synopsis_issues(synopsis, record.rows_at_refresh)
+            or self._synopsis_issues(view.synopsis, record.rows_at_refresh)
         ):
             return "miss"
         match = self._rollup_match(
-            query,
-            base_name,
-            synopsis,
-            record.version,
-            split_conjuncts(canonical.query.where),
-            count=False,
+            query, view, split_conjuncts(canonical.query.where), count=False
         )
         if match is None:
             return "miss"
@@ -2491,7 +2480,9 @@ class AquaSystem:
             tracer.enabled = was_enabled
 
     def exact(self, sql: Union[str, Query]) -> Table:
-        """Execute the query against the base relation (ground truth).
+        """Execute the query against the table's rows (ground truth): those
+        of its current record, pending inserts included; nothing is
+        published.
 
         The query is lowered and optimized through the same plan IR that
         serves approximate answers, then executed by the physical plan
@@ -2505,31 +2496,36 @@ class AquaSystem:
         """
         user = parse_query(sql) if isinstance(sql, str) else sql
         query, present = user.bind()
-        self._flush_pending(query.base_table_name())
+        result = self._exact_stage(query, self._state(query.base_table_name()))
+        return result if present is None else present(result)
+
+    def _exact_stage(self, query: Query, record: TableVersion) -> Table:
+        """:meth:`exact` of a stage query over ``record``: planned, costed
+        and run with the base name resolving to ``record.relation()``."""
+        catalog = self.catalog.replaced(query.base_table_name(), record.relation())
         try:
             logical = optimize_plan(
-                lower_query(query, self.catalog),
-                cost_model=self._cost_model(),
+                lower_query(query, catalog),
+                cost_model=CostModel.from_catalog(catalog),
             )
-            result = execute_plan(
+            return execute_plan(
                 logical,
-                self.catalog,
+                catalog,
                 parallel=self._executor,
                 tracer=self.telemetry.tracer,
             )
         except CatalogError as exc:
             raise TableNotRegisteredError(str(exc)) from exc
-        return result if present is None else present(result)
 
     def _exact_with_zero_errors(
-        self, query: Query, rows: Optional[Table] = None
+        self, query: Query, record: TableVersion, rows: Optional[Table] = None
     ) -> Table:
-        """:meth:`exact` on a stage query, or its aggregation over ``rows``
-        that passed its WHERE (the engine's table-level entry, the same
-        GROUP BY as the plan's), with a zero ``<alias>_error`` column per
-        SUM/COUNT/AVG: an exact answer has no sampling error."""
+        """:meth:`exact` on a stage query over ``record``, or its aggregation
+        over ``rows`` that passed its WHERE (the engine's table-level entry,
+        the same GROUP BY as the plan's), with a zero ``<alias>_error``
+        column per SUM/COUNT/AVG: an exact answer has no sampling error."""
         if rows is None:
-            result = self.exact(query)
+            result = self._exact_stage(query, record)
         else:
             result = execute_on_table(
                 dataclass_replace(query, where=None, order_by=(), limit=None),
@@ -2555,8 +2551,9 @@ class AquaSystem:
     ):
         """Answer progressively: a stream of converging per-group estimates.
 
-        Online aggregation over the *base* relation (no synopsis): the rows
-        are scanned in one uniform random permutation, cut into
+        Online aggregation over the rows of the table's current record,
+        pending inserts included (no synopsis): they are scanned in one
+        uniform random permutation, cut into
         ``chunk_rows``-row chunks, and folded through the mergeable
         group-by partials, so the prefix seen after ``k`` chunks is a
         simple random sample and every emitted
@@ -2566,8 +2563,10 @@ class AquaSystem:
         kernel's estimator with the relation as one stratum.
 
         The terminal emission of a run-to-completion stream is
-        :meth:`exact`'s answer (``final=True``, zero half-widths), so it is
-        bit-identical to it; it is then stored in the answer cache.  ``until_rel_error`` stops
+        :meth:`exact`'s answer over the same record (``final=True``, zero
+        half-widths), so it is bit-identical to it and no insert during the
+        stream reaches it; it is then stored in the answer cache while that
+        version is current.  ``until_rel_error`` stops
         the stream early once every group's relative half-width is at or
         below the target (``converged=True``, not cached).  A ``deadline``
         (explicit, or ambient via
@@ -2624,16 +2623,16 @@ class AquaSystem:
     def _moments(
         self,
         query: Query,
-        record: TableVersion,
-        synopsis: Synopsis,
+        view: ServingView,
         conjuncts: Tuple[Tuple[Predicate, str], ...],
     ) -> ReuseSnapshot:
-        """One pass over the sample: the query's per-cell moments at
-        ``record``'s version, masked by its WHERE, whose canonical
+        """One pass over the sample: the query's per-cell moments at the
+        ``view``'s version, masked by its WHERE, whose canonical
         ``conjuncts`` the snapshot keeps (see :meth:`_serve_moments`).
         Hoeffding bounds read their value ranges from the record's base
         table."""
-        version = record.version
+        synopsis = view.synopsis
+        version = view.version
         group_text = ", ".join(query.group_by) if query.group_by else "()"
         source = (
             f"{synopsis.base_name}@v{version} "
@@ -2652,7 +2651,9 @@ class AquaSystem:
                 query.where,
                 query.aggregates(),
                 query.group_by,
-                record.table if self._bound_method == "hoeffding" else None,
+                view.record.table
+                if self._bound_method == "hoeffding"
+                else None,
             ),
         )
 
@@ -2762,21 +2763,21 @@ class AquaSystem:
             ).observe(time.perf_counter() - start, table=name)
         return synopsis
 
-    def _flush_pending(self, name: str) -> Optional[TableVersion]:
-        """Move the buffered inserts into the base relation; returns the
-        record now current (``None`` for an unregistered table)."""
+    def _flush_pending(self, name: str) -> TableVersion:
+        """Move the buffered inserts into the base relation: publish the
+        current record's :meth:`TableVersion.relation` as the next base.
+        Only the writers that read a flat base relation (a rebuild,
+        :meth:`enable_maintenance`) flush; a read never does.  Returns the
+        record now current."""
 
         def flush(current: TableVersion) -> Optional[TableVersion]:
             rows = current.pending_count
             if not rows:
                 return None
             with self.telemetry.tracer.span("flush", table=name, rows=rows):
-                appended = Table.from_rows(
-                    current.table.schema, current.pending_rows
-                )
                 flushed = current.next(
-                    table=current.table.concat(appended),
-                    pending=[],
+                    table=current.relation(),
+                    pending=PendingRows(),
                     pending_count=0,
                 )
             metrics = self.telemetry.metrics
@@ -2800,7 +2801,4 @@ class AquaSystem:
                 ).set(0, table=name)
             return flushed
 
-        record = self._tables.get(name)
-        if record is None or not record.pending_count:
-            return record
         return self._publish(name, flush)

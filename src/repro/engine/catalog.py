@@ -38,6 +38,13 @@ class Catalog:
             raise CatalogError(f"table {name!r} already registered")
         self._tables[name] = table
 
+    def replaced(self, name: str, table: Table) -> "Catalog":
+        """A copy in which ``name`` resolves to ``table``; this catalog is
+        left as it is."""
+        copy = Catalog()
+        copy._tables = {**self._tables, name: table}
+        return copy
+
     def drop(self, name: str) -> None:
         """Remove a table; raises :class:`CatalogError` if absent."""
         if name not in self._tables:

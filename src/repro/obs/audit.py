@@ -373,9 +373,9 @@ class AccuracyAuditor:
             with self._lock:
                 self._skip_locked(SKIP_EXACT_FAILED)
             return None
-        # exact() flushes pending rows; a concurrent mutation (or a flush
-        # of inserts that raced the version read) means the exact answer
-        # no longer describes the audited answer's data.
+        # exact() reads the current record and publishes nothing; a
+        # mutation that landed after the version read means it may have
+        # read newer data than the audited answer's.
         if self._current_version(task.table) != task.version:
             with self._lock:
                 self._skip_locked(SKIP_VERSION_MISMATCH)

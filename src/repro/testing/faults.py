@@ -490,7 +490,7 @@ class AnswerTamper:
 
         # Every freshly computed answer reaches the guard through
         # ``_bounded_answer``; tamper it on the way.
-        def _bounded_answer(query, synopsis, result, *args, **kwargs):
+        def _bounded_answer(query, view, result, *args, **kwargs):
             columns = dict(result.columns())
             touched = False
             for name in list(columns):
@@ -503,7 +503,7 @@ class AnswerTamper:
             if touched:
                 tamper.tampered += 1
                 result = Table(result.schema, columns)
-            return original(query, synopsis, result, *args, **kwargs)
+            return original(query, view, result, *args, **kwargs)
 
         self.system._bounded_answer = _bounded_answer
         self._installed = True

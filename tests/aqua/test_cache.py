@@ -106,7 +106,7 @@ class TestCacheInvalidation:
         seen = [system.table_version("t")]
         system.insert("t", ("a", 1.0))
         seen.append(system.table_version("t"))
-        system.exact(SQL)  # flushes the pending row
+        system._flush_pending("t")
         seen.append(system.table_version("t"))
         system.refresh_synopsis("t")
         seen.append(system.table_version("t"))

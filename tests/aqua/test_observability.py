@@ -220,7 +220,7 @@ class TestMaintenanceMetrics:
         assert system.metrics.get("aqua_pending_rows").value(
             table="rel"
         ) == 2
-        system.exact(SQL)  # forces a flush of pending rows
+        system._flush_pending("rel")
         assert system.metrics.get("aqua_flushes_total").value(
             table="rel"
         ) == 1

@@ -95,8 +95,9 @@ def test_a_one_group_repair_scan_costs_at_most_one_and_a_half_tree_scans(
     assert system.exact(tree).num_rows == 1
 
     def repair():
-        rows = system._group_rows(query, [key])
-        return system._exact_with_zero_errors(query, rows)
+        record = system._state("lineitem")
+        rows = system._group_rows(query, record, [key])
+        return system._exact_with_zero_errors(query, record, rows)
 
     assert repair().num_rows == 1
     scan = median_ms(repair)

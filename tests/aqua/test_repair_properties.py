@@ -106,8 +106,9 @@ def test_repair_is_exact_over_the_flagged_groups_rows(case, flag_seed, parallel)
     failing = np.random.default_rng(flag_seed).random(result.num_rows) < 0.5
     flagged = {result_keys[i]: "drawn" for i in np.flatnonzero(failing)}
     repaired = system._repair_answer(
-        query, answer, GuardPolicy(max_repair_fraction=1.0), 0, result_keys,
-        failing, flagged, [],
+        query, system._serving_view("t", None), answer,
+        GuardPolicy(max_repair_fraction=1.0), result_keys, failing, flagged,
+        [],
     )
 
     # The oracle: exact() over the flagged groups' surviving base rows.

@@ -48,7 +48,7 @@ def test_a_published_record_is_never_changed(system):
     assert (before.pending_rows, len(after.pending_rows)) == ([], 1)
     with pytest.raises(AttributeError):
         after.version = 0
-    system.exact("select count(*) n from rel")  # flushes
+    system._flush_pending("rel")
     flushed = system._state("rel")
     assert (flushed.pending_rows, flushed.table.num_rows) == ([], 20_001)
     assert len(after.pending_rows) == 1

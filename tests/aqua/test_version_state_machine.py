@@ -12,7 +12,9 @@ lands inside of -- and after every step checks:
   again after ``answer_cache.invalidate()`` + ``rollup_index.clear()``
   (numeric columns; the provenance tag names the tier);
 * every row present is either covered by the synopsis or counted as
-  inserted since its refresh.
+  inserted since its refresh;
+* every answer repaired in every group, and every full exact fallback,
+  counts the rows of the version it carries, pending rows included.
 """
 
 import numpy as np
@@ -28,7 +30,7 @@ from hypothesis.stateful import (  # noqa: E402
     rule,
 )
 
-from repro.aqua import AquaSystem  # noqa: E402
+from repro.aqua import AquaSystem, GuardPolicy  # noqa: E402
 from repro.engine import Column, ColumnType, Schema, Table  # noqa: E402
 
 QUERIES = [
@@ -39,6 +41,9 @@ QUERIES = [
     "SELECT g, SUM(v) AS s FROM t GROUP BY g HAVING s > 0",
 ]
 BUDGETED = "SELECT g, SUM(v) AS s FROM t GROUP BY g"
+COUNTED = "SELECT g, h, COUNT(*) AS c FROM t GROUP BY g, h"
+REPAIR_ALL = GuardPolicy(min_group_support=10**6, max_repair_fraction=1.0)
+FALL_BACK = GuardPolicy(min_group_support=10**6, max_repair_fraction=0.0)
 
 
 def _table(n=600):
@@ -71,6 +76,8 @@ class VersionedStores(RuleBasedStateMachine):
         super().__init__()
         self.system = AquaSystem(space_budget=120, rng=np.random.default_rng(4))
         self.system.register_table("t", _table())
+        self.rows_at = {}  # version -> rows present at it
+        self.counted = []  # (version, COUNT(*) total) of base-read answers
 
     @rule(g=st.sampled_from("abc"), h=st.sampled_from("xy"),
           v=st.floats(0.0, 500.0))
@@ -79,7 +86,7 @@ class VersionedStores(RuleBasedStateMachine):
 
     @rule()
     def flush(self):
-        self.system.exact("SELECT COUNT(*) AS n FROM t")
+        self.system._flush_pending("t")
 
     @rule()
     def refresh(self):
@@ -124,6 +131,15 @@ class VersionedStores(RuleBasedStateMachine):
         finally:
             system.__dict__.pop("_bounded_answer", None)
 
+    @rule(policy=st.sampled_from([REPAIR_ALL, FALL_BACK]))
+    def answer_from_the_base(self, policy):
+        served = self.system.answer(COUNTED, guard=policy)
+        tags = {"exact"} if policy is FALL_BACK else {"repaired"}
+        assert set(served.provenance_counts) <= tags
+        self.counted.append(
+            (served.version, sum(served.result.column("c").tolist()))
+        )
+
     def _check_served(self, sql, served, **budget):
         if not (served.cache_hit or served.cache_tier == "rollup"):
             return
@@ -156,6 +172,13 @@ class VersionedStores(RuleBasedStateMachine):
                 health.rows_at_refresh + health.inserts_since_refresh
                 == health.base_rows + health.pending_rows
             )
+
+    @invariant()
+    def every_base_read_counts_the_rows_of_its_version(self):
+        record = self.system._state("t")
+        self.rows_at.setdefault(record.version, record.rows)
+        for version, total in self.counted:
+            assert total == self.rows_at[version], (version, total)
 
 
 TestVersionedStores = VersionedStores.TestCase

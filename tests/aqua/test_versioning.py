@@ -83,7 +83,7 @@ def _stored(system, name):
 def _flush(system):
     system.insert("t", ("a", "x", 5.0))  # pending row, flushed below
     _populate(system, "t")  # refill t's stores at the post-insert version
-    return lambda: system.exact(FINE.format("t"))
+    return lambda: system._flush_pending("t")
 
 
 MUTATIONS = {
@@ -208,7 +208,7 @@ class TestARefreshInsideAnAnswer:
         stream = system.sql_stream(sql, chunk_rows=500)
         next(stream)
         system.insert("t", ("a", "x", 5.0))
-        system.exact(sql)  # flushes the pending row mid-stream
+        system._flush_pending("t")  # flushes the pending row mid-stream
         *__, final = stream
         assert final.final
         assert _versions_held(system) <= {system.table_version("t")}
@@ -305,7 +305,7 @@ def test_concurrent_writers_leave_no_entry_of_an_old_version():
             time.sleep(0.002)  # let answers get under way between bumps
             system.insert("t", ("a", "x", float(i)))
             if i % 8 == 3:
-                system.exact(SUM_BY_G)  # flush
+                system._flush_pending("t")
             if i % 8 == 7:
                 system.refresh_synopsis("t")
     finally:

@@ -250,6 +250,87 @@ class TestRefreshRace:
         assert system.health("rel").issues == ()
 
 
+def twenty_group_table(rows_per_group=1000, seed=5):
+    rng = np.random.default_rng(seed)
+    g = np.repeat([f"g{i:02d}" for i in range(20)], rows_per_group)
+    v = rng.normal(50.0, 5.0, g.size)
+    schema = Schema(
+        [
+            Column("g", ColumnType.STR, "grouping"),
+            Column("v", ColumnType.FLOAT, "aggregate"),
+        ]
+    )
+    return Table.from_columns(schema, g=g, v=v)
+
+
+COUNT_SQL = "select g, count(*) c from rel group by g"
+
+
+class TestRecordReads:
+    """Every base read of an answer is of the record the answer carries:
+    an insert that lands after the answer took its record reaches neither
+    its repair, nor its exact fallback, nor a stream's landing."""
+
+    @pytest.fixture
+    def twenty(self):
+        system = AquaSystem(space_budget=400, rng=np.random.default_rng(6))
+        system.register_table("rel", twenty_group_table())
+        return system
+
+    @staticmethod
+    def _answer_racing_an_insert(system, policy):
+        """Answer with an insert landing in the guard, before any base
+        read; returns the record the answer started from, and the answer."""
+        flag = system._flag_groups
+        racer = threading.Thread(
+            target=system.insert, args=("rel", ("g00", 1.0))
+        )
+
+        def racing_flag(*args):
+            racer.start()
+            racer.join(timeout=0.2)
+            return flag(*args)
+
+        before = system._state("rel")
+        system._flag_groups = racing_flag
+        try:
+            answer = system.answer(COUNT_SQL, guard=policy)
+        finally:
+            racer.join(timeout=10)
+            del system._flag_groups
+        assert not racer.is_alive()
+        assert system._state("rel").rows == before.rows + 1
+        return before, answer
+
+    def test_a_repair_reads_the_answer_s_version(self, twenty):
+        before, answer = self._answer_racing_an_insert(
+            twenty,
+            GuardPolicy(min_group_support=10**6, max_repair_fraction=1.0),
+        )
+        assert set(answer.provenance_counts) == {"repaired"}
+        assert answer.version == before.version
+        assert sum(answer.result.column("c").tolist()) == before.rows == 20_000
+
+    def test_a_full_fallback_reads_the_answer_s_version(self, twenty):
+        before, answer = self._answer_racing_an_insert(
+            twenty,
+            GuardPolicy(min_group_support=10**6, max_repair_fraction=0.0),
+        )
+        assert set(answer.provenance_counts) == {"exact"}
+        assert answer.version == before.version
+        assert sum(answer.result.column("c").tolist()) == before.rows == 20_000
+
+    def test_a_stream_lands_on_the_rows_it_scanned(self, system):
+        stream = system.sql_stream(COUNT_SQL, chunk_rows=250)
+        next(stream)
+        next(stream)
+        system.insert_many("rel", [("small", 9.0)] * 50)
+        *__, final = stream
+        assert final.final
+        assert sum(final.result.column("c").tolist()) == final.rows_total
+        assert final.rows_total == 1000
+
+
 class TestZeroBudgetStrata:
     def test_house_starves_small_group_health_degraded(self):
         """House allocation with a tight budget can give a group zero
@@ -273,12 +354,18 @@ class TestZeroBudgetStrata:
     def test_compare_reports_staleness_honestly(self, system):
         for __ in range(25):
             system.insert("rel", ("small", 9.0))
+        version = system.table_version("rel")
         report = system.compare(SQL)
-        # compare() flushes pending rows so both sides see the same data;
-        # the synopsis itself is still 25 inserts behind, and says so.
+        # Both sides read the answer's version, the 25 pending rows
+        # included; the synopsis itself is still 25 inserts behind, and
+        # says so.
+        assert report.approximate.version == version
+        assert system.table_version("rel") == version
+        assert report.exact.column("s").tolist() == (
+            system.exact(SQL).column("s").tolist()
+        )
         assert report.stale_inserts == 25
         assert "stale" in report.describe()
-        assert not system._state("rel").pending_rows
 
     def test_compare_describe_handles_inf_speedup(self, system):
         report = system.compare(SQL)

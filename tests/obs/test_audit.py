@@ -147,6 +147,18 @@ class TestVersionGuards:
         assert auditor.drain() == []
         assert auditor.stats.skipped[SKIP_VERSION_MISMATCH] == 1
 
+    def test_an_answer_over_pending_rows_is_audited(self):
+        """exact() reads the answer's record, pending rows included, and
+        publishes nothing, so the audit's version check passes."""
+        system = _system()
+        auditor = _auditor(system, fraction=1.0)
+        system.insert("t", ("a", 1.0))
+        system.answer(SQL)
+        (finding,) = auditor.drain()
+        assert finding.groups_checked > 0
+        assert auditor.stats.audited == 1
+        assert SKIP_VERSION_MISMATCH not in auditor.stats.skipped
+
     def test_same_version_audits_cleanly(self):
         system = _system()
         auditor = _auditor(system, fraction=1.0)

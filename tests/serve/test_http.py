@@ -13,6 +13,8 @@ from repro.engine import Column, ColumnType, Schema, Table
 from repro.serve import QueryService, ServiceConfig, serve_http
 from repro.testing.faults import ServiceFaultInjector
 
+# shutdown() waits for serve_forever's next poll (0.5 s by default)
+POLL = {"poll_interval": 0.01}
 SQL = "SELECT g, SUM(v) AS s FROM t GROUP BY g"
 
 
@@ -50,7 +52,9 @@ def served():
         sleep=lambda _s: None,
     )
     server = serve_http(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs=POLL, daemon=True
+    )
     thread.start()
     try:
         yield system, service, server.url

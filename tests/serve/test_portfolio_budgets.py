@@ -19,6 +19,8 @@ from repro.engine import Column, ColumnType, Schema, Table
 from repro.serve import QueryService, ServiceConfig, serve_http
 from repro.testing.faults import ServiceFaultInjector
 
+# shutdown() waits for serve_forever's next poll (0.5 s by default)
+POLL = {"poll_interval": 0.01}
 SQL = "SELECT g, SUM(v) AS s FROM t GROUP BY g"
 SQL2 = "SELECT g, AVG(v) AS a FROM t GROUP BY g"
 
@@ -149,7 +151,9 @@ class TestHttpBudgets:
             sleep=lambda _s: None,
         )
         server = serve_http(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs=POLL, daemon=True
+        )
         thread.start()
         try:
             yield system, service, server.url

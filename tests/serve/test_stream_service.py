@@ -35,6 +35,8 @@ from repro.serve.deadline import Deadline, ManualClock
 from repro.serve.http import serve_http
 from repro.testing.faults import ServiceFaultInjector
 
+# shutdown() waits for serve_forever's next poll (0.5 s by default)
+POLL = {"poll_interval": 0.01}
 SQL = "SELECT g, SUM(v) AS s, AVG(v) AS a FROM t GROUP BY g ORDER BY g"
 
 
@@ -217,7 +219,7 @@ class TestStreamingHTTP:
         with _service(system) as service:
             server = serve_http(service)
             thread = threading.Thread(
-                target=server.serve_forever, daemon=True
+                target=server.serve_forever, kwargs=POLL, daemon=True
             )
             thread.start()
             try:
@@ -251,7 +253,7 @@ class TestStreamingHTTP:
         with _service() as service:
             server = serve_http(service)
             thread = threading.Thread(
-                target=server.serve_forever, daemon=True
+                target=server.serve_forever, kwargs=POLL, daemon=True
             )
             thread.start()
             try:
